@@ -12,7 +12,6 @@ from .backends import (
     ResponseCache,
     build_backend,
     cache_key,
-    ngram_train,
 )
 from .envs import (
     EnvError,

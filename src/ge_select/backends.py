@@ -11,8 +11,10 @@ Three implementations share one duck-typed surface:
 - ``HashEmbedBackend``: feature-hashed unigram embeddings.
 - ``HttpBackend``: OpenAI-compatible completions/embeddings endpoints.
 
-``ResponseCache``/``CachedBackend`` add a content-addressed, append-only
-response log so repeated runs are reproducible and issue no outbound calls.
+``ResponseCache`` is a content-addressed, append-only response log so
+repeated runs are reproducible and issue no outbound calls. Scoring stores
+only the slice of each echo it consumes there (``pipeline``);
+``CachedBackend`` stores generations.
 """
 
 from __future__ import annotations
@@ -68,36 +70,6 @@ class EchoToken:
     logprob: float | None
     top: TokenDistribution | None = None
 
-    def to_record(self) -> dict:
-        rec: dict[str, Any] = {
-            "text": self.text,
-            "char_start": self.char_start,
-            "char_end": self.char_end,
-            "logprob": self.logprob,
-        }
-        if self.top is not None:
-            rec["top"] = {
-                "top": [[t, lp] for t, lp in self.top.top],
-                "residual_mass": self.top.residual_mass,
-            }
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "EchoToken":
-        top = None
-        if "top" in rec:
-            top = TokenDistribution(
-                top=tuple((t, lp) for t, lp in rec["top"]["top"]),
-                residual_mass=rec["top"]["residual_mass"],
-            )
-        return cls(
-            text=rec["text"],
-            char_start=rec["char_start"],
-            char_end=rec["char_end"],
-            logprob=rec["logprob"],
-            top=top,
-        )
-
 
 @dataclass(frozen=True)
 class EchoResult:
@@ -108,13 +80,6 @@ class EchoResult:
 
     def spans(self) -> list[tuple[str, int, int]]:
         return [(t.text, t.char_start, t.char_end) for t in self.tokens]
-
-    def to_record(self) -> dict:
-        return {"tokens": [t.to_record() for t in self.tokens]}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "EchoResult":
-        return cls(tokens=tuple(EchoToken.from_record(t) for t in rec["tokens"]))
 
 
 class Backend:
@@ -196,7 +161,7 @@ class NgramBackend(Backend):
             kind="ngram",
             model=name,
             endpoint="",
-            fingerprint=_fingerprint("ngram", name, "", corpus_hash),
+            fingerprint=_fingerprint("ngram", name, "", f"{corpus_hash}\norder={order}"),
         )
 
     def _conditional(
@@ -313,10 +278,6 @@ class NgramBackend(Backend):
         if not text:
             raise BackendError("backend produced an empty completion")
         return text
-
-
-def ngram_train(corpus: str, order: int, model: str = "") -> NgramBackend:
-    return NgramBackend(corpus=corpus, order=order, model=model)
 
 
 class HashEmbedBackend(Backend):
@@ -568,22 +529,12 @@ class ResponseCache:
 
 
 class CachedBackend(Backend):
-    """Content-addressed caching wrapper around any backend."""
+    """Content-addressed cache in front of a backend's ``generate``."""
 
     def __init__(self, inner: Backend, cache: ResponseCache) -> None:
         self.inner = inner
         self.cache = cache
         self.id = inner.id
-
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
-        body = canonical_request({"op": "echo", "text": text, "top_k": want_top_k})
-        key = cache_key(self.id, body)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return EchoResult.from_record(cached)
-        result = self.inner.echo_logprobs(text, want_top_k)
-        stored = self.cache.put(key, result.to_record())
-        return EchoResult.from_record(stored)
 
     def generate(
         self,
@@ -608,14 +559,6 @@ class CachedBackend(Backend):
         if cached is not None:
             return cached
         return self.cache.put(key, self.inner.generate(prompt, stop, max_tokens, temperature, top_p))
-
-    def embed(self, text: str) -> list[float]:
-        body = canonical_request({"op": "embed", "text": text})
-        key = cache_key(self.id, body)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return list(cached)
-        return list(self.cache.put(key, self.inner.embed(text)))
 
 
 def build_backend(config: dict) -> Backend:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +21,8 @@ from .models import (
     FormatError,
     Guideline,
     Question,
+    _load_jsonl,
+    _require_str,
     load_pool,
     load_scores,
     load_selection,
@@ -152,9 +155,8 @@ def _read_text(path: str, what: str) -> str:
         raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _cached(backend, cache_dir: str):
-    cache = ResponseCache(Path(cache_dir) / "cache.jsonl")
-    return CachedBackend(backend, cache)
+def _response_cache(cache_dir: str) -> ResponseCache:
+    return ResponseCache(Path(cache_dir) / "cache.jsonl")
 
 
 def _cmd_score(args) -> int:
@@ -168,9 +170,15 @@ def _cmd_score(args) -> int:
     guideline = Guideline.load(args.guideline)
     if not config.score_backend:
         raise FormatError("config has no score_backend entry")
-    backend = _cached(build_backend(config.score_backend), args.cache_dir)
+    backend = build_backend(config.score_backend)
     records, diagnostics = score_pool(
-        pool, trajectories, guideline, backend, config, args.no_guideline_only
+        pool,
+        trajectories,
+        guideline,
+        backend,
+        config,
+        args.no_guideline_only,
+        cache=_response_cache(args.cache_dir),
     )
     skips = {"duplicate trajectory ignored", "no trajectory for question; skipped"}
     failures = [d for d in diagnostics if d.error not in skips]
@@ -184,21 +192,29 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _finite_vector(value) -> list[float] | None:
+    """``value`` as floats if it is a list of finite JSON numbers, else None."""
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        return None
+    try:
+        vector = [float(v) for v in value]
+    except OverflowError:  # an integer beyond float range
+        return None
+    return vector if all(math.isfinite(v) for v in vector) else None
+
+
 def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
     ids: list[str] = []
     vectors: list[list[float]] = []
-    raw = _read_text(path, "embeddings")
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
-        if "question_id" not in record or "embedding" not in record:
-            raise FormatError(f"{path}:{lineno}: embedding record needs question_id and embedding")
-        ids.append(record["question_id"])
-        vectors.append([float(v) for v in record["embedding"]])
+    for lineno, record in _load_jsonl(path, "embedding"):
+        ctx = f"{path}:{lineno}"
+        ids.append(_require_str(record, "question_id", ctx))
+        vector = _finite_vector(record.get("embedding"))
+        if vector is None:
+            raise FormatError(f"{ctx}: field 'embedding' must be a list of finite numbers")
+        vectors.append(vector)
     return ids, vectors
 
 
@@ -288,7 +304,6 @@ def _cmd_annotate(args) -> int:
     guideline = Guideline.load(args.guideline)
     if not config.generate_backend:
         raise FormatError("config has no generate_backend entry")
-    backend = _cached(build_backend(config.generate_backend), args.cache_dir)
     if args.env == "toyshop":
         params = dict(config.env.get("toyshop", {}))
         if "hidden_attrs" in params:
@@ -303,6 +318,10 @@ def _cmd_annotate(args) -> int:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")
         env = HttpEnv(args.env_url)
+    # Opening the cache creates --cache-dir, so it comes after every check.
+    backend = CachedBackend(
+        build_backend(config.generate_backend), _response_cache(args.cache_dir)
+    )
     trajectories, diagnostics = annotate(questions, guideline, backend, env, config)
     if diagnostics and not trajectories:
         if all(d.stage == "annotate-env" for d in diagnostics):

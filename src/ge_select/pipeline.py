@@ -15,17 +15,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .backends import Backend, BackendError
+from .backends import Backend, BackendError, ResponseCache, cache_key, canonical_request
 from .envs import EnvError
 from .models import (
+    LEVELS,
     FormatError,
     Guideline,
     Question,
     ScoreRecord,
     SelectionResult,
     Step,
-    StepScore,
     Trajectory,
+    _load_jsonl,
 )
 from .prompts import (
     DEFAULT_TEMPLATE,
@@ -39,11 +40,11 @@ from .scoring import (
     GE_SIGN_DEFAULT,
     GE_SIGN_EQ5,
     GE_SIGNS,
+    TokenDistribution,
     aggregate_trajectory,
     mean_entropy,
 )
 
-LEVELS = ("easy", "medium", "hard")
 OBSERVATION_STOP = "\nObservation"
 
 
@@ -84,19 +85,9 @@ class RunConfig:
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read exemplars file {path}: {exc}") from exc
     exemplars = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed exemplar record: {exc}") from exc
-        if not isinstance(record, dict) or not isinstance(record.get("text"), str):
+    for lineno, record in _load_jsonl(path, "exemplar"):
+        if not isinstance(record.get("text"), str):
             raise FormatError(f"{path}:{lineno}: exemplar record needs a 'text' field")
         exemplars.append(record["text"])
     return tuple(exemplars)
@@ -153,30 +144,51 @@ def load_run_config(path: str | Path) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _action_logprobs(bundle: PromptBundle, echo_result) -> list[list[float]]:
-    span_map = map_spans_to_tokens(bundle, echo_result.spans())
-    per_step: list[list[float]] = []
-    for token_span in span_map.per_action:
-        logprobs = []
-        for token in echo_result.tokens[token_span.token_start : token_span.token_end]:
-            if token.logprob is None:
+def _score_prompt(
+    bundle: PromptBundle,
+    backend: Backend,
+    top_k: int,
+    cache: ResponseCache | None = None,
+) -> tuple[list[list[float]], list[TokenDistribution]]:
+    """Token logprobs of each scored action, plus top-k distributions at them.
+
+    Only this slice of the echo is cached, keyed by prompt, spans and top_k,
+    so a hit needs neither the backend nor span mapping. A miss stores the
+    slice and decodes what the cache returns, so racing writers agree.
+    """
+    key = cache_key(
+        backend.id,
+        canonical_request(
+            {
+                "op": "score_spans",
+                "text": bundle.rendered,
+                "spans": [[s.char_start, s.char_end] for s in bundle.action_spans],
+                "top_k": top_k,
+            }
+        ),
+    )
+    scored = cache.get(key) if cache is not None else None
+    if scored is None:
+        echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
+        scored = {"logprobs": [], "top": []}
+        for token_span in map_spans_to_tokens(bundle, echo.spans()).per_action:
+            tokens = echo.tokens[token_span.token_start : token_span.token_end]
+            if any(token.logprob is None for token in tokens):
                 raise FormatError(
                     f"scored span for step {token_span.step_index} covers a token "
                     "without a logprob (prompt must not begin with an action)"
                 )
-            logprobs.append(token.logprob)
-        per_step.append(logprobs)
-    return per_step
-
-
-def _action_distributions(bundle: PromptBundle, echo_result) -> list:
-    span_map = map_spans_to_tokens(bundle, echo_result.spans())
-    dists = []
-    for token_span in span_map.per_action:
-        for token in echo_result.tokens[token_span.token_start : token_span.token_end]:
-            if token.top is not None:
-                dists.append(token.top)
-    return dists
+            scored["logprobs"].append([token.logprob for token in tokens])
+            scored["top"].extend(
+                [token.top.top, token.top.residual_mass] for token in tokens if token.top
+            )
+        if cache is not None:
+            scored = cache.put(key, scored)
+    dists = [
+        TokenDistribution(top=tuple((t, lp) for t, lp in top), residual_mass=residual)
+        for top, residual in scored["top"]
+    ]
+    return scored["logprobs"], dists
 
 
 def score_trajectory(
@@ -186,6 +198,7 @@ def score_trajectory(
     backend: Backend,
     config: RunConfig,
     no_guideline_only: bool = False,
+    cache: ResponseCache | None = None,
 ) -> ScoreRecord:
     """Score one trajectory under both prompt variants.
 
@@ -193,48 +206,29 @@ def score_trajectory(
     difficulty columns then carry the same values and ge is zero, which is
     useful for cache warming and base-difficulty inspection.
     """
-    bundle_without = build_prompt(
-        config.instruction,
-        None,
-        config.exemplars,
-        trajectory,
-        config.template,
-        config.score_target,
-        question_text=question.text,
-    )
-    echo_without = backend.echo_logprobs(
-        bundle_without.rendered, want_top_k=config.top_k if no_guideline_only else 0
-    )
-    without_lists = _action_logprobs(bundle_without, echo_without)
 
-    if no_guideline_only:
-        per_step, _ = aggregate_trajectory(without_lists, without_lists)
-        dists = _action_distributions(bundle_without, echo_without)
-        return ScoreRecord(
-            question_id=trajectory.question_id,
-            guideline_version=guideline.version,
-            backend_id=backend.id.fingerprint,
-            per_step=tuple(per_step),
-            ge=0.0,
-            mean_entropy=mean_entropy(dists) if dists else None,
+    def render(g: Guideline | None) -> PromptBundle:
+        return build_prompt(
+            config.instruction,
+            g,
+            config.exemplars,
+            trajectory,
+            config.template,
+            config.score_target,
+            question_text=question.text,
         )
 
-    bundle_with = build_prompt(
-        config.instruction,
-        guideline,
-        config.exemplars,
-        trajectory,
-        config.template,
-        config.score_target,
-        question_text=question.text,
+    without_lists, dists = _score_prompt(
+        render(None), backend, config.top_k if no_guideline_only else 0, cache
     )
-    echo_with = backend.echo_logprobs(bundle_with.rendered, want_top_k=config.top_k)
-    with_lists = _action_logprobs(bundle_with, echo_with)
-
-    per_step, ge = aggregate_trajectory(with_lists, without_lists)
-    if config.ge_sign == GE_SIGN_EQ5:
-        ge = -ge
-    dists = _action_distributions(bundle_with, echo_with)
+    if no_guideline_only:
+        per_step, _ = aggregate_trajectory(without_lists, without_lists)
+        ge = 0.0
+    else:
+        with_lists, dists = _score_prompt(render(guideline), backend, config.top_k, cache)
+        per_step, ge = aggregate_trajectory(with_lists, without_lists)
+        if config.ge_sign == GE_SIGN_EQ5:
+            ge = -ge
     return ScoreRecord(
         question_id=trajectory.question_id,
         guideline_version=guideline.version,
@@ -252,8 +246,12 @@ def score_pool(
     backend: Backend,
     config: RunConfig,
     no_guideline_only: bool = False,
+    cache: ResponseCache | None = None,
 ) -> tuple[list[ScoreRecord], list[Diagnostic]]:
-    """Score every question that has a trajectory; first trajectory wins."""
+    """Score every question that has a trajectory; first trajectory wins.
+
+    With a ``cache``, scored spans already in it are not sent to the backend.
+    """
     by_id = {q.id: q for q in pool}
     diagnostics: list[Diagnostic] = []
     chosen: dict[str, Trajectory] = {}
@@ -275,7 +273,7 @@ def score_pool(
         qid, trajectory = item
         try:
             return score_trajectory(
-                trajectory, by_id[qid], guideline, backend, config, no_guideline_only
+                trajectory, by_id[qid], guideline, backend, config, no_guideline_only, cache
             )
         except (BackendError, FormatError) as exc:
             return Diagnostic(qid, "score", str(exc))

@@ -79,7 +79,10 @@ def select_high_score(
 
 def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
     """Pairwise cosine similarity; all-zero vectors are similar to nothing."""
-    matrix = np.asarray(vectors, dtype=float)
+    try:
+        matrix = np.asarray(vectors, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise FormatError("embeddings must all have the same dimension") from exc
     if matrix.ndim != 2:
         raise FormatError("embeddings must all have the same dimension")
     norms = np.linalg.norm(matrix, axis=1)

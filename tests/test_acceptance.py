@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import ge_select
-from ge_select.backends import CachedBackend, CountingBackend, ResponseCache, ngram_train
+from ge_select.backends import CountingBackend, NgramBackend, ResponseCache
 from ge_select.envs import (
     ToyShopConfig,
     toyshop_guideline,
@@ -128,7 +128,7 @@ def test_acceptance_2_ge_sign_semantics():
     guideline = Guideline.from_text(
         "Check the options, then finish the purchase with click[buy] immediately."
     )
-    backend = ngram_train(guideline.text, order=3)  # guideline-rich corpus
+    backend = NgramBackend(guideline.text, order=3)  # guideline-rich corpus
     trajectory = Trajectory(
         question_id="q1",
         guideline_version=guideline.version,
@@ -308,7 +308,7 @@ def test_acceptance_6_end_to_end_synthetic_selectivity():
         env, pool, truth = toyshop_make(shop, 300)
         guideline = Guideline.from_text(toyshop_guideline())  # hidden rule omitted
         trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
-        backend = ngram_train("", order=4)
+        backend = NgramBackend("", order=4)
         config = RunConfig(
             instruction="You are shopping for one item.",
             exemplars=(),
@@ -362,23 +362,27 @@ def test_acceptance_7_pipeline_determinism_and_resumability(tmp_path):
     guideline = Guideline.from_text(toyshop_guideline())
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
     config = RunConfig(instruction="Shop.", exemplars=(), top_k=2, parallelism=4)
-    ngram = ngram_train("", order=3)
+    ngram = NgramBackend("", order=3)
 
-    reference_backend = CachedBackend(ngram, ResponseCache(tmp_path / "ref.jsonl"))
-    reference, _ = score_pool(pool, trajectories, guideline, reference_backend, config)
+    reference_cache = ResponseCache(tmp_path / "ref.jsonl")
+    reference, _ = score_pool(pool, trajectories, guideline, ngram, config, cache=reference_cache)
     write_records(reference, tmp_path / "reference.jsonl")
 
     # run killed at ~50%: 50 of the 100 echo calls succeed
     cache_path = tmp_path / "shared_cache.jsonl"
-    dying = CachedBackend(FailAfter(ngram, budget=50), ResponseCache(cache_path))
-    partial, diagnostics = score_pool(pool, trajectories, guideline, dying, config)
+    dying = FailAfter(ngram, budget=50)
+    partial, diagnostics = score_pool(
+        pool, trajectories, guideline, dying, config, cache=ResponseCache(cache_path)
+    )
     assert len(partial) < 50
     assert any("killed mid-run" in d.error for d in diagnostics)
 
     # resume against the same cache with a healthy backend
     counting = CountingBackend(ngram)
-    resumed_backend = CachedBackend(counting, ResponseCache(cache_path))
-    resumed, diagnostics = score_pool(pool, trajectories, guideline, resumed_backend, config)
+    resumed_cache = ResponseCache(cache_path)
+    resumed, diagnostics = score_pool(
+        pool, trajectories, guideline, counting, config, cache=resumed_cache
+    )
     assert not diagnostics
     write_records(resumed, tmp_path / "resumed.jsonl")
     assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
@@ -386,7 +390,7 @@ def test_acceptance_7_pipeline_determinism_and_resumability(tmp_path):
     assert 0 < resumed_calls <= 50  # only the lost half is recomputed
 
     # warm-cache rerun issues zero outbound calls and identical bytes
-    rerun, _ = score_pool(pool, trajectories, guideline, resumed_backend, config)
+    rerun, _ = score_pool(pool, trajectories, guideline, counting, config, cache=resumed_cache)
     assert counting.total_calls == resumed_calls
     write_records(rerun, tmp_path / "rerun.jsonl")
     assert (tmp_path / "rerun.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()

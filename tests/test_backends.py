@@ -19,7 +19,6 @@ from ge_select.backends import (
     build_backend,
     cache_key,
     canonical_request,
-    ngram_train,
 )
 
 from conftest import echo_response
@@ -38,7 +37,7 @@ def count_oracle(corpus: bytes, ctx: bytes, b: int) -> float:
 
 
 def test_empty_corpus_uniform_logprobs():
-    backend = ngram_train("", order=3)
+    backend = NgramBackend("", order=3)
     result = backend.echo_logprobs("abcd")
     assert len(result.tokens) == 4
     for token in result.tokens:
@@ -46,7 +45,7 @@ def test_empty_corpus_uniform_logprobs():
 
 
 def test_echo_deterministic():
-    backend = ngram_train("some corpus text here", order=3)
+    backend = NgramBackend("some corpus text here", order=3)
     a = backend.echo_logprobs("the quick fox", want_top_k=4)
     b = backend.echo_logprobs("the quick fox", want_top_k=4)
     assert a == b
@@ -54,7 +53,7 @@ def test_echo_deterministic():
 
 def test_trained_conditional_beats_uniform():
     corpus = "ab" * 50
-    backend = ngram_train(corpus, order=3)
+    backend = NgramBackend(corpus, order=3)
     result = backend.echo_logprobs("ab")
     lp_b = result.tokens[1].logprob
     assert lp_b > -math.log(256.0)
@@ -64,7 +63,7 @@ def test_trained_conditional_beats_uniform():
 
 def test_aaab_order2_hand_counts():
     corpus = "aaab"
-    backend = ngram_train(corpus, order=2)
+    backend = NgramBackend(corpus, order=2)
     # count("aaa") = 1, occurrences of "aa" followed by any byte = 2
     assert backend.conditional("aa", ord("a")) == pytest.approx(2 / 258, abs=1e-15)
     assert backend.conditional("aa", ord("b")) == pytest.approx(2 / 258, abs=1e-15)
@@ -76,7 +75,7 @@ def test_aaab_order2_hand_counts():
 def test_conditionals_normalize_for_random_contexts():
     rng = random.Random(9)
     corpus = "".join(rng.choice("abcab \n") for _ in range(500))
-    backend = ngram_train(corpus, order=3)
+    backend = NgramBackend(corpus, order=3)
     for _ in range(100):
         length = rng.randint(0, 3)
         ctx = bytes(rng.randrange(256) for _ in range(length))
@@ -85,7 +84,7 @@ def test_conditionals_normalize_for_random_contexts():
 
 
 def test_prefix_repetition_boosts_later_occurrence():
-    backend = ngram_train("", order=4)
+    backend = NgramBackend("", order=4)
     text = "click[buy] now and again click[buy]"
     result = backend.echo_logprobs(text)
     first = sum(t.logprob for t in result.tokens[0:10])
@@ -95,7 +94,7 @@ def test_prefix_repetition_boosts_later_occurrence():
 
 
 def test_echo_tokens_tile_text_with_multibyte_chars():
-    backend = ngram_train("héllo wörld", order=2)
+    backend = NgramBackend("héllo wörld", order=2)
     text = "héllo"
     result = backend.echo_logprobs(text)
     assert "".join(t.text for t in result.tokens) == text
@@ -103,7 +102,7 @@ def test_echo_tokens_tile_text_with_multibyte_chars():
 
 
 def test_echo_top_k_distribution_shape():
-    backend = ngram_train("abcabcabc", order=2)
+    backend = NgramBackend("abcabcabc", order=2)
     result = backend.echo_logprobs("abc", want_top_k=5)
     for token in result.tokens:
         assert token.top is not None
@@ -115,44 +114,48 @@ def test_echo_top_k_distribution_shape():
 
 def test_ngram_order_bounds():
     with pytest.raises(ValueError):
-        ngram_train("x", order=0)
+        NgramBackend("x", order=0)
     with pytest.raises(ValueError):
-        ngram_train("x", order=6)
+        NgramBackend("x", order=6)
 
 
 def test_generate_truncates_at_stop():
     corpus = "Action: click[buy]\nObservation: ok\n" * 30
-    backend = ngram_train(corpus, order=4)
+    backend = NgramBackend(corpus, order=4)
     out = backend.generate("Action: click[", stop=["\nObservation"], max_tokens=64)
     assert out == "buy]"
     assert "\nObservation" not in out
 
 
 def test_generate_deterministic():
-    backend = ngram_train("to be or not to be, that is the question", order=3)
+    backend = NgramBackend("to be or not to be, that is the question", order=3)
     a = backend.generate("to be", max_tokens=32)
     b = backend.generate("to be", max_tokens=32)
     assert a == b
 
 
 def test_generate_empty_completion_is_error():
-    backend = ngram_train("XXXXXXXX", order=2)
+    backend = NgramBackend("XXXXXXXX", order=2)
     with pytest.raises(BackendError, match="empty"):
         backend.generate("X", stop=["X"], max_tokens=8)
 
 
 def test_generate_max_tokens_bounds_length():
-    backend = ngram_train("abcdefgh" * 4, order=2)
+    backend = NgramBackend("abcdefgh" * 4, order=2)
     out = backend.generate("abc", max_tokens=5)
     assert 1 <= len(out.encode("utf-8")) <= 5
 
 
 def test_fingerprint_depends_on_corpus():
-    a = ngram_train("corpus one", order=3)
-    b = ngram_train("corpus two", order=3)
-    c = ngram_train("corpus one", order=3)
+    a = NgramBackend("corpus one", order=3)
+    b = NgramBackend("corpus two", order=3)
+    c = NgramBackend("corpus one", order=3)
     assert a.id.fingerprint == c.id.fingerprint
     assert a.id.fingerprint != b.id.fingerprint
+    # a named model must not hide the order
+    low = NgramBackend("abc", 2, model="m")
+    high = NgramBackend("abc", 5, model="m")
+    assert low.id.fingerprint != high.id.fingerprint
 
 
 def test_hash_embed_identical_and_empty():
@@ -234,27 +237,27 @@ def test_response_cache_first_write_wins(tmp_path):
 
 
 def test_cached_backend_zero_calls_when_warm(tmp_path):
-    counting = CountingBackend(ngram_train("abcabc", order=2))
+    counting = CountingBackend(NgramBackend("abcabc", order=2))
     cache = ResponseCache(tmp_path / "cache.jsonl")
     backend = CachedBackend(counting, cache)
-    first = backend.echo_logprobs("abc", want_top_k=2)
-    assert counting.counts["echo"] == 1
-    second = backend.echo_logprobs("abc", want_top_k=2)
-    assert counting.counts["echo"] == 1
+    first = backend.generate("abc", max_tokens=4)
+    assert counting.counts["generate"] == 1
+    second = backend.generate("abc", max_tokens=4)
+    assert counting.counts["generate"] == 1
     assert first == second
     # warm cache survives reload
     fresh = CachedBackend(counting, ResponseCache(tmp_path / "cache.jsonl"))
-    assert fresh.echo_logprobs("abc", want_top_k=2) == first
-    assert counting.counts["echo"] == 1
+    assert fresh.generate("abc", max_tokens=4) == first
+    assert counting.counts["generate"] == 1
 
 
 def test_concurrent_cache_access_single_entry(tmp_path):
-    counting = CountingBackend(ngram_train("xyzxyz", order=2))
+    counting = CountingBackend(NgramBackend("xyzxyz", order=2))
     cache = ResponseCache(tmp_path / "cache.jsonl")
     backend = CachedBackend(counting, cache)
     results = []
     threads = [
-        threading.Thread(target=lambda: results.append(backend.echo_logprobs("xyz")))
+        threading.Thread(target=lambda: results.append(backend.generate("xyz", max_tokens=4)))
         for _ in range(8)
     ]
     for t in threads:
@@ -263,7 +266,7 @@ def test_concurrent_cache_access_single_entry(tmp_path):
         t.join()
     assert len(results) == 8
     assert all(r == results[0] for r in results)
-    assert 1 <= counting.counts["echo"] <= 8
+    assert 1 <= counting.counts["generate"] <= 8
     assert len(ResponseCache(tmp_path / "cache.jsonl")) == 1
     lines = (tmp_path / "cache.jsonl").read_text().splitlines()
     assert len(lines) == 1
@@ -402,7 +405,7 @@ def test_http_inflight_requests_are_bounded(local_server):
 
 
 def test_capability_errors():
-    ngram = ngram_train("abc", order=2)
+    ngram = NgramBackend("abc", order=2)
     with pytest.raises(BackendError, match="embed"):
         ngram.embed("text")
     embedder = HashEmbedBackend()

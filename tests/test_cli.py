@@ -200,6 +200,33 @@ def test_select_missing_inputs_usage_error(workspace, capsys):
     assert run(["select", "--strategy", "fl", "-k", "3", "--out", str(workspace / "x.jsonl")]) == 1
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["5"],
+        ['{"question_id":"a","embedding":["x"]}'],
+        ['{"question_id":"a","embedding":3}'],
+        ['{"question_id":"","embedding":[1.0]}'],
+        ['{"embedding":[1.0]}'],
+        ['{"question_id":"a","embedding":[NaN]}'],
+        ['{"question_id":"a","embedding":[1' + "0" * 400 + "]}"],
+        ['{"question_id":"a","embedding":[1.0]}', '{"question_id":"b","embedding":[1.0,2.0]}'],
+    ],
+)
+def test_select_fl_malformed_embeddings_exit_two(tmp_path, capsys, lines):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = run(
+        ["select", "--strategy", "fl", "-k", "1", "--embeddings", str(path),
+         "--out", str(tmp_path / "sel.jsonl")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:2:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_backend_unreachable_exits_three(workspace, capsys):
     (workspace / "bad_config.json").write_text(
         json.dumps(
@@ -306,14 +333,16 @@ def test_annotate_http_env(workspace, local_server):
 
 
 def test_annotate_http_env_requires_url(workspace):
+    fresh = workspace / "fresh"
     assert run(
         ["annotate", "--questions", str(workspace / "pool.jsonl"),
          "--guideline", str(workspace / "guideline.txt"),
          "--config", str(workspace / "config.json"),
          "--env", "http",
          "--out", str(workspace / "x.jsonl"),
-         "--cache-dir", str(workspace / "cache")]
+         "--cache-dir", str(fresh)]
     ) == 1
+    assert not fresh.exists()  # the usage error is raised before the cache is opened
 
 
 def test_select_default_budget_on_large_score_file(tmp_path):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
+import sys
+import threading
 
 import pytest
 
+import ge_select.pipeline as pipeline
 from ge_select.backends import (
     Backend,
     BackendError,
-    CachedBackend,
     CountingBackend,
+    NgramBackend,
     ResponseCache,
-    ngram_train,
 )
 from ge_select.envs import ToyShopConfig, ToyShopEnv, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
@@ -86,7 +89,7 @@ def test_guideline_containing_action_lowers_with_guideline_difficulty():
     guideline = Guideline.from_text("When done, finish with click[buy] right away.")
     trajectory = make_trajectory(actions=("click[buy]",))
     question = Question(id="q1", text="find a mug")
-    backend = ngram_train("", order=3)
+    backend = NgramBackend("", order=3)
     config = tiny_config(top_k=0)
     record = score_trajectory(trajectory, question, guideline, backend, config)
     step = record.per_step[0]
@@ -112,7 +115,7 @@ def test_eq5_sign_config_negates_ge_bit_exactly():
     guideline = Guideline.from_text("Finish with click[buy].")
     trajectory = make_trajectory(actions=("search[mug]", "click[buy]"))
     question = Question(id="q1", text="find a mug")
-    backend = ngram_train("shop talk", order=3)
+    backend = NgramBackend("shop talk", order=3)
     default = score_trajectory(trajectory, question, guideline, backend, tiny_config())
     eq5 = score_trajectory(
         trajectory, question, guideline, backend, tiny_config(ge_sign="eq5")
@@ -129,7 +132,7 @@ def test_score_pool_sorted_dedup_and_missing_warnings():
         make_trajectory("q1", actions=("search[dup]",), question="find item 1"),
     ]
     guideline = Guideline.from_text("Be quick.")
-    backend = ngram_train("", order=2)
+    backend = NgramBackend("", order=2)
     records, diagnostics = score_pool(pool, trajectories, guideline, backend, tiny_config())
     assert [r.question_id for r in records] == ["q0", "q1"]
     messages = {(d.question_id, d.error) for d in diagnostics}
@@ -144,7 +147,7 @@ def test_score_pool_rejects_unknown_question():
             pool,
             [make_trajectory("missing")],
             Guideline.from_text("g"),
-            ngram_train("", order=2),
+            NgramBackend("", order=2),
             tiny_config(),
         )
 
@@ -154,7 +157,7 @@ def test_score_pool_invariant_to_order_and_parallelism():
     env, pool, _ = toyshop_make(config, 8)
     guideline = Guideline.from_text(toyshop_guideline())
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
-    backend = ngram_train("", order=3)
+    backend = NgramBackend("", order=3)
     base, _ = score_pool(pool, trajectories, guideline, backend, tiny_config(parallelism=1))
     shuffled, _ = score_pool(
         list(reversed(pool)),
@@ -170,13 +173,12 @@ def test_score_pool_warm_cache_issues_zero_calls(tmp_path):
     pool = [Question(id=f"q{i}", text=f"find item {i}") for i in range(3)]
     trajectories = [make_trajectory(f"q{i}", question=f"find item {i}") for i in range(3)]
     guideline = Guideline.from_text("Act fast.")
-    counting = CountingBackend(ngram_train("", order=2))
+    counting = CountingBackend(NgramBackend("", order=2))
     cache = ResponseCache(tmp_path / "c.jsonl")
-    backend = CachedBackend(counting, cache)
-    first, _ = score_pool(pool, trajectories, guideline, backend, tiny_config())
+    first, _ = score_pool(pool, trajectories, guideline, counting, tiny_config(), cache=cache)
     calls_after_first = counting.total_calls
     assert calls_after_first > 0
-    second, _ = score_pool(pool, trajectories, guideline, backend, tiny_config())
+    second, _ = score_pool(pool, trajectories, guideline, counting, tiny_config(), cache=cache)
     assert counting.total_calls == calls_after_first
     assert first == second
 
@@ -203,25 +205,97 @@ def test_score_pool_resumes_to_identical_bytes(tmp_path):
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
     run_config = tiny_config(parallelism=1)
 
-    ngram = ngram_train("", order=3)
-    clean_backend = CachedBackend(ngram, ResponseCache(tmp_path / "clean.jsonl"))
-    full_records, _ = score_pool(pool, trajectories, guideline, clean_backend, run_config)
+    ngram = NgramBackend("", order=3)
+    full_records, _ = score_pool(
+        pool, trajectories, guideline, ngram, run_config, cache=ResponseCache(tmp_path / "clean.jsonl")
+    )
     write_records(full_records, tmp_path / "full.jsonl")
 
     # interrupted run: backend dies halfway through, partial results flushed
     cache_path = tmp_path / "resume.jsonl"
-    failing = CachedBackend(FailAfter(ngram, budget=6), ResponseCache(cache_path))
-    partial_records, diagnostics = score_pool(pool, trajectories, guideline, failing, run_config)
+    failing = FailAfter(ngram, budget=6)
+    partial_records, diagnostics = score_pool(
+        pool, trajectories, guideline, failing, run_config, cache=ResponseCache(cache_path)
+    )
     assert 0 < len(partial_records) < len(pool)
     assert any("unreachable" in d.error for d in diagnostics)
     write_records(partial_records, tmp_path / "partial.jsonl")
 
     # resume with the same cache, healthy backend
-    resumed_backend = CachedBackend(ngram, ResponseCache(cache_path))
-    resumed_records, diagnostics = score_pool(pool, trajectories, guideline, resumed_backend, run_config)
+    resumed_records, diagnostics = score_pool(
+        pool, trajectories, guideline, ngram, run_config, cache=ResponseCache(cache_path)
+    )
     assert not diagnostics
     write_records(resumed_records, tmp_path / "resumed.jsonl")
     assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+
+def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
+    env, pool, _ = toyshop_make(ToyShopConfig(seed=5, catalog_size=10), 1)
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectory = toyshop_rollout(env, pool[0], guideline.version)
+    counting = CountingBackend(NgramBackend("", order=3))
+    mapped = []
+    map_spans = pipeline.map_spans_to_tokens
+    monkeypatch.setattr(
+        pipeline, "map_spans_to_tokens", lambda *args: mapped.append(1) or map_spans(*args)
+    )
+    cache_path = tmp_path / "cache.jsonl"
+    config = tiny_config(top_k=2)
+
+    record = score_trajectory(
+        trajectory, pool[0], guideline, counting, config, cache=ResponseCache(cache_path)
+    )
+    entries = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+    assert len(entries) == 2
+    n_tokens = [s.n_tokens for s in record.per_step]
+    for entry in entries:
+        assert [len(logprobs) for logprobs in entry["logprobs"]] == n_tokens
+    without, with_guideline = entries
+    assert without["top"] == []  # the guideline-free prompt is scored at top_k=0
+    assert len(with_guideline["top"]) == sum(n_tokens)
+    assert all(len(top) == 2 for top, _residual in with_guideline["top"])
+    assert counting.counts["echo"] == 2 and len(mapped) == 2
+
+    warm = score_trajectory(
+        trajectory, pool[0], guideline, counting, config, cache=ResponseCache(cache_path)
+    )
+    assert warm == record
+    assert counting.counts["echo"] == 2 and len(mapped) == 2  # a hit maps no spans
+
+    # top_k is part of the key: the guideline-free prompt at top_k=2 is a miss
+    base = score_trajectory(
+        trajectory, pool[0], guideline, counting, config, True, ResponseCache(cache_path)
+    )
+    assert counting.counts["echo"] == 3 and base.mean_entropy is not None
+
+
+def test_racing_scorers_agree_and_store_one_entry_per_prompt(tmp_path):
+    question = Question(id="q1", text="find a mug")
+    trajectory = make_trajectory("q1", actions=("search[mug]", "click[buy]"))
+    guideline = Guideline.from_text("Buy the first mug.")
+    backend = NgramBackend("", order=3)
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    results = []
+
+    def work():
+        results.append(
+            score_trajectory(trajectory, question, guideline, backend, tiny_config(), cache=cache)
+        )
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r == results[0] for r in results)
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
 
 
 def test_score_pool_no_guideline_only_mode():
@@ -231,7 +305,7 @@ def test_score_pool_no_guideline_only_mode():
         pool,
         [make_trajectory("q1")],
         guideline,
-        ngram_train("", order=3),
+        NgramBackend("", order=3),
         tiny_config(),
         no_guideline_only=True,
     )
@@ -244,7 +318,7 @@ def test_score_pool_no_guideline_only_mode():
 def test_score_records_carry_backend_fingerprint_and_entropy():
     pool = [Question(id="q1", text="find a mug")]
     guideline = Guideline.from_text("g")
-    backend = ngram_train("corpus", order=2)
+    backend = NgramBackend("corpus", order=2)
     records, _ = score_pool(pool, [make_trajectory("q1")], guideline, backend, tiny_config())
     assert records[0].backend_id == backend.id.fingerprint
     assert records[0].guideline_version == guideline.version
@@ -293,7 +367,7 @@ class ScriptedBackend(Backend):
     def __init__(self, script):
         self.script = list(script)
         self.cursor = 0
-        self.id = ngram_train("", order=1).id
+        self.id = NgramBackend("", order=1).id
 
     def generate(self, prompt, stop=(), max_tokens=512, temperature=0.7, top_p=0.95):
         text = self.script[min(self.cursor, len(self.script) - 1)]
@@ -323,7 +397,7 @@ def test_annotate_deterministic_with_ngram_and_toyshop():
     runs = []
     for _ in range(2):
         env, pool, _ = toyshop_make(config, 4)
-        backend = ngram_train(corpus, order=4)
+        backend = NgramBackend(corpus, order=4)
         trajectories, _ = annotate(
             pool, Guideline.from_text("g"), backend, env, tiny_config(t_max=5)
         )
@@ -334,7 +408,7 @@ def test_annotate_deterministic_with_ngram_and_toyshop():
 
 def test_annotate_backend_failure_skips_question():
     class Dying(Backend):
-        id = ngram_train("", order=1).id
+        id = NgramBackend("", order=1).id
 
         def generate(self, *args, **kwargs):
             raise BackendError("unreachable")

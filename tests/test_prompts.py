@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ge_select.models import FormatError, Guideline, Step, Trajectory
 from ge_select.prompts import (
     DEFAULT_TEMPLATE,
+    SCORE_TARGETS,
     build_generation_prompt,
     build_prompt,
     map_spans_to_tokens,
@@ -166,6 +169,47 @@ def test_map_spans_char_tokens_count_equals_action_length():
     mapping = map_spans_to_tokens(bundle, char_tokens(bundle.rendered))
     for token_span, text in zip(mapping.per_action, bundle.action_texts):
         assert token_span.token_end - token_span.token_start == len(text)
+
+
+# Fragments that look like the prompt's own markers, so actions can contain them.
+_fragments = st.lists(
+    st.sampled_from(["Action:", "Action: ", "Observation:", "Thought:", "\n", " ", "a", "é", "[x]"]),
+    max_size=6,
+).map("".join)
+_steps = st.lists(
+    st.builds(
+        Step,
+        action=_fragments.filter(str.strip),
+        observation=_fragments,
+        thought=_fragments,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_steps, score_target=st.sampled_from(SCORE_TARGETS), data=st.data())
+def test_map_spans_selects_exactly_the_overlapping_tokens(steps, score_target, data):
+    trajectory = Trajectory(
+        question_id="q1", guideline_version="0" * 12, steps=tuple(steps),
+        reward=1.0, source="ingested", question_text="find Action: x",
+    )
+    bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory, score_target=score_target)
+    text = bundle.rendered
+    cuts = data.draw(st.sets(st.integers(1, len(text) - 1)), label="cuts")
+    bounds = [0, *sorted(cuts), len(text)]
+    tokens = [(text[a:b], a, b) for a, b in zip(bounds, bounds[1:])]
+
+    mapping = map_spans_to_tokens(bundle, tokens)
+    assert len(mapping.per_action) == len(bundle.action_spans)
+    for token_span, span in zip(mapping.per_action, bundle.action_spans):
+        overlapping = [
+            i for i, (_, start, end) in enumerate(tokens)
+            if start < span.char_end and end > span.char_start
+        ]
+        assert token_span.step_index == span.step_index
+        assert list(range(token_span.token_start, token_span.token_end)) == overlapping
 
 
 def test_generation_prompt_ends_with_action_cue():
