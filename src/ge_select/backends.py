@@ -482,8 +482,11 @@ class ResponseCache:
     """Append-only response log with an in-memory index.
 
     One JSON line per entry; appends are serialized, reads are lock-free
-    against the immutable index snapshot semantics of dict reads. A torn
-    final line (crash mid-append) is ignored on load.
+    against the immutable index snapshot semantics of dict reads. Each entry
+    goes out in a single ``os.write`` on an ``O_APPEND`` descriptor, so
+    processes sharing the file cannot interleave the bytes of one entry; a
+    short write raises instead of being retried. A torn final line (crash
+    mid-append) is ignored on load.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -521,9 +524,16 @@ class ResponseCache:
                 ensure_ascii=False,
                 separators=(",", ":"),
             )
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            data = (line + "\n").encode("utf-8")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
+            if written != len(data):
+                raise OSError(
+                    f"short write to {self.path}: {written} of {len(data)} bytes"
+                )
             self._index[key] = response
             return response
 

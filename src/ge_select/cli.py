@@ -9,6 +9,7 @@ produce byte-identical outputs. Nonzero exits print a single machine-parsable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -305,7 +306,13 @@ def _cmd_annotate(args) -> int:
     if not config.generate_backend:
         raise FormatError("config has no generate_backend entry")
     if args.env == "toyshop":
-        params = dict(config.env.get("toyshop", {}))
+        params = config.env.get("toyshop", {})
+        if not isinstance(params, dict):
+            raise FormatError("config env.toyshop must be an object")
+        unknown = sorted(set(params) - {f.name for f in dataclasses.fields(ToyShopConfig)})
+        if unknown:
+            raise FormatError(f"unknown config env.toyshop keys: {unknown}")
+        params = dict(params)
         if "hidden_attrs" in params:
             params["hidden_attrs"] = frozenset(params["hidden_attrs"])
         env = ToyShopEnv(ToyShopConfig(**params))

@@ -41,9 +41,13 @@ def _require_number(record: dict, key: str, ctx: str) -> float:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{ctx}: field '{key}' must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         raise FormatError(f"{ctx}: field '{key}' must be finite")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -298,9 +302,7 @@ class ScoreRecord:
         )
         mean_entropy = record.get("mean_entropy")
         if mean_entropy is not None:
-            if isinstance(mean_entropy, bool) or not isinstance(mean_entropy, (int, float)):
-                raise FormatError(f"{ctx}: 'mean_entropy' must be a number")
-            mean_entropy = float(mean_entropy)
+            mean_entropy = _require_number(record, "mean_entropy", ctx)
         return cls(
             question_id=_require_str(record, "question_id", ctx),
             guideline_version=_require_str(record, "guideline_version", ctx),

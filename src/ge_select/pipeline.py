@@ -78,6 +78,8 @@ class RunConfig:
     env: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.parallelism, bool) or not isinstance(self.parallelism, int):
+            raise FormatError(f"parallelism must be an integer, got {self.parallelism!r}")
         if self.parallelism < 1:
             raise FormatError("parallelism must be >= 1")
         if self.ge_sign not in GE_SIGNS:

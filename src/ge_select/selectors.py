@@ -7,6 +7,7 @@ files are reproducible across platforms.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Sequence
 
@@ -114,6 +115,21 @@ def select_facility_location(
 
     Item scores are the marginal objective gain at insertion; ties break by
     ascending id. With k=1 this picks the medoid.
+
+    The greedy is Minoux's exact lazy variant: a heap holds one
+    ``(-gain, id_rank, step)`` entry per candidate, where ``id_rank`` is the
+    candidate's place in the stable id sort and ``gain`` was evaluated
+    against the coverage of pick ``step``. A popped entry from an earlier
+    step is re-evaluated and pushed back; one from the current step is the
+    pick. A stale gain stays an upper bound in floating point too: each
+    term ``max(s - c, 0)`` cannot grow as the coverage ``c`` grows, IEEE
+    addition is monotone and numpy's pairwise sum is a fixed tree of
+    additions. Every gain is computed by the same expression as a full
+    rescan would use, so the picks, their order and their score bytes
+    equal the plain greedy's, and the ``(-gain, id_rank)`` key keeps its
+    "first in id order with a strictly larger gain" tie-break, also for
+    duplicate ids. The full n×n similarity matrix stays: rows built on
+    demand from mat-vec products could round differently and change gains.
     """
     if len(ids) != len(embeddings):
         raise FormatError("ids and embeddings must have equal length")
@@ -121,21 +137,23 @@ def select_facility_location(
     budget = min(max(k, 0), n)
     items: list[SelectionItem] = []
     if budget:
-        sim = np.maximum(cosine_similarity_matrix(embeddings), 0.0)
+        sim = cosine_similarity_matrix(embeddings)
+        np.maximum(sim, 0.0, out=sim)
         coverage = np.zeros(n)
-        remaining = set(range(n))
+
+        def gain(i: int) -> float:
+            return float(np.maximum(sim[i] - coverage, 0.0).sum())
+
         order = sorted(range(n), key=lambda i: ids[i])
-        for _ in range(budget):
-            best_index = -1
-            best_gain = -1.0
-            for i in order:
-                if i not in remaining:
-                    continue
-                gain = float(np.maximum(sim[i] - coverage, 0.0).sum())
-                if gain > best_gain:
-                    best_gain = gain
-                    best_index = i
-            remaining.discard(best_index)
-            coverage = np.maximum(coverage, sim[best_index])
-            items.append(SelectionItem(ids[best_index], best_gain))
+        heap = [(-gain(i), rank, 0) for rank, i in enumerate(order)]
+        heapq.heapify(heap)
+        while len(items) < budget:
+            neg_gain, rank, step = heap[0]
+            i = order[rank]
+            if step == len(items):
+                heapq.heappop(heap)
+                coverage = np.maximum(coverage, sim[i])
+                items.append(SelectionItem(ids[i], -neg_gain))
+            else:
+                heapq.heapreplace(heap, (-gain(i), rank, len(items)))
     return SelectionResult(strategy="fl", params={"k": k}, items=tuple(items))

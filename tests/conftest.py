@@ -1,10 +1,34 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Every tier-1 run draws the same examples, with no per-example deadline (the
+# suite runs on small, noisy hosts) and no example database written to disk.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
+
+_hypothesis_home: str | None = None
+
+
+def pytest_configure(config):
+    """Keep hypothesis's own caches (it writes some during collection) out of
+    the directory pytest starts from."""
+    global _hypothesis_home
+    _hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    if _hypothesis_home:
+        shutil.rmtree(_hypothesis_home, ignore_errors=True)
 
 
 class LocalServer:

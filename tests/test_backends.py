@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import threading
 
@@ -227,6 +228,43 @@ def test_response_cache_tolerates_torn_final_line(tmp_path):
     reloaded = ResponseCache(path)
     assert reloaded.get("k1") == "ok"
     assert reloaded.get("k2") is None
+
+
+def test_response_cache_two_writers_never_interleave_entries(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    caches = [ResponseCache(path), ResponseCache(path)]
+    payload = "é" * 50_000  # about 100 KB of UTF-8 per entry
+
+    def writer(worker: int) -> None:
+        cache = caches[worker % 2]
+        for i in range(12):
+            cache.put(f"w{worker}-{i}", {"worker": worker, "i": i, "text": payload})
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 48
+    for line in lines:
+        entry = json.loads(line)
+        assert entry["response"]["text"] == payload
+    fresh = ResponseCache(path)
+    assert len(fresh) == 48
+    for worker in range(4):
+        for i in range(12):
+            assert fresh.get(f"w{worker}-{i}") == {"worker": worker, "i": i, "text": payload}
+
+
+def test_response_cache_short_write_raises(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:10]))
+    with pytest.raises(OSError, match="short write"):
+        cache.put("k", "value")
+    assert cache.get("k") is None
 
 
 def test_response_cache_first_write_wins(tmp_path):

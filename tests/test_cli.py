@@ -380,3 +380,74 @@ def test_stats_without_selection(workspace, capsys):
     assert set(payload) == {"avg_turns", "avg_reward_pct"}
     assert run(["stats", "--trajectories", str(workspace / "trajectories.jsonl"),
                 "--selected", str(workspace / "nope.jsonl")]) == 1
+
+
+def assert_one_error_line(err: str, code: int, *needles: str) -> None:
+    assert err.startswith(f"error:{code}:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_trajectory_reward_beyond_float_range_exits_two(workspace, capsys):
+    record = json.loads((workspace / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    record["reward"] = 10**400
+    path = workspace / "huge.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run(["stats", "--trajectories", str(path)]) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "'reward'")
+
+
+@pytest.mark.parametrize("field", ["d_i", "mean_entropy"])
+def test_score_number_beyond_float_range_exits_two(tmp_path, capsys, field):
+    record = {
+        "question_id": "q1",
+        "guideline_version": "0" * 12,
+        "backend_id": "b" * 12,
+        "per_step": [{"d_i": 1.0, "d_g": 1.0, "n_tokens": 1}],
+        "ge": 0.0,
+        "mean_entropy": 0.5,
+    }
+    if field == "d_i":
+        record["per_step"][0]["d_i"] = 10**400
+    else:
+        record["mean_entropy"] = 10**400
+    path = tmp_path / "scores.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = run(["select", "--scores", str(path), "--strategy", "ge", "-k", "1",
+                "--out", str(tmp_path / "sel.jsonl")])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, f"'{field}'")
+
+
+def test_string_parallelism_in_config_exits_two(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["parallelism"] = "4"
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run(
+        ["score", "--pool", str(workspace / "pool.jsonl"),
+         "--trajectories", str(workspace / "trajectories.jsonl"),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--out", str(workspace / "scores.jsonl"),
+         "--cache-dir", str(workspace / "cache")]
+    )
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "parallelism")
+
+
+def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["env"]["toyshop"]["catalogue_size"] = 12
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run(
+        ["annotate", "--questions", str(workspace / "pool.jsonl"),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--env", "toyshop",
+         "--cache-dir", str(workspace / "cache"),
+         "--out", str(workspace / "annotated.jsonl")]
+    )
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", "catalogue_size")

@@ -6,8 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ge_select.backends import HashEmbedBackend
+from ge_select.envs import ToyShopConfig, toyshop_make
 from ge_select.models import (
     FormatError,
     Question,
@@ -250,6 +253,74 @@ def test_fl_objective_nondecreasing_in_k():
         value = fl_objective(chosen, sim)
         assert value >= previous - 1e-12
         previous = value
+
+
+def reference_facility_location(ids, embeddings, k):
+    """The plain greedy: rescans every remaining candidate at every pick."""
+    n = len(ids)
+    budget = min(max(k, 0), n)
+    items = []
+    if budget:
+        sim = np.maximum(cosine_similarity_matrix(embeddings), 0.0)
+        coverage = np.zeros(n)
+        remaining = set(range(n))
+        order = sorted(range(n), key=lambda i: ids[i])
+        for _ in range(budget):
+            best_index = -1
+            best_gain = -1.0
+            for i in order:
+                if i not in remaining:
+                    continue
+                gain = float(np.maximum(sim[i] - coverage, 0.0).sum())
+                if gain > best_gain:
+                    best_gain = gain
+                    best_index = i
+            remaining.discard(best_index)
+            coverage = np.maximum(coverage, sim[best_index])
+            items.append((ids[best_index], best_gain))
+    return items
+
+
+def assert_same_as_reference(ids, vectors, k):
+    expected = reference_facility_location(ids, vectors, k)
+    picked = [qid for qid, _ in expected]
+    if len(set(picked)) < len(picked):  # both copies of a repeated id picked
+        with pytest.raises(FormatError, match="duplicate question_id"):
+            select_facility_location(ids, vectors, k)
+        return
+    result = select_facility_location(ids, vectors, k)
+    assert result.question_ids == picked
+    assert [item.score.hex() for item in result.items] == [gain.hex() for _, gain in expected]
+
+
+@st.composite
+def fl_instances(draw):
+    """Small pools rich in exact ties: repeated and all-zero vectors, repeated ids."""
+    n = draw(st.integers(0, 12))
+    dim = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    distinct = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    vectors = [draw(st.sampled_from(distinct)) for _ in range(n)]
+    ids = draw(st.lists(st.sampled_from(["qa", "qb", "qc", "qd", "qe"]), min_size=n, max_size=n))
+    k = draw(st.integers(0, n + 2))
+    return ids, vectors, k
+
+
+@given(fl_instances())
+def test_fl_lazy_greedy_equals_full_rescan(instance):
+    assert_same_as_reference(*instance)
+
+
+def test_fl_lazy_greedy_equals_full_rescan_on_hash_embeddings():
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=5, catalog_size=30), 300)
+    assert len({q.text for q in pool}) < len(pool)  # repeated texts give exact ties
+    embedder = HashEmbedBackend()
+    ids = [q.id for q in pool]
+    vectors = [embedder.embed(q.text) for q in pool]
+    assert_same_as_reference(ids, vectors, 300)
 
 
 def test_fl_dimension_mismatch():
