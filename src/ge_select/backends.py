@@ -32,6 +32,7 @@ from typing import Any, Sequence
 
 import requests
 
+from .models import FormatError
 from .scoring import TokenDistribution
 
 EMBED_DIMENSIONS = 256
@@ -104,40 +105,22 @@ class Backend:
         raise BackendError(f"backend {self.id.kind!r} does not support embedding")
 
 
-class _ByteCounts:
-    """Context -> next-byte counts for every context length up to ``order``."""
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.tables: list[dict[bytes, dict[int, int]]] = [{} for _ in range(order + 1)]
-        self.totals: list[dict[bytes, int]] = [{} for _ in range(order + 1)]
-
-    def add_text(self, data: bytes) -> None:
-        for i in range(len(data)):
-            self.add_position(data, i)
-
-    def add_position(self, data: bytes, i: int) -> None:
-        b = data[i]
-        for length in range(0, min(self.order, i) + 1):
-            ctx = data[i - length : i]
-            table = self.tables[length]
-            bucket = table.get(ctx)
-            if bucket is None:
-                bucket = {}
-                table[ctx] = bucket
-            bucket[b] = bucket.get(b, 0) + 1
-            totals = self.totals[length]
-            totals[ctx] = totals.get(ctx, 0) + 1
-
-    def bucket(self, ctx: bytes) -> tuple[dict[int, int], int]:
-        length = len(ctx)
-        if length > self.order:
-            raise ValueError("context longer than model order")
-        return self.tables[length].get(ctx, {}), self.totals[length].get(ctx, 0)
+_EMPTY_BUCKET: tuple[int, dict[int, int]] = (0, {})
 
 
-def _byte_token_text(b: int) -> str:
-    return chr(b) if 32 <= b < 127 else f"\\x{b:02x}"
+def _count(counts: dict[bytes, list], ctx: bytes, b: int) -> None:
+    """Add one ``ctx -> b`` observation to a map of context bytes to
+    ``[total, {next byte: count}]``; a key's length is its order."""
+    bucket = counts.get(ctx)
+    if bucket is None:
+        counts[ctx] = [1, {b: 1}]
+    else:
+        bucket[0] += 1
+        following = bucket[1]
+        following[b] = following.get(b, 0) + 1
+
+
+_BYTE_TEXT = tuple(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in range(256))
 
 
 class NgramBackend(Backend):
@@ -152,10 +135,12 @@ class NgramBackend(Backend):
         if not 1 <= order <= MAX_NGRAM_ORDER:
             raise ValueError(f"ngram order must be in [1, {MAX_NGRAM_ORDER}], got {order}")
         self.order = order
-        self.corpus_bytes = corpus.encode("utf-8")
-        self.counts = _ByteCounts(order)
-        self.counts.add_text(self.corpus_bytes)
-        corpus_hash = hashlib.sha256(self.corpus_bytes).hexdigest()[:12]
+        data = corpus.encode("utf-8")
+        self.counts: dict[bytes, list] = {}
+        for i, b in enumerate(data):
+            for start in range(max(0, i - order), i + 1):
+                _count(self.counts, data[start:i], b)
+        corpus_hash = hashlib.sha256(data).hexdigest()[:12]
         name = model or f"ngram-o{order}"
         self.id = BackendId(
             kind="ngram",
@@ -164,74 +149,64 @@ class NgramBackend(Backend):
             fingerprint=_fingerprint("ngram", name, "", f"{corpus_hash}\norder={order}"),
         )
 
-    def _conditional(
-        self, prefix: _ByteCounts, ctx: bytes, b: int
-    ) -> float:
-        corpus_bucket, corpus_total = self.counts.bucket(ctx)
-        local_bucket, local_total = prefix.bucket(ctx)
-        count = corpus_bucket.get(b, 0) + local_bucket.get(b, 0)
-        total = corpus_total + local_total
-        return (count + 1) / (total + 256)
+    # The counts of the text being scored or generated (``local``) hold only
+    # full-order contexts. A shorter context is looked up only within the
+    # first ``order`` bytes, where no earlier position has a context that
+    # long, so its local bucket would always be empty.
+    def _blend(self, local: dict[bytes, list], ctx: bytes) -> tuple[int, dict[int, int]]:
+        """Total and next-byte counts of ``ctx`` over corpus plus ``local``.
+
+        Without a local bucket this is the corpus's own dict: read it only."""
+        total, following = self.counts.get(ctx, _EMPTY_BUCKET)
+        bucket = local.get(ctx)
+        if bucket is None:
+            return total, following
+        merged = dict(following)
+        for b, c in bucket[1].items():
+            merged[b] = merged.get(b, 0) + c
+        return total + bucket[0], merged
 
     def conditional(self, context: str | bytes, byte_value: int) -> float:
         """Corpus-only conditional; exposed for direct probability checks."""
         ctx = context.encode("utf-8") if isinstance(context, str) else context
-        ctx = ctx[-self.order :]
-        bucket, total = self.counts.bucket(ctx)
-        return (bucket.get(byte_value, 0) + 1) / (total + 256)
+        total, following = self.counts.get(ctx[-self.order :], _EMPTY_BUCKET)
+        return (following.get(byte_value, 0) + 1) / (total + 256)
 
-    def _top_k(self, prefix: _ByteCounts, ctx: bytes, k: int) -> TokenDistribution:
-        corpus_bucket, corpus_total = self.counts.bucket(ctx)
-        local_bucket, local_total = prefix.bucket(ctx)
-        total = corpus_total + local_total
-        merged: dict[int, int] = dict(corpus_bucket)
-        for b, c in local_bucket.items():
-            merged[b] = merged.get(b, 0) + c
-        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        chosen = [b for b, _ in ranked]
-        if len(chosen) < k:
-            seen = set(chosen)
-            for b in range(256):
-                if b not in seen:
-                    chosen.append(b)
-                    if len(chosen) == k:
-                        break
+    @staticmethod
+    def _top_k(total: int, following: dict[int, int], k: int) -> TokenDistribution:
+        chosen = sorted(following, key=lambda b: (-following[b], b))[:k]
+        if len(chosen) < k:  # pad with the smallest unseen bytes, which all lie below k
+            chosen += [b for b in range(min(k, 256)) if b not in following][: k - len(chosen)]
         top = []
         mass = 0.0
         for b in chosen:
-            p = (merged.get(b, 0) + 1) / (total + 256)
+            p = (following.get(b, 0) + 1) / (total + 256)
             mass += p
-            top.append((_byte_token_text(b), math.log(p)))
+            top.append((_BYTE_TEXT[b], math.log(p)))
         return TokenDistribution(top=tuple(top), residual_mass=max(0.0, 1.0 - mass))
 
     def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
         if not text:
             raise BackendError("echo scoring requires non-empty text")
-        prefix = _ByteCounts(self.order)
+        order = self.order
+        local: dict[bytes, list] = {}
         data = text.encode("utf-8")
         tokens: list[EchoToken] = []
-        byte_pos = 0
+        i = 0
         for char_index, char in enumerate(text):
-            char_bytes = char.encode("utf-8")
             logprob = 0.0
             top: TokenDistribution | None = None
-            for j, b in enumerate(char_bytes):
-                i = byte_pos + j
-                ctx = data[max(0, i - self.order) : i]
+            for j in range(len(char.encode("utf-8"))):
+                b = data[i]
+                ctx = data[max(0, i - order) : i]
+                total, following = self._blend(local, ctx)
                 if j == 0 and want_top_k > 0:
-                    top = self._top_k(prefix, ctx, want_top_k)
-                logprob += math.log(self._conditional(prefix, ctx, b))
-                prefix.add_position(data, i)
-            tokens.append(
-                EchoToken(
-                    text=char,
-                    char_start=char_index,
-                    char_end=char_index + 1,
-                    logprob=logprob,
-                    top=top,
-                )
-            )
-            byte_pos += len(char_bytes)
+                    top = self._top_k(total, following, want_top_k)
+                logprob += math.log((following.get(b, 0) + 1) / (total + 256))
+                if i >= order:
+                    _count(local, ctx, b)
+                i += 1
+            tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
         return EchoResult(tokens=tuple(tokens))
 
     def generate(
@@ -246,35 +221,25 @@ class NgramBackend(Backend):
         # interface parity and ignored.
         if max_tokens < 1:
             raise BackendError("max_tokens must be >= 1")
-        prefix = _ByteCounts(self.order)
-        data = bytearray(prompt.encode("utf-8"))
-        prefix.add_text(bytes(data))
+        order = self.order
+        data = prompt.encode("utf-8")
+        local: dict[bytes, list] = {}
+        for i in range(order, len(data)):
+            _count(local, data[i - order : i], data[i])
+        ctx = data[-order:]
         stop_bytes = [s.encode("utf-8") for s in stop if s]
         generated = bytearray()
         for _ in range(max_tokens):
-            ctx = bytes(data[-self.order :]) if self.order else b""
-            corpus_bucket, corpus_total = self.counts.bucket(ctx)
-            local_bucket, local_total = prefix.bucket(ctx)
-            merged: dict[int, int] = dict(corpus_bucket)
-            for b, c in local_bucket.items():
-                merged[b] = merged.get(b, 0) + c
-            if merged:
-                best = min(merged.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            else:
-                best = 0
-            i = len(data)
-            data.append(best)
+            _, following = self._blend(local, ctx)
+            best = min(following, key=lambda b: (-following[b], b), default=0)
+            if len(ctx) == order:
+                _count(local, ctx, best)
+            ctx = (ctx + bytes((best,)))[-order:]
             generated.append(best)
-            prefix.add_position(bytes(data), i)
-            if any(sb in generated for sb in stop_bytes):
+            if any(generated.endswith(sb) for sb in stop_bytes):
                 break
-        completion = bytes(generated)
-        cut = len(completion)
-        for sb in stop_bytes:
-            idx = completion.find(sb)
-            if idx != -1:
-                cut = min(cut, idx)
-        text = completion[:cut].decode("utf-8", errors="replace")
+        cut = min((generated.find(sb) for sb in stop_bytes if sb in generated), default=len(generated))
+        text = generated[:cut].decode("utf-8", errors="replace")
         if not text:
             raise BackendError("backend produced an empty completion")
         return text
@@ -485,26 +450,33 @@ class ResponseCache:
     against the immutable index snapshot semantics of dict reads. Each entry
     goes out in a single ``os.write`` on an ``O_APPEND`` descriptor, so
     processes sharing the file cannot interleave the bytes of one entry; a
-    short write raises instead of being retried. A torn final line (crash
-    mid-append) is ignored on load.
+    short write raises instead of being retried. A line that is not a JSON
+    object with a ``key``, such as a torn final line (crash mid-append), is
+    skipped on load and counted in ``skipped_lines``; the next append starts
+    on a fresh line so it is not lost to the torn one.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._index: dict[str, Any] = {}
+        self.skipped_lines = 0
+        self._torn_tail = False
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
+            with self.path.open("rb") as handle:
                 for line in handle:
+                    self._torn_tail = not line.endswith(b"\n")
                     line = line.strip()
                     if not line:
                         continue
                     try:
                         entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
+                    except ValueError:  # bad JSON or UTF-8, e.g. a torn final line
+                        entry = None
                     if isinstance(entry, dict) and "key" in entry:
                         self._index[entry["key"]] = entry.get("response")
+                    else:
+                        self.skipped_lines += 1
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -524,6 +496,8 @@ class ResponseCache:
                 ensure_ascii=False,
                 separators=(",", ":"),
             )
+            if self._torn_tail:
+                line = "\n" + line
             data = (line + "\n").encode("utf-8")
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:
@@ -534,6 +508,7 @@ class ResponseCache:
                 raise OSError(
                     f"short write to {self.path}: {written} of {len(data)} bytes"
                 )
+            self._torn_tail = False
             self._index[key] = response
             return response
 
@@ -571,32 +546,51 @@ class CachedBackend(Backend):
         return self.cache.put(key, self.inner.generate(prompt, stop, max_tokens, temperature, top_p))
 
 
+def _setting(config: dict, key: str, default: Any, low: float = 0, high: float = math.inf) -> Any:
+    """``config[key]``, or ``default`` when absent. It must have the JSON type
+    of ``default``: a string, an integer, or (for a float) any number; a
+    number must be finite and in [low, high]."""
+    value = config.get(key, default)
+    if isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        raise FormatError(f"backend {key!r} must be a string, got {value!r}")
+    kind = int if isinstance(default, int) else (int, float)
+    if not isinstance(value, bool) and isinstance(value, kind):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number) and low <= number <= high:
+            return value if kind is int else number
+    noun = "an integer" if kind is int else "a finite number"
+    raise FormatError(f"backend {key!r} must be {noun} in [{low}, {high}], got {value!r}")
+
+
 def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry."""
     if not isinstance(config, dict) or "kind" not in config:
         raise BackendError("backend config must be an object with a 'kind' field")
     kind = config["kind"]
+    model = _setting(config, "model", "")
     if kind == "ngram":
         return NgramBackend(
-            corpus=config.get("corpus", ""),
-            order=int(config.get("order", 3)),
-            model=config.get("model", ""),
+            corpus=_setting(config, "corpus", ""),
+            order=_setting(config, "order", 3, 1, MAX_NGRAM_ORDER),
+            model=model,
         )
     if kind == "hash_embed":
-        return HashEmbedBackend(
-            dimensions=int(config.get("dimensions", EMBED_DIMENSIONS)),
-            model=config.get("model", ""),
-        )
+        return HashEmbedBackend(dimensions=_setting(config, "dimensions", EMBED_DIMENSIONS, 1), model=model)
     if kind == "http":
         if "endpoint" not in config or "model" not in config:
             raise BackendError("http backend config needs 'model' and 'endpoint'")
         return HttpBackend(
-            model=config["model"],
-            endpoint=config["endpoint"],
-            timeout=float(config.get("timeout", 60.0)),
-            max_retries=int(config.get("max_retries", 3)),
-            backoff=float(config.get("backoff", 1.0)),
-            max_inflight=int(config.get("max_inflight", 4)),
+            model=model,
+            endpoint=_setting(config, "endpoint", ""),
+            timeout=_setting(config, "timeout", 60.0, 0.001),
+            max_retries=_setting(config, "max_retries", 3),
+            backoff=_setting(config, "backoff", 1.0),
+            max_inflight=_setting(config, "max_inflight", 4, 1),
         )
     raise BackendError(f"unknown backend kind {kind!r}")
 

@@ -157,7 +157,13 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _response_cache(cache_dir: str) -> ResponseCache:
-    return ResponseCache(Path(cache_dir) / "cache.jsonl")
+    cache = ResponseCache(Path(cache_dir) / "cache.jsonl")
+    if cache.skipped_lines:
+        print(
+            f"warning: cache {cache.path}: skipped {cache.skipped_lines} malformed line(s)",
+            file=sys.stderr,
+        )
+    return cache
 
 
 def _cmd_score(args) -> int:
@@ -300,6 +306,8 @@ def _load_questions(path: str, pool_path: str | None) -> list[Question]:
 def _cmd_annotate(args) -> int:
     config = load_run_config(args.config)
     if args.tmax is not None:
+        if args.tmax < 1:
+            raise UsageError("--tmax must be >= 1")
         config.t_max = args.tmax
     questions = _load_questions(args.questions, args.pool)
     guideline = Guideline.load(args.guideline)
@@ -312,9 +320,12 @@ def _cmd_annotate(args) -> int:
         unknown = sorted(set(params) - {f.name for f in dataclasses.fields(ToyShopConfig)})
         if unknown:
             raise FormatError(f"unknown config env.toyshop keys: {unknown}")
-        params = dict(params)
-        if "hidden_attrs" in params:
-            params["hidden_attrs"] = frozenset(params["hidden_attrs"])
+        for key, value in params.items():
+            if key == "hidden_attrs":
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise FormatError(f"config env.toyshop.{key} must be a list of strings")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise FormatError(f"config env.toyshop.{key} must be an integer, got {value!r}")
         env = ToyShopEnv(ToyShopConfig(**params))
     elif args.env == "replay":
         recordings_path = config.env.get("replay_trajectories")

@@ -31,6 +31,7 @@ from .models import (
 from .prompts import (
     DEFAULT_TEMPLATE,
     SCORE_TARGET_ACTION,
+    SCORE_TARGETS,
     PromptBundle,
     build_generation_prompt,
     build_prompt,
@@ -69,21 +70,25 @@ class RunConfig:
     ge_sign: str = GE_SIGN_DEFAULT
     top_k: int = 5
     parallelism: int = 4
-    m: int = 30
-    k: int = 800
     t_max: int = 15
     score_backend: dict = field(default_factory=dict)
     generate_backend: dict = field(default_factory=dict)
-    embed_backend: dict = field(default_factory=dict)
     env: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.parallelism, bool) or not isinstance(self.parallelism, int):
-            raise FormatError(f"parallelism must be an integer, got {self.parallelism!r}")
-        if self.parallelism < 1:
-            raise FormatError("parallelism must be >= 1")
+        for name, low in (("top_k", 0), ("parallelism", 1), ("t_max", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FormatError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise FormatError(f"{name} must be >= {low}")
+        if self.score_target not in SCORE_TARGETS:
+            raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
         if self.ge_sign not in GE_SIGNS:
             raise FormatError(f"ge_sign must be one of {GE_SIGNS}")
+        for name in ("score_backend", "generate_backend", "env"):
+            if not isinstance(getattr(self, name), dict):
+                raise FormatError(f"{name} must be an object")
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
@@ -106,7 +111,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise FormatError(f"{path}: config must be a JSON object")
     base = Path(path).parent
 
-    def resolve(p: str) -> Path:
+    def resolve(p: Any) -> Path:
+        if not isinstance(p, str):
+            raise FormatError(f"{path}: config file paths must be strings, got {p!r}")
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -118,21 +125,12 @@ def load_run_config(path: str | Path) -> RunConfig:
     if "template_path" in raw:
         kwargs["template"] = resolve(raw["template_path"]).read_text(encoding="utf-8")
     for key in (
-        "score_target",
-        "ge_sign",
-        "top_k",
-        "parallelism",
-        "m",
-        "k",
-        "t_max",
-        "score_backend",
-        "generate_backend",
-        "embed_backend",
-        "env",
+        "score_target", "ge_sign", "top_k", "parallelism", "t_max",
+        "score_backend", "generate_backend", "env",
     ):
         if key in raw:
             kwargs[key] = raw[key]
-    for backend_key in ("score_backend", "generate_backend", "embed_backend"):
+    for backend_key in ("score_backend", "generate_backend"):
         cfg = kwargs.get(backend_key)
         if isinstance(cfg, dict) and "corpus_path" in cfg:
             cfg = dict(cfg)

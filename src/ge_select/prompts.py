@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .models import FormatError, Guideline, Step, Trajectory
@@ -90,13 +89,6 @@ class _Renderer:
 
     def rendered(self) -> str:
         return "".join(self.parts)
-
-
-def load_template(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read template file {path}: {exc}") from exc
 
 
 def render_exemplars(exemplars: Sequence[str]) -> str:

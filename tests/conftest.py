@@ -119,3 +119,18 @@ def echo_response(prompt: str, top_k: int = 0) -> dict:
             }
         ]
     }
+
+
+def oracle_conditional(corpus: bytes, prefix: bytes, ctx: bytes, b: int) -> float:
+    """Brute-force add-one conditional over corpus plus already-seen prefix."""
+
+    def count(hay: bytes, nxt: int | None) -> int:
+        c = 0
+        for i in range(len(hay) - len(ctx)):
+            if hay[i : i + len(ctx)] == ctx and (nxt is None or hay[i + len(ctx)] == nxt):
+                c += 1
+        return c
+
+    numer = count(corpus, b) + count(prefix, b)
+    denom = count(corpus, None) + count(prefix, None)
+    return (numer + 1) / (denom + 256)

@@ -7,6 +7,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ge_select.backends import (
     BackendError,
@@ -22,7 +24,7 @@ from ge_select.backends import (
     canonical_request,
 )
 
-from conftest import echo_response
+from conftest import echo_response, oracle_conditional
 
 
 def count_oracle(corpus: bytes, ctx: bytes, b: int) -> float:
@@ -147,6 +149,67 @@ def test_generate_max_tokens_bounds_length():
     assert 1 <= len(out.encode("utf-8")) <= 5
 
 
+def brute_ranking(corpus: bytes, prefix: bytes, ctx: bytes) -> tuple[list[int], dict[int, float]]:
+    """All 256 bytes ranked by (-count, byte), with their oracle conditionals.
+
+    Within one context the denominator is fixed, so ranking by probability is
+    ranking by count, and unseen bytes follow in ascending order."""
+    p = {b: oracle_conditional(corpus, prefix, ctx, b) for b in range(256)}
+    return sorted(p, key=lambda b: (-p[b], b)), p
+
+
+def brute_generate(corpus: bytes, prompt: str, order: int, stop: list[str], max_tokens: int) -> str:
+    data = prompt.encode("utf-8")
+    generated = b""
+    stop_bytes = [s.encode("utf-8") for s in stop if s]
+    for _ in range(max_tokens):
+        best = brute_ranking(corpus, data, data[-order:])[0][0]
+        data += bytes([best])
+        generated += bytes([best])
+        if any(sb in generated for sb in stop_bytes):
+            break
+    cut = min([generated.find(sb) for sb in stop_bytes if sb in generated], default=len(generated))
+    return generated[:cut].decode("utf-8", errors="replace")
+
+
+_NGRAM_TEXT = st.text(alphabet="ab \n[é€𝄞", max_size=16)
+
+
+@settings(max_examples=100)
+@given(
+    corpus=_NGRAM_TEXT,
+    text=_NGRAM_TEXT.filter(bool),
+    prompt=_NGRAM_TEXT,
+    order=st.integers(1, 5),
+    k=st.integers(0, 4),
+    stop=st.lists(st.text(alphabet="ab\né", min_size=1, max_size=2), max_size=2),
+)
+def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
+    backend = NgramBackend(corpus, order)
+    corpus_bytes = corpus.encode("utf-8")
+    data = text.encode("utf-8")
+    result = backend.echo_logprobs(text, want_top_k=k)
+    i = 0
+    for char, token in zip(text, result.tokens):
+        ranked, p = brute_ranking(corpus_bytes, data[:i], data[max(0, i - order) : i])
+        expected = [(chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p[b])) for b in ranked[:k]]
+        if k:
+            assert token.top.top == tuple(expected)
+        else:
+            assert token.top is None
+        logprob = 0.0
+        for b in char.encode("utf-8"):
+            logprob += math.log(oracle_conditional(corpus_bytes, data[:i], data[max(0, i - order) : i], b))
+            i += 1
+        assert token.logprob.hex() == logprob.hex()
+    expected_text = brute_generate(corpus_bytes, prompt, order, stop, 8)
+    if expected_text:
+        assert backend.generate(prompt, stop=stop, max_tokens=8) == expected_text
+    else:
+        with pytest.raises(BackendError, match="empty"):
+            backend.generate(prompt, stop=stop, max_tokens=8)
+
+
 def test_fingerprint_depends_on_corpus():
     a = NgramBackend("corpus one", order=3)
     b = NgramBackend("corpus two", order=3)
@@ -228,6 +291,20 @@ def test_response_cache_tolerates_torn_final_line(tmp_path):
     reloaded = ResponseCache(path)
     assert reloaded.get("k1") == "ok"
     assert reloaded.get("k2") is None
+
+
+def test_response_cache_counts_skipped_lines_and_appends_past_a_torn_one(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put("k1", "ok")
+    with path.open("ab") as handle:
+        handle.write(b'[1]\n{"response":2}\nnot json\n\n{"key":"k2","response":"\xc3')
+    cache = ResponseCache(path)
+    assert cache.get("k1") == "ok" and len(cache) == 1
+    assert cache.skipped_lines == 4  # the blank line is not counted
+    cache.put("k3", "new")
+    reloaded = ResponseCache(path)
+    assert reloaded.get("k3") == "new"
+    assert reloaded.skipped_lines == 4
 
 
 def test_response_cache_two_writers_never_interleave_entries(tmp_path):

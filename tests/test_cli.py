@@ -160,6 +160,32 @@ def test_score_rerun_with_warm_cache_is_byte_identical(workspace):
     assert (workspace / "scores.jsonl").read_bytes() == first
 
 
+def test_score_warns_once_about_malformed_cache_lines(workspace, capsys):
+    argv = [
+        "score",
+        "--pool", str(workspace / "pool.jsonl"),
+        "--trajectories", str(workspace / "trajectories.jsonl"),
+        "--guideline", str(workspace / "guideline.txt"),
+        "--config", str(workspace / "config.json"),
+        "--out", str(workspace / "scores.jsonl"),
+        "--cache-dir", str(workspace / "cache"),
+    ]
+    assert run(argv) == 0
+    scores = (workspace / "scores.jsonl").read_bytes()
+    cache_path = workspace / "cache" / "cache.jsonl"
+    lines = cache_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    corrupted = "".join(lines[:1] + ["{not json\n"] + lines[1:]) + '{"key":"torn","resp'
+    cache_path.write_text(corrupted, encoding="utf-8")
+    capsys.readouterr()
+    assert run(argv) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: cache") == 1
+    assert f"warning: cache {cache_path}: skipped 2 malformed line(s)" in err
+    assert (workspace / "scores.jsonl").read_bytes() == scores
+    # every good entry loaded: the rerun was all hits and appended nothing
+    assert cache_path.read_text(encoding="utf-8") == corrupted
+
+
 def test_select_all_strategies(workspace):
     scores_path = workspace / "scores.jsonl"
     run(
@@ -310,6 +336,20 @@ def test_annotate_replay_env(workspace):
     assert code == 4
 
 
+def test_annotate_tmax_below_one_is_usage_error(workspace, capsys):
+    code = run(
+        ["annotate", "--questions", str(workspace / "pool.jsonl"),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--env", "toyshop", "--tmax", "0",
+         "--cache-dir", str(workspace / "cache"),
+         "--out", str(workspace / "annotated.jsonl")]
+    )
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err, 1, "--tmax")
+    assert not (workspace / "annotated.jsonl").exists()
+
+
 def test_annotate_http_env(workspace, local_server):
     def handler(path, body):
         if path == "/reset":
@@ -421,9 +461,46 @@ def test_score_number_beyond_float_range_exits_two(tmp_path, capsys, field):
     assert_one_error_line(capsys.readouterr().err, 2, f"'{field}'")
 
 
-def test_string_parallelism_in_config_exits_two(workspace, capsys):
+def _ngram(**settings):
+    return {"kind": "ngram", "order": 3, "corpus": "", **settings}
+
+
+def _http(**settings):
+    return {"kind": "http", "model": "m", "endpoint": "http://127.0.0.1:9", **settings}
+
+
+_CONFIG_CASES = {
+    "parallelism-str": ("parallelism", "4", "parallelism"),
+    "top_k-str": ("top_k", "5", "top_k"),
+    "top_k-negative": ("top_k", -1, "top_k"),
+    "top_k-bool": ("top_k", True, "top_k"),
+    "t_max-str": ("t_max", "3", "t_max"),
+    "t_max-zero": ("t_max", 0, "t_max"),
+    "score_target-typo": ("score_target", "actoin", "score_target"),
+    "env-list": ("env", [1], "env"),
+    "score_backend-str": ("score_backend", "ngram", "score_backend"),
+    "generate_backend-list": ("generate_backend", [1], "generate_backend"),
+    "instruction_path-int": ("instruction_path", 5, "paths"),
+    "ngram-order-9": ("score_backend", _ngram(order=9), "order"),
+    "ngram-order-str": ("score_backend", _ngram(order="x"), "order"),
+    "ngram-order-float": ("score_backend", _ngram(order=3.7), "order"),
+    "ngram-corpus-int": ("score_backend", _ngram(corpus=5), "corpus"),
+    "ngram-model-int": ("score_backend", _ngram(model=5), "model"),
+    "hash-dimensions-zero": ("score_backend", {"kind": "hash_embed", "dimensions": 0}, "dimensions"),
+    "hash-dimensions-str": ("score_backend", {"kind": "hash_embed", "dimensions": "256"}, "dimensions"),
+    "http-timeout-str": ("score_backend", _http(timeout="30"), "timeout"),
+    "http-timeout-huge": ("score_backend", _http(timeout=10**400), "timeout"),
+    "http-backoff-negative": ("score_backend", _http(backoff=-1), "backoff"),
+    "http-retries-float": ("score_backend", _http(max_retries=1.5), "max_retries"),
+    "http-inflight-zero": ("score_backend", _http(max_inflight=0), "max_inflight"),
+    "http-model-int": ("score_backend", _http(model=5), "model"),
+}
+
+
+@pytest.mark.parametrize("key, value, needle", _CONFIG_CASES.values(), ids=list(_CONFIG_CASES))
+def test_string_parallelism_in_config_exits_two(workspace, capsys, key, value, needle):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
-    config["parallelism"] = "4"
+    config[key] = value
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     code = run(
         ["score", "--pool", str(workspace / "pool.jsonl"),
@@ -434,12 +511,24 @@ def test_string_parallelism_in_config_exits_two(workspace, capsys):
          "--cache-dir", str(workspace / "cache")]
     )
     assert code == 2
-    assert_one_error_line(capsys.readouterr().err, 2, "parallelism")
+    assert_one_error_line(capsys.readouterr().err, 2, needle)
 
 
-def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys):
+_TOYSHOP_CASES = {
+    "unknown-key": ("catalogue_size", 12),
+    "catalog_size-str": ("catalog_size", "12"),
+    "seed-float": ("seed", 1.5),
+    "max_results-bool": ("max_results", True),
+    "hidden_attrs-int": ("hidden_attrs", 5),
+    "hidden_attrs-str": ("hidden_attrs", "flavor"),
+    "hidden_attrs-mixed": ("hidden_attrs", ["flavor", 3]),
+}
+
+
+@pytest.mark.parametrize("key, value", _TOYSHOP_CASES.values(), ids=list(_TOYSHOP_CASES))
+def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys, key, value):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
-    config["env"]["toyshop"]["catalogue_size"] = 12
+    config["env"]["toyshop"][key] = value
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     code = run(
         ["annotate", "--questions", str(workspace / "pool.jsonl"),
@@ -450,4 +539,4 @@ def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys):
          "--out", str(workspace / "annotated.jsonl")]
     )
     assert code == 2
-    assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", "catalogue_size")
+    assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", key)

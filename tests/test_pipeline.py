@@ -41,6 +41,8 @@ from ge_select.pipeline import (
 )
 from ge_select.prompts import build_prompt
 
+from conftest import oracle_conditional
+
 
 def tiny_config(**kwargs) -> RunConfig:
     defaults = dict(instruction="Shop.", exemplars=(), top_k=2, parallelism=2)
@@ -57,21 +59,6 @@ def make_trajectory(qid="q1", actions=("click[buy]",), question="find a mug"):
         source="ingested",
         question_text=question,
     )
-
-
-def oracle_conditional(corpus: bytes, prefix: bytes, ctx: bytes, b: int) -> float:
-    """Brute-force add-one conditional over corpus plus already-seen prefix."""
-
-    def count(hay: bytes, nxt: int | None) -> int:
-        c = 0
-        for i in range(len(hay) - len(ctx)):
-            if hay[i : i + len(ctx)] == ctx and (nxt is None or hay[i + len(ctx)] == nxt):
-                c += 1
-        return c
-
-    numer = count(corpus, b) + count(prefix, b)
-    denom = count(corpus, None) + count(prefix, None)
-    return (numer + 1) / (denom + 256)
 
 
 def oracle_span_difficulty(corpus: str, rendered: str, start: int, end: int, order: int) -> float:
@@ -560,4 +547,4 @@ def test_load_run_config_resolves_paths(tmp_path):
     assert config.instruction == "Do the task."
     assert config.exemplars == ("Task: x\nAction: y\n",)
     assert config.score_backend["corpus"] == "abcabc"
-    assert (config.m, config.k, config.parallelism) == (5, 9, 2)
+    assert config.parallelism == 2
