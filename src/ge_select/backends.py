@@ -13,7 +13,7 @@ Three implementations share one duck-typed surface:
 
 ``ResponseCache`` is a content-addressed, append-only response log so
 repeated runs are reproducible and issue no outbound calls. Scoring stores
-only the slice of each echo it consumes there (``pipeline``);
+only what it consumes of each echo there (``pipeline``);
 ``CachedBackend`` stores generations.
 """
 
@@ -28,12 +28,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .models import FormatError
 from .scoring import TokenDistribution
+
+if TYPE_CHECKING:
+    import requests
 
 EMBED_DIMENSIONS = 256
 API_KEY_ENV = "GE_API_KEY"
@@ -280,7 +281,8 @@ class HttpBackend(Backend):
 
     Scoring uses completion echo (max_tokens=0, echo=true, temperature=0) so
     the endpoint must return logprobs for prompt tokens; chat-only endpoints
-    are rejected with a remediation message.
+    are rejected with a remediation message. ``requests`` is imported only
+    here, so runs on the offline backends start without it.
     """
 
     def __init__(
@@ -301,7 +303,11 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.backoff = backoff
         self._inflight = threading.Semaphore(max_inflight)
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.id = BackendId(kind="http", model=model, endpoint=self.endpoint)
 
     def _headers(self) -> dict[str, str]:
@@ -311,6 +317,8 @@ class HttpBackend(Backend):
         return headers
 
     def _post(self, path: str, body: dict) -> dict:
+        import requests
+
         url = f"{self.endpoint}{path}"
         last_error = ""
         for attempt in range(self.max_retries + 1):

@@ -23,6 +23,7 @@ from .models import (
     Guideline,
     Question,
     _load_jsonl,
+    _read_text,
     _require_str,
     load_pool,
     load_scores,
@@ -147,13 +148,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", help="pool JSONL for difficulty shift")
 
     return parser
-
-
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _response_cache(cache_dir: str) -> ResponseCache:

@@ -13,14 +13,16 @@ reset/step service.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from .models import Question, Step, Trajectory
+
+if TYPE_CHECKING:
+    import requests
 
 ATTRIBUTE_KINDS = ("color", "size", "flavor")
 ATTRIBUTE_VALUES = {
@@ -80,8 +82,9 @@ class ToyShopConfig:
     turn_cap: int = DEFAULT_TURN_CAP
 
     def __post_init__(self) -> None:
-        if self.catalog_size < 1:
-            raise EnvError("catalog_size must be >= 1")
+        for name in ("catalog_size", "max_results", "turn_cap"):
+            if getattr(self, name) < 1:
+                raise EnvError(f"{name} must be >= 1")
         unknown = set(self.hidden_attrs) - set(ATTRIBUTE_KINDS)
         if unknown:
             raise EnvError(f"unknown hidden attribute kinds: {sorted(unknown)}")
@@ -367,14 +370,24 @@ class ReplayEnv:
 
 
 class HttpEnv:
-    """Adapter for a remote environment exposing POST /reset and /step."""
+    """Adapter for a remote environment exposing POST /reset and /step.
+
+    Every reply must be a JSON object; a reply that is not, or whose fields
+    have the wrong types, raises ``EnvError``.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0, session: requests.Session | None = None) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def _post(self, path: str, body: dict) -> dict:
+        import requests
+
         try:
             response = self.session.post(
                 f"{self.base_url}{path}", json=body, timeout=self.timeout
@@ -384,9 +397,12 @@ class HttpEnv:
         if response.status_code >= 400:
             raise EnvError(f"environment returned HTTP {response.status_code}")
         try:
-            return response.json()
+            data = response.json()
         except ValueError as exc:
             raise EnvError(f"environment returned non-JSON body: {exc}") from exc
+        if not isinstance(data, dict):
+            raise EnvError(f"environment {path} returned {type(data).__name__}, not an object")
+        return data
 
     def reset(self, question: Question) -> str:
         data = self._post("/reset", {"question_id": question.id, "text": question.text})
@@ -397,11 +413,18 @@ class HttpEnv:
 
     def step(self, action: str) -> EnvStep:
         data = self._post("/step", {"action": action})
+        missing = [key for key in ("observation", "reward", "done") if key not in data]
+        if missing:
+            raise EnvError(f"environment /step response missing {missing}")
+        observation, reward, done = data["observation"], data["reward"], data["done"]
+        if not isinstance(observation, str):
+            raise EnvError(f"environment /step observation must be a string, got {observation!r}")
+        if not isinstance(done, bool):
+            raise EnvError(f"environment /step done must be true or false, got {done!r}")
+        if isinstance(reward, bool) or not isinstance(reward, (int, float)):
+            raise EnvError(f"environment /step reward must be a number, got {reward!r}")
         try:
-            return EnvStep(
-                observation=str(data["observation"]),
-                reward=float(data["reward"]),
-                done=bool(data["done"]),
-            )
-        except KeyError as exc:
-            raise EnvError(f"environment /step response missing {exc}") from exc
+            reward = float(reward)
+        except OverflowError:  # an integer beyond float range; EnvStep rejects it
+            reward = math.inf
+        return EnvStep(observation=observation, reward=reward, done=done)

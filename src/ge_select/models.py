@@ -216,11 +216,7 @@ class Guideline:
 
     @classmethod
     def load(cls, path: str | Path) -> "Guideline":
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FormatError(f"cannot read guideline file {path}: {exc}") from exc
-        return cls.from_text(raw)
+        return cls.from_text(_read_text(path, "guideline"))
 
 
 @dataclass(frozen=True)
@@ -385,11 +381,17 @@ class SelectionResult:
         )
 
 
-def _load_jsonl(path: str | Path, kind: str) -> Iterable[tuple[int, dict]]:
+def _read_text(path: str | Path, what: str) -> str:
+    """The file's text; a file that cannot be read or is not UTF-8 raises
+    ``FormatError`` naming ``what`` it is."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _load_jsonl(path: str | Path, kind: str) -> Iterable[tuple[int, dict]]:
+    raw = _read_text(path, kind)
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue

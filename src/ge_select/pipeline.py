@@ -27,6 +27,7 @@ from .models import (
     Step,
     Trajectory,
     _load_jsonl,
+    _read_text,
 )
 from .prompts import (
     DEFAULT_TEMPLATE,
@@ -102,9 +103,7 @@ def load_exemplars(path: str | Path) -> tuple[str, ...]:
 
 def load_run_config(path: str | Path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read config file {path}: {exc}") from exc
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: malformed config JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -119,11 +118,11 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     kwargs: dict[str, Any] = {}
     if "instruction_path" in raw:
-        kwargs["instruction"] = resolve(raw["instruction_path"]).read_text(encoding="utf-8")
+        kwargs["instruction"] = _read_text(resolve(raw["instruction_path"]), "instruction")
     if "exemplars_path" in raw:
         kwargs["exemplars"] = load_exemplars(resolve(raw["exemplars_path"]))
     if "template_path" in raw:
-        kwargs["template"] = resolve(raw["template_path"]).read_text(encoding="utf-8")
+        kwargs["template"] = _read_text(resolve(raw["template_path"]), "template")
     for key in (
         "score_target", "ge_sign", "top_k", "parallelism", "t_max",
         "score_backend", "generate_backend", "env",
@@ -134,7 +133,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         cfg = kwargs.get(backend_key)
         if isinstance(cfg, dict) and "corpus_path" in cfg:
             cfg = dict(cfg)
-            cfg["corpus"] = resolve(cfg.pop("corpus_path")).read_text(encoding="utf-8")
+            cfg["corpus"] = _read_text(resolve(cfg.pop("corpus_path")), "corpus")
             kwargs[backend_key] = cfg
     env_cfg = kwargs.get("env")
     if isinstance(env_cfg, dict) and "replay_trajectories" in env_cfg:
@@ -149,18 +148,21 @@ def _score_prompt(
     backend: Backend,
     top_k: int,
     cache: ResponseCache | None = None,
-) -> tuple[list[list[float]], list[TokenDistribution]]:
-    """Token logprobs of each scored action, plus top-k distributions at them.
+) -> tuple[list[list[float]], float | None]:
+    """Token logprobs of each scored action, plus the mean entropy of the
+    top-k distributions at those tokens (None when there are none).
 
-    Only this slice of the echo is cached, keyed by prompt, spans and top_k,
-    so a hit needs neither the backend nor span mapping. A miss stores the
-    slice and decodes what the cache returns, so racing writers agree.
+    Only these are cached, keyed by schema version, prompt, spans and top_k,
+    so a hit needs neither the backend, span mapping nor any distribution.
+    A miss stores them and returns what the cache holds, so racing writers
+    agree; JSON floats round-trip exactly, so a hit returns the same bytes.
     """
     key = cache_key(
         backend.id,
         canonical_request(
             {
                 "op": "score_spans",
+                "v": 2,
                 "text": bundle.rendered,
                 "spans": [[s.char_start, s.char_end] for s in bundle.action_spans],
                 "top_k": top_k,
@@ -170,7 +172,8 @@ def _score_prompt(
     scored = cache.get(key) if cache is not None else None
     if scored is None:
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
-        scored = {"logprobs": [], "top": []}
+        logprobs: list[list[float]] = []
+        dists: list[TokenDistribution] = []
         for token_span in map_spans_to_tokens(bundle, echo.spans()).per_action:
             tokens = echo.tokens[token_span.token_start : token_span.token_end]
             if any(token.logprob is None for token in tokens):
@@ -178,17 +181,12 @@ def _score_prompt(
                     f"scored span for step {token_span.step_index} covers a token "
                     "without a logprob (prompt must not begin with an action)"
                 )
-            scored["logprobs"].append([token.logprob for token in tokens])
-            scored["top"].extend(
-                [token.top.top, token.top.residual_mass] for token in tokens if token.top
-            )
+            logprobs.append([token.logprob for token in tokens])
+            dists.extend(token.top for token in tokens if token.top)
+        scored = {"logprobs": logprobs, "mean_entropy": mean_entropy(dists) if dists else None}
         if cache is not None:
             scored = cache.put(key, scored)
-    dists = [
-        TokenDistribution(top=tuple((t, lp) for t, lp in top), residual_mass=residual)
-        for top, residual in scored["top"]
-    ]
-    return scored["logprobs"], dists
+    return scored["logprobs"], scored["mean_entropy"]
 
 
 def score_trajectory(
@@ -218,14 +216,14 @@ def score_trajectory(
             question_text=question.text,
         )
 
-    without_lists, dists = _score_prompt(
+    without_lists, entropy = _score_prompt(
         render(None), backend, config.top_k if no_guideline_only else 0, cache
     )
     if no_guideline_only:
         per_step, _ = aggregate_trajectory(without_lists, without_lists)
         ge = 0.0
     else:
-        with_lists, dists = _score_prompt(render(guideline), backend, config.top_k, cache)
+        with_lists, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
         per_step, ge = aggregate_trajectory(with_lists, without_lists)
         if config.ge_sign == GE_SIGN_EQ5:
             ge = -ge
@@ -235,7 +233,7 @@ def score_trajectory(
         backend_id=backend.id.fingerprint,
         per_step=tuple(per_step),
         ge=ge,
-        mean_entropy=mean_entropy(dists) if dists else None,
+        mean_entropy=entropy,
     )
 
 

@@ -2,16 +2,16 @@
 
 Each maps scored or embedded pool data to a deterministic ordered subset of
 size min(k, eligible). Ties always break by ascending question id so output
-files are reproducible across platforms.
+files are reproducible across platforms. Only the facility-location
+functions need numpy; they import it themselves, so the other strategies
+start without it.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .models import (
     FormatError,
@@ -21,6 +21,9 @@ from .models import (
     SelectionResult,
     Trajectory,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_REWARD_TOLERANCE = 1e-9
 
@@ -80,6 +83,8 @@ def select_high_score(
 
 def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
     """Pairwise cosine similarity; all-zero vectors are similar to nothing."""
+    import numpy as np
+
     try:
         matrix = np.asarray(vectors, dtype=float)
     except ValueError as exc:  # ragged rows
@@ -96,6 +101,8 @@ def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
 
 def fl_objective(selected: Sequence[int], sim: np.ndarray) -> float:
     """Facility-location value: sum over points of best (clamped) coverage."""
+    import numpy as np
+
     sim = np.asarray(sim, dtype=float)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise FormatError("similarity matrix must be square")
@@ -131,6 +138,8 @@ def select_facility_location(
     duplicate ids. The full n×n similarity matrix stays: rows built on
     demand from mat-vec products could round differently and change gains.
     """
+    import numpy as np
+
     if len(ids) != len(embeddings):
         raise FormatError("ids and embeddings must have equal length")
     n = len(ids)

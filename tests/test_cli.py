@@ -540,3 +540,92 @@ def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys, key, value):
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", key)
+
+
+@pytest.mark.parametrize("field", ["catalog_size", "max_results", "turn_cap"])
+def test_toyshop_range_below_one_exits_four(workspace, capsys, field):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["env"]["toyshop"][field] = 0 if field == "catalog_size" else -1
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run(
+        ["annotate", "--questions", str(workspace / "pool.jsonl"),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--env", "toyshop",
+         "--cache-dir", str(workspace / "cache"),
+         "--out", str(workspace / "annotated.jsonl")]
+    )
+    assert code == 4
+    assert_one_error_line(capsys.readouterr().err, 4, field)
+    assert not (workspace / "annotated.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["instruction_path", "template_path", "corpus_path", "pool", "guideline"],
+)
+def test_non_utf8_input_file_exits_two(workspace, capsys, key):
+    bad = workspace / "latin1.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    if key == "corpus_path":
+        config["score_backend"] = {"kind": "ngram", "order": 3, "corpus_path": "latin1.txt"}
+    elif key.endswith("_path"):
+        config[key] = "latin1.txt"
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    inputs = {"pool": workspace / "pool.jsonl", "guideline": workspace / "guideline.txt"}
+    if key in inputs:
+        inputs[key] = bad
+    code = run(
+        ["score", "--pool", str(inputs["pool"]),
+         "--trajectories", str(workspace / "trajectories.jsonl"),
+         "--guideline", str(inputs["guideline"]),
+         "--config", str(workspace / "config.json"),
+         "--out", str(workspace / "scores.jsonl"),
+         "--cache-dir", str(workspace / "cache")]
+    )
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "latin1.txt")
+
+
+_LAZY_IMPORT_CHILD = """
+import sys
+import ge_select, ge_select.cli
+heavy = {"numpy", "requests"} & set(sys.modules)
+assert not heavy, f"importing the CLI loaded {sorted(heavy)}"
+ws = sys.argv[1]
+run = ge_select.cli.run
+assert run(["score", "--pool", ws + "/pool.jsonl", "--trajectories", ws + "/trajectories.jsonl",
+            "--guideline", ws + "/guideline.txt", "--config", ws + "/config.json",
+            "--out", ws + "/scores.jsonl", "--cache-dir", ws + "/cache"]) == 0
+assert run(["select", "--strategy", "ge", "--scores", ws + "/scores.jsonl", "-k", "3",
+            "--out", ws + "/sel_ge.jsonl"]) == 0
+assert run(["report", "--scores", ws + "/scores.jsonl", "--trajectories",
+            ws + "/trajectories.jsonl", "-m", "3", "--out", ws + "/report.md"]) == 0
+heavy = {"numpy", "requests"} & set(sys.modules)
+assert not heavy, f"score, select ge and report loaded {sorted(heavy)}"
+assert run(["select", "--strategy", "fl", "--pool", ws + "/pool.jsonl", "-k", "3",
+            "--out", ws + "/sel_fl.jsonl"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_cli_loads_numpy_and_requests_only_where_used(workspace):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ge_select
+
+    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_CHILD, str(workspace)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(load_selection(workspace / "sel_fl.jsonl").items) == 3

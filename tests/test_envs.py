@@ -278,3 +278,29 @@ def test_http_env_error_status(local_server):
     env = HttpEnv(local_server.url)
     with pytest.raises(EnvError, match="HTTP 500"):
         env.reset(Question(id="q1", text="x"))
+
+
+@pytest.mark.parametrize(
+    "reset_reply, step_reply",
+    [
+        (["ready"], None),
+        ({"observation": "ready"}, ["ok"]),
+        ({"observation": "ready"}, {"observation": "ok", "reward": None, "done": True}),
+        ({"observation": "ready"}, {"observation": "ok", "reward": "high", "done": True}),
+        ({"observation": "ready"}, {"observation": "ok", "reward": True, "done": True}),
+        ({"observation": "ready"}, {"observation": "ok", "reward": 10**400, "done": True}),
+        ({"observation": "ready"}, {"observation": "ok", "done": True}),
+        ({"observation": "ready"}, {"observation": "ok", "reward": 0.0, "done": "false"}),
+        ({"observation": "ready"}, {"observation": None, "reward": 0.0, "done": False}),
+    ],
+    ids=["reset-list", "step-list", "reward-null", "reward-str", "reward-bool",
+         "reward-huge", "reward-missing", "done-str", "observation-null"],
+)
+def test_http_env_bad_replies_raise_env_error(local_server, reset_reply, step_reply):
+    local_server.handler = lambda path, body: (
+        200, reset_reply if path == "/reset" else step_reply
+    )
+    env = HttpEnv(local_server.url)
+    with pytest.raises(EnvError):
+        env.reset(Question(id="q1", text="x"))
+        env.step("click[buy]")

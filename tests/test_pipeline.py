@@ -14,6 +14,8 @@ from ge_select.backends import (
     CountingBackend,
     NgramBackend,
     ResponseCache,
+    cache_key,
+    canonical_request,
 )
 from ge_select.envs import ToyShopConfig, ToyShopEnv, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
@@ -239,9 +241,9 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
     for entry in entries:
         assert [len(logprobs) for logprobs in entry["logprobs"]] == n_tokens
     without, with_guideline = entries
-    assert without["top"] == []  # the guideline-free prompt is scored at top_k=0
-    assert len(with_guideline["top"]) == sum(n_tokens)
-    assert all(len(top) == 2 for top, _residual in with_guideline["top"])
+    assert all("top" not in entry for entry in entries)
+    assert without["mean_entropy"] is None  # the guideline-free prompt is scored at top_k=0
+    assert with_guideline["mean_entropy"] == record.mean_entropy
     assert counting.counts["echo"] == 2 and len(mapped) == 2
 
     warm = score_trajectory(
@@ -255,6 +257,48 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
         trajectory, pool[0], guideline, counting, config, True, ResponseCache(cache_path)
     )
     assert counting.counts["echo"] == 3 and base.mean_entropy is not None
+
+
+def test_pre_v2_cache_entries_are_never_read(tmp_path):
+    env, pool, _ = toyshop_make(ToyShopConfig(seed=6, catalog_size=10), 1)
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectory = toyshop_rollout(env, pool[0], guideline.version)
+    backend = NgramBackend("", order=3)
+    config = tiny_config(top_k=2)
+    cold = score_trajectory(trajectory, pool[0], guideline, backend, config)
+
+    # A pre-v2 entry for each prompt, under the key its body had without "v",
+    # holding values no scorer would compute.
+    cache_path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(cache_path)
+    for g in (None, guideline):
+        bundle = build_prompt(
+            config.instruction, g, config.exemplars, trajectory, config.template,
+            config.score_target, question_text=pool[0].text,
+        )
+        old_body = canonical_request(
+            {
+                "op": "score_spans",
+                "text": bundle.rendered,
+                "spans": [[s.char_start, s.char_end] for s in bundle.action_spans],
+                "top_k": 0 if g is None else config.top_k,
+            }
+        )
+        stale = {
+            "logprobs": [[-9.0] * (s.char_end - s.char_start) for s in bundle.action_spans],
+            "top": [],
+        }
+        cache.put(cache_key(backend.id, old_body), stale)
+
+    counting = CountingBackend(backend)
+    record = score_trajectory(
+        trajectory, pool[0], guideline, counting, config, cache=ResponseCache(cache_path)
+    )
+    assert record == cold
+    assert counting.counts["echo"] == 2
+    entries = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+    assert len(entries) == 4
+    assert all("mean_entropy" in entry for entry in entries[2:])
 
 
 def test_racing_scorers_agree_and_store_one_entry_per_prompt(tmp_path):
