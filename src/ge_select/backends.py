@@ -142,6 +142,12 @@ class NgramBackend(Backend):
             for start in range(max(0, i - order), i + 1):
                 _count(self.counts, data[start:i], b)
         corpus_hash = hashlib.sha256(data).hexdigest()[:12]
+        # Prefix reuse. ``_echoed`` maps each top-k width to the last echoed
+        # ``(text, tokens)``; a snapshot is never mutated, so threads share
+        # it. ``_prompt`` holds one ``(prompt bytes, prompt counts)`` per
+        # thread, because extending a prompt mutates its table.
+        self._echoed: dict[int, tuple[str, tuple[EchoToken, ...]]] = {}
+        self._prompt = threading.local()
         name = model or f"ngram-o{order}"
         self.id = BackendId(
             kind="ngram",
@@ -150,22 +156,32 @@ class NgramBackend(Backend):
             fingerprint=_fingerprint("ngram", name, "", f"{corpus_hash}\norder={order}"),
         )
 
-    # The counts of the text being scored or generated (``local``) hold only
+    # The counts of the text being scored or generated (``layers``) hold only
     # full-order contexts. A shorter context is looked up only within the
     # first ``order`` bytes, where no earlier position has a context that
     # long, so its local bucket would always be empty.
-    def _blend(self, local: dict[bytes, list], ctx: bytes) -> tuple[int, dict[int, int]]:
-        """Total and next-byte counts of ``ctx`` over corpus plus ``local``.
+    def _blend(self, ctx: bytes, *layers: dict[bytes, list]) -> tuple[int, dict[int, int]]:
+        """Total and next-byte counts of ``ctx`` over corpus plus ``layers``.
 
-        Without a local bucket this is the corpus's own dict: read it only."""
+        Counts are integer sums and every ranking of them breaks ties by
+        byte, so the order of the layers never changes a result. Only a
+        merge of two sources makes a new dict; otherwise the one source's
+        own dict comes back: read it only, before counting more."""
         total, following = self.counts.get(ctx, _EMPTY_BUCKET)
-        bucket = local.get(ctx)
-        if bucket is None:
-            return total, following
-        merged = dict(following)
-        for b, c in bucket[1].items():
-            merged[b] = merged.get(b, 0) + c
-        return total + bucket[0], merged
+        copied = False
+        for layer in layers:
+            bucket = layer.get(ctx)
+            if bucket is None:
+                continue
+            if not total:  # no source so far has this context
+                total, following = bucket
+                continue
+            if not copied:
+                following, copied = dict(following), True
+            for b, c in bucket[1].items():
+                following[b] = following.get(b, 0) + c
+            total += bucket[0]
+        return total, following
 
     def conditional(self, context: str | bytes, byte_value: int) -> float:
         """Corpus-only conditional; exposed for direct probability checks."""
@@ -187,20 +203,29 @@ class NgramBackend(Backend):
         return TokenDistribution(top=tuple(top), residual_mass=max(0.0, 1.0 - mass))
 
     def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
+        """Echo ``text``, reusing the tokens of the characters it shares with
+        the previous text echoed at this top-k width. A token depends only on
+        the text up to its end, so the shared ones are exact; only their local
+        counts are rebuilt before the loop resumes after them."""
         if not text:
             raise BackendError("echo scoring requires non-empty text")
         order = self.order
         local: dict[bytes, list] = {}
         data = text.encode("utf-8")
-        tokens: list[EchoToken] = []
-        i = 0
-        for char_index, char in enumerate(text):
+        previous_text, previous = self._echoed.get(want_top_k, ("", ()))
+        shared = os.path.commonprefix([previous_text, text])
+        tokens: list[EchoToken] = list(previous[: len(shared)])
+        i = len(shared.encode("utf-8"))
+        for end in range(order, i):
+            _count(local, data[end - order : end], data[end])
+        for char_index in range(len(shared), len(text)):
+            char = text[char_index]
             logprob = 0.0
             top: TokenDistribution | None = None
             for j in range(len(char.encode("utf-8"))):
                 b = data[i]
                 ctx = data[max(0, i - order) : i]
-                total, following = self._blend(local, ctx)
+                total, following = self._blend(ctx, local)
                 if j == 0 and want_top_k > 0:
                     top = self._top_k(total, following, want_top_k)
                 logprob += math.log((following.get(b, 0) + 1) / (total + 256))
@@ -208,7 +233,9 @@ class NgramBackend(Backend):
                     _count(local, ctx, b)
                 i += 1
             tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
-        return EchoResult(tokens=tuple(tokens))
+        result = tuple(tokens)
+        self._echoed[want_top_k] = (text, result)
+        return EchoResult(tokens=result)
 
     def generate(
         self,
@@ -224,20 +251,26 @@ class NgramBackend(Backend):
             raise BackendError("max_tokens must be >= 1")
         order = self.order
         data = prompt.encode("utf-8")
-        local: dict[bytes, list] = {}
-        for i in range(order, len(data)):
-            _count(local, data[i - order : i], data[i])
+        # A prompt that extends this thread's previous one (the next turn of
+        # an episode) counts only its new bytes; any other starts afresh.
+        counted, prompt_counts = getattr(self._prompt, "table", (b"", {}))
+        if not data.startswith(counted):
+            counted, prompt_counts = b"", {}
+        for i in range(max(order, len(counted)), len(data)):
+            _count(prompt_counts, data[i - order : i], data[i])
+        self._prompt.table = (data, prompt_counts)
+        grown: dict[bytes, list] = {}  # the completion's own counts
         ctx = data[-order:]
-        stop_bytes = [s.encode("utf-8") for s in stop if s]
+        stop_bytes = tuple(s.encode("utf-8") for s in stop if s)
         generated = bytearray()
         for _ in range(max_tokens):
-            _, following = self._blend(local, ctx)
+            _, following = self._blend(ctx, prompt_counts, grown)
             best = min(following, key=lambda b: (-following[b], b), default=0)
             if len(ctx) == order:
-                _count(local, ctx, best)
+                _count(grown, ctx, best)
             ctx = (ctx + bytes((best,)))[-order:]
             generated.append(best)
-            if any(generated.endswith(sb) for sb in stop_bytes):
+            if generated.endswith(stop_bytes):
                 break
         cut = min((generated.find(sb) for sb in stop_bytes if sb in generated), default=len(generated))
         text = generated[:cut].decode("utf-8", errors="replace")
@@ -266,14 +299,31 @@ class HashEmbedBackend(Backend):
         return index, sign
 
     def embed(self, text: str) -> list[float]:
-        vec = [0.0] * self.dimensions
+        # Bucket values are sums of +-1, so they and their squares are exact
+        # integers: summing only the nonzero buckets gives the same norm.
+        buckets: dict[int, float] = {}
         for token in _WORD_RE.findall(text.lower()):
             index, sign = self.bucket_and_sign(token)
-            vec[index] += sign
-        norm = math.sqrt(sum(v * v for v in vec))
+            buckets[index] = buckets.get(index, 0.0) + sign
+        vec = [0.0] * self.dimensions
+        norm = math.sqrt(sum(v * v for v in buckets.values()))
         if norm == 0.0:
             return vec
-        return [v / norm for v in vec]
+        for index, v in buckets.items():
+            vec[index] = v / norm
+        return vec
+
+
+def _echo_logprob(value: Any, where: str) -> float:
+    """A logprob from an echo reply: a finite JSON number, as a float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise BackendError(f"malformed echo logprobs: {where} is not a finite number: {value!r}")
 
 
 class HttpBackend(Backend):
@@ -376,13 +426,29 @@ class HttpBackend(Backend):
         token_texts = logprobs["tokens"]
         token_lps = logprobs["token_logprobs"]
         offsets = logprobs["text_offset"]
-        tops = logprobs.get("top_logprobs") or [None] * len(token_texts)
+        tops = logprobs.get("top_logprobs") or []
+        for name, value in (
+            ("tokens", token_texts),
+            ("token_logprobs", token_lps),
+            ("text_offset", offsets),
+            ("top_logprobs", tops),
+        ):
+            if not isinstance(value, list):
+                raise BackendError(f"malformed echo logprobs: {name!r} must be a list")
         tokens: list[EchoToken] = []
         for i, (tok, lp, off) in enumerate(zip(token_texts, token_lps, offsets)):
+            if not isinstance(tok, str) or isinstance(off, bool) or not isinstance(off, int):
+                raise BackendError(
+                    f"malformed echo logprobs: token {i} needs a string text and an "
+                    f"integer text_offset, got {tok!r} at {off!r}"
+                )
             top = None
             if want_top_k > 0 and i < len(tops) and isinstance(tops[i], dict):
-                ranked = sorted(tops[i].items(), key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
-                entries = tuple((t, min(0.0, float(p))) for t, p in ranked)
+                alternatives = [
+                    (t, _echo_logprob(p, f"top_logprobs {i}")) for t, p in tops[i].items()
+                ]
+                ranked = sorted(alternatives, key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
+                entries = tuple((t, min(0.0, p)) for t, p in ranked)
                 mass = sum(math.exp(p) for _, p in entries)
                 top = TokenDistribution(top=entries, residual_mass=max(0.0, 1.0 - mass))
             tokens.append(
@@ -390,7 +456,9 @@ class HttpBackend(Backend):
                     text=tok,
                     char_start=off,
                     char_end=off + len(tok),
-                    logprob=None if lp is None else min(0.0, float(lp)),
+                    logprob=(
+                        None if lp is None else min(0.0, _echo_logprob(lp, f"token_logprobs {i}"))
+                    ),
                     top=top,
                 )
             )

@@ -431,10 +431,23 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
 
 
 def load_scores(path: str | Path) -> list[ScoreRecord]:
-    return [
-        ScoreRecord.from_record(record, ctx=f"{path}:{lineno}")
-        for lineno, record in _load_jsonl(path, "score")
-    ]
+    """Read a scores file. Its records must share one ``guideline_version``
+    and one ``backend_id``: ge values from different guidelines or models do
+    not rank against each other."""
+    scores: list[ScoreRecord] = []
+    for lineno, record in _load_jsonl(path, "score"):
+        score = ScoreRecord.from_record(record, ctx=f"{path}:{lineno}")
+        if not scores:
+            first, first_line = score, lineno
+        for name in ("guideline_version", "backend_id"):
+            value, expected = getattr(score, name), getattr(first, name)
+            if value != expected:
+                raise FormatError(
+                    f"{path}:{lineno}: {name} {value!r} differs from {expected!r} on line "
+                    f"{first_line}; a scores file must come from one guideline and one backend"
+                )
+        scores.append(score)
+    return scores
 
 
 def load_selection(path: str | Path) -> SelectionResult:

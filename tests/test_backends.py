@@ -4,12 +4,15 @@ import json
 import math
 import os
 import random
+import re
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ge_select import backends
 from ge_select.backends import (
     BackendError,
     BackendId,
@@ -187,27 +190,140 @@ _NGRAM_TEXT = st.text(alphabet="ab \n[é€𝄞", max_size=16)
 def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
     backend = NgramBackend(corpus, order)
     corpus_bytes = corpus.encode("utf-8")
-    data = text.encode("utf-8")
-    result = backend.echo_logprobs(text, want_top_k=k)
-    i = 0
-    for char, token in zip(text, result.tokens):
-        ranked, p = brute_ranking(corpus_bytes, data[:i], data[max(0, i - order) : i])
-        expected = [(chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p[b])) for b in ranked[:k]]
-        if k:
-            assert token.top.top == tuple(expected)
+    # The second call of each kind runs on the same backend and extends the
+    # first one's text, so it takes the prefix-reuse path.
+    for echoed in (text, text + prompt):
+        data = echoed.encode("utf-8")
+        result = backend.echo_logprobs(echoed, want_top_k=k)
+        i = 0
+        for char, token in zip(echoed, result.tokens):
+            ranked, p = brute_ranking(corpus_bytes, data[:i], data[max(0, i - order) : i])
+            expected = [(chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p[b])) for b in ranked[:k]]
+            if k:
+                assert token.top.top == tuple(expected)
+            else:
+                assert token.top is None
+            logprob = 0.0
+            for b in char.encode("utf-8"):
+                logprob += math.log(oracle_conditional(corpus_bytes, data[:i], data[max(0, i - order) : i], b))
+                i += 1
+            assert token.logprob.hex() == logprob.hex()
+    for generated_from in (prompt, prompt + text):
+        expected_text = brute_generate(corpus_bytes, generated_from, order, stop, 8)
+        if expected_text:
+            assert backend.generate(generated_from, stop=stop, max_tokens=8) == expected_text
         else:
-            assert token.top is None
-        logprob = 0.0
-        for b in char.encode("utf-8"):
-            logprob += math.log(oracle_conditional(corpus_bytes, data[:i], data[max(0, i - order) : i], b))
-            i += 1
-        assert token.logprob.hex() == logprob.hex()
-    expected_text = brute_generate(corpus_bytes, prompt, order, stop, 8)
-    if expected_text:
-        assert backend.generate(prompt, stop=stop, max_tokens=8) == expected_text
-    else:
-        with pytest.raises(BackendError, match="empty"):
-            backend.generate(prompt, stop=stop, max_tokens=8)
+            with pytest.raises(BackendError, match="empty"):
+                backend.generate(generated_from, stop=stop, max_tokens=8)
+
+
+def echo_key(result) -> list[tuple]:
+    return [(t.text, t.char_start, t.char_end, t.logprob.hex(), t.top) for t in result.tokens]
+
+
+def generate_outcome(backend: NgramBackend, prompt: str) -> str:
+    try:
+        return backend.generate(prompt, stop=["\n"], max_tokens=6)
+    except BackendError as exc:
+        return f"error: {exc}"
+
+
+_REUSE_TEXT = st.text(alphabet="ab \né€𝄞", max_size=10)
+_ECHO_CALLS = st.lists(
+    # (characters kept from the previous text, new suffix, top-k width)
+    st.tuples(st.integers(0, 24), _REUSE_TEXT, st.sampled_from([0, 2, 5])),
+    min_size=1,
+    max_size=8,
+)
+_GENERATE_CALLS = st.lists(st.tuples(st.booleans(), _REUSE_TEXT), min_size=1, max_size=8)
+
+
+def echo_texts(calls) -> list[tuple[str, int]]:
+    """Texts that share random prefixes with the one before; some repeat it
+    whole and some are shorter than any order."""
+    texts, previous = [], ""
+    for keep, suffix, k in calls:
+        previous = previous[:keep] + suffix or "a"
+        texts.append((previous, k))
+    return texts
+
+
+def generate_prompts(calls) -> list[str]:
+    """Prompts that extend the one before, or start afresh."""
+    prompts, previous = [], ""
+    for extend, suffix in calls:
+        previous = previous + suffix if extend else suffix
+        prompts.append(previous)
+    return prompts
+
+
+@settings(max_examples=60)
+@given(corpus=_NGRAM_TEXT, order=st.integers(1, 5), calls=_ECHO_CALLS)
+def test_echo_prefix_reuse_matches_a_fresh_backend(corpus, order, calls):
+    backend = NgramBackend(corpus, order)
+    for text, k in echo_texts(calls):
+        expected = NgramBackend(corpus, order).echo_logprobs(text, want_top_k=k)
+        assert echo_key(backend.echo_logprobs(text, want_top_k=k)) == echo_key(expected)
+
+
+@settings(max_examples=60)
+@given(corpus=_NGRAM_TEXT, order=st.integers(1, 5), calls=_GENERATE_CALLS)
+def test_generate_prompt_reuse_matches_a_fresh_backend(corpus, order, calls):
+    backend = NgramBackend(corpus, order)
+    for prompt in generate_prompts(calls):
+        assert generate_outcome(backend, prompt) == generate_outcome(NgramBackend(corpus, order), prompt)
+
+
+def test_prefix_reuse_is_exact_under_eight_threads(monkeypatch):
+    rng = random.Random(17)
+    corpus = "".join(rng.choice("ab \né[]") for _ in range(300))
+    order = 3
+    alphabet = "ab \né€"
+
+    def suffix() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+
+    # Every thread starts from one shared text, as every prompt of a pool
+    # opens with the same instruction and guideline.
+    base = "".join(rng.choice(alphabet) for _ in range(80))
+    work = []
+    for _ in range(8):
+        echo_calls = [(0, base, 5)] + [(rng.randint(0, 120), suffix(), rng.choice([0, 5])) for _ in range(35)]
+        generate_calls = [(turn > 0, suffix() if turn else base) for _ in range(12) for turn in range(3)]
+        texts, prompts = echo_texts(echo_calls), generate_prompts(generate_calls)
+        expected = (
+            [echo_key(NgramBackend(corpus, order).echo_logprobs(t, k)) for t, k in texts],
+            [generate_outcome(NgramBackend(corpus, order), p) for p in prompts],
+        )
+        work.append((texts, prompts, expected))
+
+    shared = NgramBackend(corpus, order)
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def worker(n: int) -> None:
+        texts, prompts, _ = work[n]
+        barrier.wait()
+        echoes, generations = [], []
+        for (text, k), prompt in zip(texts, prompts):  # interleave both kinds
+            echoes.append(echo_key(shared.echo_logprobs(text, k)))
+            generations.append(generate_outcome(shared, prompt))
+        results[n] = (echoes, generations)
+
+    count = backends._count
+
+    def yielding_count(*args) -> None:  # hand the interpreter to another thread
+        time.sleep(0)
+        count(*args)
+
+    monkeypatch.setattr(backends, "_count", yielding_count)
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for n in range(8):
+        assert results[n] == work[n][2]
 
 
 def test_fingerprint_depends_on_corpus():
@@ -255,6 +371,38 @@ def test_hash_embed_disjoint_vocab_orthogonal_when_no_collisions():
     a = backend.embed(" ".join(left))
     b = backend.embed(" ".join(right))
     assert sum(x * y for x, y in zip(a, b)) == pytest.approx(0.0, abs=1e-12)
+
+
+def dense_embed(backend: HashEmbedBackend, text: str) -> list[float]:
+    """Reference embedding: accumulate into every dimension, normalize all."""
+    vec = [0.0] * backend.dimensions
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        index, sign = backend.bucket_and_sign(token)
+        vec[index] += sign
+    norm = math.sqrt(sum(v * v for v in vec))
+    return vec if norm == 0.0 else [v / norm for v in vec]
+
+
+def test_hash_embed_matches_dense_reference_bit_for_bit():
+    backend = HashEmbedBackend()
+    words = [f"w{i}" for i in range(2000)]
+    seen: dict[int, tuple[str, float]] = {}
+    for word in words:  # two words that land in one bucket with opposite signs
+        index, sign = backend.bucket_and_sign(word)
+        if index in seen and seen[index][1] == -sign:
+            cancelling = (seen[index][0], word)
+            break
+        seen.setdefault(index, (word, sign))
+    cancelled = backend.bucket_and_sign(cancelling[0])[0]
+    texts = ["", "!!", "red mango", "Mug mug MUG", " ".join(cancelling), " ".join(cancelling) + " lamp"]
+    rng = random.Random(6)
+    texts += [" ".join(rng.choice(words[:40]) for _ in range(rng.randint(1, 30))) for _ in range(200)]
+    for text in texts:
+        got = backend.embed(text)
+        assert [v.hex() for v in got] == [v.hex() for v in dense_embed(backend, text)]
+    with_lamp = backend.embed(" ".join(cancelling) + " lamp")
+    assert with_lamp[cancelled].hex() == "0x0.0p+0"  # cancelled to +0.0, not -0.0
+    assert sum(v * v for v in with_lamp) == pytest.approx(1.0)
 
 
 def test_hash_embed_tokenization_rules():
@@ -411,6 +559,48 @@ def test_http_echo_parses_offsets_and_sentinel(local_server):
     path, body, headers = local_server.requests[0]
     assert path == "/completions"
     assert body["max_tokens"] == 0 and body["echo"] is True and body["temperature"] == 0
+
+
+def echo_payload(**changes) -> dict:
+    """A well-formed echo of "score this prompt", with ``changes`` applied
+    to its logprobs object."""
+    logprobs = {
+        "tokens": ["score ", "this ", "prompt"],
+        "token_logprobs": [None, -0.5, -0.75],
+        "text_offset": [0, 6, 11],
+        "top_logprobs": [None, {"this ": -0.5, " other": -1.5}, {"prompt": -0.75}],
+    }
+    logprobs.update(changes)
+    return {"choices": [{"text": "score this prompt", "logprobs": logprobs}]}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"token_logprobs": [None, "x", -0.75]},
+        {"token_logprobs": [None, float("inf"), -0.75]},
+        {"token_logprobs": [None, float("nan"), -0.75]},
+        {"token_logprobs": [None, 10**400, -0.75]},
+        {"token_logprobs": [None, True, -0.75]},
+        {"top_logprobs": [None, {"this ": "x"}, None]},
+        {"top_logprobs": [None, {"this ": float("-inf")}, None]},
+        {"top_logprobs": [None, {"this ": None}, None]},
+        {"text_offset": [0, 6.5, 11]},
+        {"text_offset": [0, "6", 11]},
+        {"tokens": ["score ", 5, "prompt"]},
+        {"tokens": "score this prompt"},
+        {"tokens": 3, "top_logprobs": None},
+        {"text_offset": {"0": 0}},
+        {"top_logprobs": {"1": None}},
+    ],
+)
+def test_http_echo_malformed_logprobs_raise_backend_error(local_server, changes):
+    backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
+    local_server.handler = lambda path, body: (200, echo_payload())
+    assert len(backend.echo_logprobs("score this prompt", want_top_k=2).tokens) == 3
+    local_server.handler = lambda path, body: (200, echo_payload(**changes))
+    with pytest.raises(BackendError, match="malformed echo logprobs"):
+        backend.echo_logprobs("score this prompt", want_top_k=2)
 
 
 def test_http_bearer_token_from_env(local_server, monkeypatch):

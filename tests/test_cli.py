@@ -461,6 +461,28 @@ def test_score_number_beyond_float_range_exits_two(tmp_path, capsys, field):
     assert_one_error_line(capsys.readouterr().err, 2, f"'{field}'")
 
 
+@pytest.mark.parametrize("field", ["guideline_version", "backend_id"])
+def test_scores_file_mixing_guidelines_or_backends_exits_two(tmp_path, capsys, field):
+    records = [
+        {
+            "question_id": f"q{i}",
+            "guideline_version": "0" * 12,
+            "backend_id": "b" * 12,
+            "per_step": [{"d_i": 1.0, "d_g": 1.0, "n_tokens": 1}],
+            "ge": 0.0,
+        }
+        for i in range(4)
+    ]
+    records[2][field] = "1" * 12
+    path = tmp_path / "scores.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "sel.jsonl"
+    code = run(["select", "--scores", str(path), "--strategy", "ge", "-k", "2", "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, f"{path}:3:", field, "line 1")
+    assert not out.exists()
+
+
 def _ngram(**settings):
     return {"kind": "ngram", "order": 3, "corpus": "", **settings}
 

@@ -11,6 +11,7 @@ import ge_select.pipeline as pipeline
 from ge_select.backends import (
     Backend,
     BackendError,
+    CachedBackend,
     CountingBackend,
     NgramBackend,
     ResponseCache,
@@ -404,6 +405,45 @@ class ScriptedBackend(Backend):
         text = self.script[min(self.cursor, len(self.script) - 1)]
         self.cursor += 1
         return text
+
+
+class BenchmarkSurface:
+    """Exposes only what the benchmark's traced backend forwards: ``id``,
+    ``echo_logprobs`` and ``generate``. A pipeline that reaches for any
+    other backend entry point fails here with ``AttributeError``."""
+
+    __slots__ = ("id", "_inner")
+
+    def __init__(self, inner: Backend) -> None:
+        self.id = inner.id
+        self._inner = inner
+
+    def echo_logprobs(self, text, want_top_k=0):
+        return self._inner.echo_logprobs(text, want_top_k)
+
+    def generate(self, prompt, stop=(), max_tokens=512, temperature=0.7, top_p=0.95):
+        return self._inner.generate(prompt, stop, max_tokens, temperature, top_p)
+
+
+def test_score_pool_and_annotate_need_only_the_benchmark_backend_surface(tmp_path):
+    config = ToyShopConfig(seed=27, catalog_size=10)
+    env, pool, _ = toyshop_make(config, 4)
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
+    corpus = "Action: search[find a thing]\nObservation: Results:\nAction: click[buy]\n" * 10
+    backend = NgramBackend(corpus, order=4)
+    run_config = tiny_config(t_max=4)
+
+    cache = ResponseCache(tmp_path / "score.jsonl")
+    scored = score_pool(pool, trajectories, guideline, BenchmarkSurface(backend), run_config, cache=cache)
+    assert scored == score_pool(pool, trajectories, guideline, NgramBackend(corpus, order=4), run_config)
+
+    cached = CachedBackend(BenchmarkSurface(backend), ResponseCache(tmp_path / "generate.jsonl"))
+    env, _, _ = toyshop_make(config, 4)
+    annotated = annotate(pool, guideline, cached, env, run_config)
+    env, _, _ = toyshop_make(config, 4)
+    assert annotated == annotate(pool, guideline, NgramBackend(corpus, order=4), env, run_config)
+    assert annotated[0]
 
 
 def test_annotate_immediate_buy_is_one_step_zero_reward():
