@@ -19,6 +19,7 @@ only what it consumes of each echo there (``pipeline``);
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .models import FormatError
 from .scoring import TokenDistribution
@@ -64,8 +65,7 @@ def _fingerprint(kind: str, model: str, endpoint: str, extra: str = "") -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class EchoToken:
+class EchoToken(NamedTuple):
     text: str
     char_start: int
     char_end: int
@@ -122,6 +122,30 @@ def _count(counts: dict[bytes, list], ctx: bytes, b: int) -> None:
 
 
 _BYTE_TEXT = tuple(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in range(256))
+
+
+def _rank(item: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a ``(byte, count)`` pair: most frequent first, ties by byte."""
+    return -item[1], item[0]
+
+
+@functools.lru_cache(maxsize=2048)
+def _distribution(total: int, ranked: tuple[tuple[int, int], ...], k: int) -> TokenDistribution:
+    """Top-k distribution of a context seen ``total`` times, from the ``k``
+    most frequent ``(byte, count)`` pairs of its counts, or all of them when
+    there are fewer. Add-one smoothing over small integer counts yields the
+    same few inputs again and again, so one bounded memo serves every
+    backend and thread; a hit returns the same immutable object."""
+    if len(ranked) < k:  # pad with the smallest unseen bytes, which all lie below k
+        seen = {b for b, _ in ranked}
+        ranked += tuple((b, 0) for b in range(min(k, 256)) if b not in seen)[: k - len(ranked)]
+    top = []
+    mass = 0.0
+    for b, count in ranked:
+        p = (count + 1) / (total + 256)
+        mass += p
+        top.append((_BYTE_TEXT[b], math.log(p)))
+    return TokenDistribution(top=tuple(top), residual_mass=max(0.0, 1.0 - mass))
 
 
 class NgramBackend(Backend):
@@ -191,16 +215,7 @@ class NgramBackend(Backend):
 
     @staticmethod
     def _top_k(total: int, following: dict[int, int], k: int) -> TokenDistribution:
-        chosen = sorted(following, key=lambda b: (-following[b], b))[:k]
-        if len(chosen) < k:  # pad with the smallest unseen bytes, which all lie below k
-            chosen += [b for b in range(min(k, 256)) if b not in following][: k - len(chosen)]
-        top = []
-        mass = 0.0
-        for b in chosen:
-            p = (following.get(b, 0) + 1) / (total + 256)
-            mass += p
-            top.append((_BYTE_TEXT[b], math.log(p)))
-        return TokenDistribution(top=tuple(top), residual_mass=max(0.0, 1.0 - mass))
+        return _distribution(total, tuple(sorted(following.items(), key=_rank)[:k]), k)
 
     def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
         """Echo ``text``, reusing the tokens of the characters it shares with
@@ -218,19 +233,34 @@ class NgramBackend(Backend):
         i = len(shared.encode("utf-8"))
         for end in range(order, i):
             _count(local, data[end - order : end], data[end])
+        corpus = self.counts
+        log = math.log
         for char_index in range(len(shared), len(text)):
             char = text[char_index]
             logprob = 0.0
             top: TokenDistribution | None = None
-            for j in range(len(char.encode("utf-8"))):
+            for j in range(1 if char < "\x80" else len(char.encode("utf-8"))):
                 b = data[i]
-                ctx = data[max(0, i - order) : i]
-                total, following = self._blend(ctx, local)
+                ctx = data[i - order : i] if i >= order else data[:i]
+                # ``_blend(ctx, local)`` and ``_count(local, ctx, b)``, inlined
+                # because this loop runs once per byte.
+                bucket = local.get(ctx)
+                if bucket is None:
+                    total, following = corpus.get(ctx, _EMPTY_BUCKET)
+                elif ctx in corpus:
+                    total, following = self._blend(ctx, local)
+                else:
+                    total, following = bucket
                 if j == 0 and want_top_k > 0:
                     top = self._top_k(total, following, want_top_k)
-                logprob += math.log((following.get(b, 0) + 1) / (total + 256))
+                logprob += log((following.get(b, 0) + 1) / (total + 256))
                 if i >= order:
-                    _count(local, ctx, b)
+                    if bucket is None:
+                        local[ctx] = [1, {b: 1}]
+                    else:
+                        bucket[0] += 1
+                        counted = bucket[1]
+                        counted[b] = counted.get(b, 0) + 1
                 i += 1
             tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
         result = tuple(tokens)
@@ -291,6 +321,9 @@ class HashEmbedBackend(Backend):
             endpoint="",
             fingerprint=_fingerprint("hash_embed", name, "", str(dimensions)),
         )
+        # Word -> bucket_and_sign(word). Pool texts repeat their words, so
+        # each distinct word is hashed once; racing threads store equal values.
+        self._hashed: dict[str, tuple[int, float]] = {}
 
     def bucket_and_sign(self, token: str) -> tuple[int, float]:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
@@ -302,8 +335,12 @@ class HashEmbedBackend(Backend):
         # Bucket values are sums of +-1, so they and their squares are exact
         # integers: summing only the nonzero buckets gives the same norm.
         buckets: dict[int, float] = {}
+        hashed = self._hashed
         for token in _WORD_RE.findall(text.lower()):
-            index, sign = self.bucket_and_sign(token)
+            bucket = hashed.get(token)
+            if bucket is None:
+                bucket = hashed[token] = self.bucket_and_sign(token)
+            index, sign = bucket
             buckets[index] = buckets.get(index, 0.0) + sign
         vec = [0.0] * self.dimensions
         norm = math.sqrt(sum(v * v for v in buckets.values()))

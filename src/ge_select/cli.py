@@ -220,6 +220,8 @@ def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
 
 
 def _cmd_select(args) -> int:
+    if args.k < 0:
+        raise UsageError("-k must be >= 0")
     strategy = args.strategy
     if strategy == "ge":
         if not args.scores:

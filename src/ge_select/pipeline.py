@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -101,6 +101,17 @@ def load_exemplars(path: str | Path) -> tuple[str, ...]:
     return tuple(exemplars)
 
 
+# The keys a run config may hold: files to read, and settings that go to
+# ``RunConfig`` as they are. Older configs still carry the retired keys,
+# which load with a warning.
+_PATH_KEYS = ("instruction_path", "exemplars_path", "template_path")
+_CONFIG_KEYS = (
+    "score_target", "ge_sign", "top_k", "parallelism", "t_max",
+    "score_backend", "generate_backend", "env",
+)  # fmt: skip
+_RETIRED_CONFIG_KEYS = ("m", "k", "embed_backend")
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(_read_text(path, "config"))
@@ -108,6 +119,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise FormatError(f"{path}: malformed config JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(raw) - {*_CONFIG_KEYS, *_PATH_KEYS, *_RETIRED_CONFIG_KEYS})
+    if unknown:
+        raise FormatError(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
+    for key in _RETIRED_CONFIG_KEYS:
+        if key in raw:
+            print(f"warning: {path}: config key {key!r} is retired and ignored", file=sys.stderr)
     base = Path(path).parent
 
     def resolve(p: Any) -> Path:
@@ -123,10 +140,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         kwargs["exemplars"] = load_exemplars(resolve(raw["exemplars_path"]))
     if "template_path" in raw:
         kwargs["template"] = _read_text(resolve(raw["template_path"]), "template")
-    for key in (
-        "score_target", "ge_sign", "top_k", "parallelism", "t_max",
-        "score_backend", "generate_backend", "env",
-    ):
+    for key in _CONFIG_KEYS:
         if key in raw:
             kwargs[key] = raw[key]
     for backend_key in ("score_backend", "generate_backend"):
@@ -275,6 +289,9 @@ def score_pool(
             )
         except (BackendError, FormatError) as exc:
             return Diagnostic(qid, "score", str(exc))
+
+    # Imported here so the subcommands that never score skip its start-up cost.
+    from concurrent.futures import ThreadPoolExecutor
 
     ordered = sorted(chosen.items())
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool_exec:

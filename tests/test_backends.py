@@ -201,6 +201,10 @@ def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
             expected = [(chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p[b])) for b in ranked[:k]]
             if k:
                 assert token.top.top == tuple(expected)
+                mass = 0.0
+                for b in ranked[:k]:
+                    mass += p[b]
+                assert token.top.residual_mass.hex() == max(0.0, 1.0 - mass).hex()
             else:
                 assert token.top is None
             logprob = 0.0
@@ -326,6 +330,106 @@ def test_prefix_reuse_is_exact_under_eight_threads(monkeypatch):
         assert results[n] == work[n][2]
 
 
+def reference_counts(corpus: bytes, prefix: bytes, ctx: bytes) -> tuple[int, dict[int, int]]:
+    """Total and next-byte counts of ``ctx`` over corpus plus prefix, by scanning."""
+    following: dict[int, int] = {}
+    for hay in (corpus, prefix):
+        for i in range(len(hay) - len(ctx)):
+            if hay[i : i + len(ctx)] == ctx:
+                following[hay[i + len(ctx)]] = following.get(hay[i + len(ctx)], 0) + 1
+    return sum(following.values()), following
+
+
+def reference_top_k(total: int, following: dict[int, int], k: int) -> tuple[list, str]:
+    """The n-gram top-k distribution built from scratch on every call: rank
+    by (-count, byte), pad with the smallest unseen bytes, smooth add-one."""
+    chosen = sorted(following, key=lambda b: (-following[b], b))[:k]
+    if len(chosen) < k:
+        chosen += [b for b in range(min(k, 256)) if b not in following][: k - len(chosen)]
+    top = []
+    mass = 0.0
+    for b in chosen:
+        p = (following.get(b, 0) + 1) / (total + 256)
+        mass += p
+        top.append((chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p).hex()))
+    return top, max(0.0, 1.0 - mass).hex()
+
+
+def echo_top_k(backend: NgramBackend, text: str, k: int) -> list[tuple[list, str]]:
+    return [
+        ([(t, lp.hex()) for t, lp in token.top.top], token.top.residual_mass.hex())
+        for token in backend.echo_logprobs(text, want_top_k=k).tokens
+    ]
+
+
+def expected_top_k(corpus: str, order: int, text: str, k: int) -> list[tuple[list, str]]:
+    corpus_bytes, data = corpus.encode("utf-8"), text.encode("utf-8")
+    expected, i = [], 0
+    for char in text:
+        counts = reference_counts(corpus_bytes, data[:i], data[max(0, i - order) : i])
+        expected.append(reference_top_k(*counts, k))
+        i += len(char.encode("utf-8"))
+    return expected
+
+
+@settings(max_examples=60)
+@given(
+    models=st.lists(st.tuples(_NGRAM_TEXT, st.integers(1, 5)), min_size=2, max_size=3),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2), _NGRAM_TEXT.filter(bool), st.sampled_from([1, 5, 300])),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_memoized_top_k_matches_an_unmemoized_reference(models, calls):
+    # Backends over different corpora and orders, in one process, share one
+    # memo of distributions; every one must still get its own exact values.
+    shared = [NgramBackend(corpus, order) for corpus, order in models]
+    for which, text, k in calls:
+        n = which % len(models)
+        assert echo_top_k(shared[n], text, k) == expected_top_k(*models[n], text, k)
+    assert NgramBackend._top_k(3, {97: 2, 98: 1}, 5) is NgramBackend._top_k(3, {98: 1, 97: 2}, 5)
+
+
+def test_memoized_top_k_is_exact_under_eight_threads(monkeypatch):
+    rng = random.Random(23)
+    corpus = "".join(rng.choice("ab \né[]") for _ in range(200))
+    order = 3
+    base = "".join(rng.choice("ab \né€") for _ in range(40))
+    work = []
+    for _ in range(8):
+        calls = [
+            (base[: rng.randint(0, 40)] + "".join(rng.choice("ab \né€") for _ in range(rng.randint(1, 20))),
+             rng.choice([1, 5, 300]))
+            for _ in range(6)
+        ]
+        work.append((calls, [expected_top_k(corpus, order, text, k) for text, k in calls]))
+
+    shared = NgramBackend(corpus, order)
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def worker(n: int) -> None:
+        barrier.wait()
+        results[n] = [echo_top_k(shared, text, k) for text, k in work[n][0]]
+
+    distribution = backends._distribution
+
+    def yielding_distribution(*args):  # hand the interpreter to another thread
+        time.sleep(0)
+        return distribution(*args)
+
+    distribution.cache_clear()  # so threads race to fill the memo
+    monkeypatch.setattr(backends, "_distribution", yielding_distribution)
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for n in range(8):
+        assert results[n] == work[n][1]
+
+
 def test_fingerprint_depends_on_corpus():
     a = NgramBackend("corpus one", order=3)
     b = NgramBackend("corpus two", order=3)
@@ -403,6 +507,25 @@ def test_hash_embed_matches_dense_reference_bit_for_bit():
     with_lamp = backend.embed(" ".join(cancelling) + " lamp")
     assert with_lamp[cancelled].hex() == "0x0.0p+0"  # cancelled to +0.0, not -0.0
     assert sum(v * v for v in with_lamp) == pytest.approx(1.0)
+
+
+def test_hash_embed_hashes_a_repeated_word_once(monkeypatch):
+    backend = HashEmbedBackend()
+    hashed: list[str] = []
+    bucket_and_sign = backend.bucket_and_sign
+
+    def counting(token: str) -> tuple[int, float]:
+        hashed.append(token)
+        return bucket_and_sign(token)
+
+    monkeypatch.setattr(backend, "bucket_and_sign", counting)
+    texts = ["Red mug red MUG lamp", "red lamp", "mug"]
+    got = [backend.embed(text) for text in texts]
+    assert sorted(hashed) == ["lamp", "mug", "red"]
+    fresh = HashEmbedBackend()
+    assert [[v.hex() for v in vec] for vec in got] == [
+        [v.hex() for v in dense_embed(fresh, text)] for text in texts
+    ]
 
 
 def test_hash_embed_tokenization_rules():

@@ -37,7 +37,6 @@ def workspace(tmp_path):
                 "instruction_path": "instruction.txt",
                 "score_backend": {"kind": "ngram", "order": 3, "corpus": ""},
                 "generate_backend": {"kind": "ngram", "order": 4, "corpus": ""},
-                "embed_backend": {"kind": "hash_embed"},
                 "top_k": 2,
                 "parallelism": 2,
                 "env": {"toyshop": {"seed": 41, "catalog_size": 12}},
@@ -50,6 +49,14 @@ def workspace(tmp_path):
 
 def ws_args(ws, *pairs):
     return [str(ws / p) if isinstance(p, str) and p.endswith((".jsonl", ".txt", ".json", ".md")) else p for p in pairs]
+
+
+def score_argv(workspace) -> list[str]:
+    return ["score", "--pool", str(workspace / "pool.jsonl"),
+            "--trajectories", str(workspace / "trajectories.jsonl"),
+            "--guideline", str(workspace / "guideline.txt"),
+            "--config", str(workspace / "config.json"),
+            "--out", str(workspace / "scores.jsonl"), "--cache-dir", str(workspace / "cache")]
 
 
 def test_help_exits_zero_and_documents_flags(capsys):
@@ -207,6 +214,25 @@ def test_select_all_strategies(workspace):
         selection = load_selection(out)
         assert selection.strategy == strategy
         assert len(selection.items) <= 4
+
+
+def test_select_negative_k_is_a_usage_error(workspace, capsys):
+    scores_path = workspace / "scores.jsonl"
+    assert run(score_argv(workspace)) == 0
+    for strategy, extra in {
+        "ge": ["--scores", str(scores_path)],
+        "entropy": ["--scores", str(scores_path)],
+        "random": ["--pool", str(workspace / "pool.jsonl")],
+        "highscore": ["--trajectories", str(workspace / "trajectories.jsonl")],
+        "fl": ["--pool", str(workspace / "pool.jsonl")],
+    }.items():
+        out = workspace / f"sel_{strategy}.jsonl"
+        capsys.readouterr()
+        assert run(["select", "--strategy", strategy, "-k", "-3", "--out", str(out), *extra]) == 1
+        assert_one_error_line(capsys.readouterr().err, 1, "-k")
+        assert not out.exists()
+        assert run(["select", "--strategy", strategy, "-k", "0", "--out", str(out), *extra]) == 0
+        assert load_selection(out).items == ()
 
 
 def test_select_high_score_short_supply_warns_but_succeeds(workspace, capsys):
@@ -536,6 +562,31 @@ def test_string_parallelism_in_config_exits_two(workspace, capsys, key, value, n
     assert_one_error_line(capsys.readouterr().err, 2, needle)
 
 
+@pytest.mark.parametrize("key", ["top-k", "topk", "score_backends", "instruction"])
+def test_unknown_run_config_key_exits_two(workspace, capsys, key):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config[key] = 3
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "unknown config key", repr(key))
+    assert not (workspace / "scores.jsonl").exists()
+
+
+def test_retired_run_config_keys_load_with_one_warning_each(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    assert run(score_argv(workspace)) == 0
+    scores = (workspace / "scores.jsonl").read_bytes()
+    capsys.readouterr()
+    config.update({"m": 5, "k": 9, "embed_backend": {"kind": "hash_embed"}})
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 3
+    for key, line in zip(["m", "k", "embed_backend"], warnings):
+        assert line.startswith("warning: ") and f"config key {key!r} is retired" in line
+    assert (workspace / "scores.jsonl").read_bytes() == scores
+
+
 _TOYSHOP_CASES = {
     "unknown-key": ("catalogue_size", 12),
     "catalog_size-str": ("catalog_size", "12"),
@@ -613,22 +664,31 @@ def test_non_utf8_input_file_exits_two(workspace, capsys, key):
 _LAZY_IMPORT_CHILD = """
 import sys
 import ge_select, ge_select.cli
-heavy = {"numpy", "requests"} & set(sys.modules)
+heavy = {"numpy", "requests", "concurrent.futures"} & set(sys.modules)
 assert not heavy, f"importing the CLI loaded {sorted(heavy)}"
-ws = sys.argv[1]
+ws, phase = sys.argv[1:]
 run = ge_select.cli.run
-assert run(["score", "--pool", ws + "/pool.jsonl", "--trajectories", ws + "/trajectories.jsonl",
-            "--guideline", ws + "/guideline.txt", "--config", ws + "/config.json",
-            "--out", ws + "/scores.jsonl", "--cache-dir", ws + "/cache"]) == 0
+if phase == "score":
+    assert run(["score", "--pool", ws + "/pool.jsonl", "--trajectories", ws + "/trajectories.jsonl",
+                "--guideline", ws + "/guideline.txt", "--config", ws + "/config.json",
+                "--out", ws + "/scores.jsonl", "--cache-dir", ws + "/cache"]) == 0
+    heavy = {"numpy", "requests"} & set(sys.modules)
+    assert not heavy, f"score loaded {sorted(heavy)}"
+    sys.exit(0)
 assert run(["select", "--strategy", "ge", "--scores", ws + "/scores.jsonl", "-k", "3",
             "--out", ws + "/sel_ge.jsonl"]) == 0
 assert run(["report", "--scores", ws + "/scores.jsonl", "--trajectories",
             ws + "/trajectories.jsonl", "-m", "3", "--out", ws + "/report.md"]) == 0
-heavy = {"numpy", "requests"} & set(sys.modules)
-assert not heavy, f"score, select ge and report loaded {sorted(heavy)}"
+assert run(["export", "--trajectories", ws + "/trajectories.jsonl", "--instruction",
+            ws + "/instruction.txt", "--guideline", ws + "/guideline.txt",
+            "--out", ws + "/sft.jsonl"]) == 0
+assert run(["stats", "--trajectories", ws + "/trajectories.jsonl"]) == 0
+heavy = {"numpy", "requests", "concurrent.futures"} & set(sys.modules)
+assert not heavy, f"select ge, report, export and stats loaded {sorted(heavy)}"
 assert run(["select", "--strategy", "fl", "--pool", ws + "/pool.jsonl", "-k", "3",
             "--out", ws + "/sel_fl.jsonl"]) == 0
 assert "numpy" in sys.modules
+assert "concurrent.futures" not in sys.modules, "select fl loaded concurrent.futures"
 """
 
 
@@ -643,11 +703,12 @@ def test_cli_loads_numpy_and_requests_only_where_used(workspace):
     src_root = str(Path(ge_select.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT_CHILD, str(workspace)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for phase in ("score", "select, report, export and stats"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_IMPORT_CHILD, str(workspace), phase],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
     assert len(load_selection(workspace / "sel_fl.jsonl").items) == 3
