@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .models import FormatError
+from .models import FormatError, keys, number, string
 from .scoring import TokenDistribution
 
 if TYPE_CHECKING:
@@ -351,18 +351,6 @@ class HashEmbedBackend(Backend):
         return vec
 
 
-def _echo_logprob(value: Any, where: str) -> float:
-    """A logprob from an echo reply: a finite JSON number, as a float."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise BackendError(f"malformed echo logprobs: {where} is not a finite number: {value!r}")
-
-
 class HttpBackend(Backend):
     """OpenAI-compatible completions/embeddings client with bounded retries.
 
@@ -448,7 +436,7 @@ class HttpBackend(Backend):
             choice = data["choices"][0]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completions response: {data}") from exc
-        logprobs = choice.get("logprobs")
+        logprobs = choice.get("logprobs") if isinstance(choice, dict) else None
         if (
             not isinstance(logprobs, dict)
             or "tokens" not in logprobs
@@ -474,15 +462,16 @@ class HttpBackend(Backend):
                 raise BackendError(f"malformed echo logprobs: {name!r} must be a list")
         tokens: list[EchoToken] = []
         for i, (tok, lp, off) in enumerate(zip(token_texts, token_lps, offsets)):
-            if not isinstance(tok, str) or isinstance(off, bool) or not isinstance(off, int):
-                raise BackendError(
-                    f"malformed echo logprobs: token {i} needs a string text and an "
-                    f"integer text_offset, got {tok!r} at {off!r}"
-                )
+            where = f"malformed echo logprobs: token {i}"
+            string(tok, f"{where} text", empty=True, error=BackendError)
+            number(off, f"{where} text_offset", integer=True, error=BackendError)
+            if lp is not None:
+                lp = min(0.0, number(lp, f"{where} logprob", error=BackendError))
             top = None
             if want_top_k > 0 and i < len(tops) and isinstance(tops[i], dict):
                 alternatives = [
-                    (t, _echo_logprob(p, f"top_logprobs {i}")) for t, p in tops[i].items()
+                    (t, number(p, f"{where} top_logprobs", error=BackendError))
+                    for t, p in tops[i].items()
                 ]
                 ranked = sorted(alternatives, key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
                 entries = tuple((t, min(0.0, p)) for t, p in ranked)
@@ -493,9 +482,7 @@ class HttpBackend(Backend):
                     text=tok,
                     char_start=off,
                     char_end=off + len(tok),
-                    logprob=(
-                        None if lp is None else min(0.0, _echo_logprob(lp, f"token_logprobs {i}"))
-                    ),
+                    logprob=lp,
                     top=top,
                 )
             )
@@ -528,6 +515,7 @@ class HttpBackend(Backend):
             text = data["choices"][0]["text"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completions response: {data}") from exc
+        string(text, "completion text", empty=True, error=BackendError)
         cut = len(text)
         for s in stop:
             idx = text.find(s)
@@ -541,7 +529,8 @@ class HttpBackend(Backend):
     def embed(self, text: str) -> list[float]:
         data = self._post("/embeddings", {"model": self.model, "input": text})
         try:
-            return [float(v) for v in data["data"][0]["embedding"]]
+            vector = data["data"][0]["embedding"]
+            return [number(v, "embedding value", error=BackendError) for v in vector]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed embeddings response: {data}") from exc
 
@@ -584,9 +573,9 @@ class ResponseCache:
                         continue
                     try:
                         entry = json.loads(line)
-                    except ValueError:  # bad JSON or UTF-8, e.g. a torn final line
+                    except (ValueError, RecursionError):  # e.g. a torn final line
                         entry = None
-                    if isinstance(entry, dict) and "key" in entry:
+                    if isinstance(entry, dict) and isinstance(entry.get("key"), str):
                         self._index[entry["key"]] = entry.get("response")
                     else:
                         self.skipped_lines += 1
@@ -659,53 +648,46 @@ class CachedBackend(Backend):
         return self.cache.put(key, self.inner.generate(prompt, stop, max_tokens, temperature, top_p))
 
 
-def _setting(config: dict, key: str, default: Any, low: float = 0, high: float = math.inf) -> Any:
-    """``config[key]``, or ``default`` when absent. It must have the JSON type
-    of ``default``: a string, an integer, or (for a float) any number; a
-    number must be finite and in [low, high]."""
-    value = config.get(key, default)
-    if isinstance(default, str):
-        if isinstance(value, str):
-            return value
-        raise FormatError(f"backend {key!r} must be a string, got {value!r}")
-    kind = int if isinstance(default, int) else (int, float)
-    if not isinstance(value, bool) and isinstance(value, kind):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond float range
-            number = math.inf
-        if math.isfinite(number) and low <= number <= high:
-            return value if kind is int else number
-    noun = "an integer" if kind is int else "a finite number"
-    raise FormatError(f"backend {key!r} must be {noun} in [{low}, {high}], got {value!r}")
+# The keys a backend entry of each kind may hold.
+_BACKEND_KEYS = {
+    "ngram": ("kind", "model", "corpus", "order"),
+    "hash_embed": ("kind", "model", "dimensions"),
+    "http": ("kind", "model", "endpoint", "timeout", "max_retries", "backoff", "max_inflight"),
+}
 
 
 def build_backend(config: dict) -> Backend:
-    """Instantiate a backend from one config-file entry."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise BackendError("backend config must be an object with a 'kind' field")
-    kind = config["kind"]
-    model = _setting(config, "model", "")
+    """Instantiate a backend from one config-file entry. An entry that is not
+    an object, lacks a known ``kind`` or holds a key its kind does not take
+    raises ``FormatError``."""
+    kind = keys(config, None, "backend entry").get("kind")
+    if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
+        raise FormatError(f"backend entry needs a 'kind' in {list(_BACKEND_KEYS)}, got {kind!r}")
+    keys(config, _BACKEND_KEYS[kind], f"{kind} backend entry")
+    if kind == "http":
+        return HttpBackend(
+            model=string(config.get("model"), "backend 'model'", empty=True),
+            endpoint=string(config.get("endpoint"), "backend 'endpoint'", empty=True),
+            timeout=number(config.get("timeout", 60.0), "backend 'timeout'", low=0.001),
+            max_retries=number(
+                config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0
+            ),
+            backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0),
+            max_inflight=number(
+                config.get("max_inflight", 4), "backend 'max_inflight'", integer=True, low=1
+            ),
+        )
+    model = string(config.get("model", ""), "backend 'model'", empty=True)
     if kind == "ngram":
         return NgramBackend(
-            corpus=_setting(config, "corpus", ""),
-            order=_setting(config, "order", 3, 1, MAX_NGRAM_ORDER),
+            corpus=string(config.get("corpus", ""), "backend 'corpus'", empty=True),
+            order=number(
+                config.get("order", 3), "backend 'order'", integer=True, low=1, high=MAX_NGRAM_ORDER
+            ),
             model=model,
         )
-    if kind == "hash_embed":
-        return HashEmbedBackend(dimensions=_setting(config, "dimensions", EMBED_DIMENSIONS, 1), model=model)
-    if kind == "http":
-        if "endpoint" not in config or "model" not in config:
-            raise BackendError("http backend config needs 'model' and 'endpoint'")
-        return HttpBackend(
-            model=model,
-            endpoint=_setting(config, "endpoint", ""),
-            timeout=_setting(config, "timeout", 60.0, 0.001),
-            max_retries=_setting(config, "max_retries", 3),
-            backoff=_setting(config, "backoff", 1.0),
-            max_inflight=_setting(config, "max_inflight", 4, 1),
-        )
-    raise BackendError(f"unknown backend kind {kind!r}")
+    dimensions = config.get("dimensions", EMBED_DIMENSIONS)
+    return HashEmbedBackend(number(dimensions, "backend 'dimensions'", integer=True, low=1), model)
 
 
 class CountingBackend(Backend):

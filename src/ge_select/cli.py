@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -24,11 +23,13 @@ from .models import (
     Question,
     _load_jsonl,
     _read_text,
-    _require_str,
+    keys,
     load_pool,
     load_scores,
     load_selection,
     load_trajectories,
+    number,
+    string,
     write_records,
 )
 from .pipeline import (
@@ -193,29 +194,16 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _finite_vector(value) -> list[float] | None:
-    """``value`` as floats if it is a list of finite JSON numbers, else None."""
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        return None
-    try:
-        vector = [float(v) for v in value]
-    except OverflowError:  # an integer beyond float range
-        return None
-    return vector if all(math.isfinite(v) for v in vector) else None
-
-
 def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
     ids: list[str] = []
     vectors: list[list[float]] = []
     for lineno, record in _load_jsonl(path, "embedding"):
-        ctx = f"{path}:{lineno}"
-        ids.append(_require_str(record, "question_id", ctx))
-        vector = _finite_vector(record.get("embedding"))
-        if vector is None:
-            raise FormatError(f"{ctx}: field 'embedding' must be a list of finite numbers")
-        vectors.append(vector)
+        ids.append(string(record.get("question_id"), f"{path}:{lineno}: field 'question_id'"))
+        where = f"{path}:{lineno}: field 'embedding'"
+        vector = record.get("embedding")
+        if not isinstance(vector, list):
+            raise FormatError(f"{where} must be a list of finite numbers")
+        vectors.append([number(v, where) for v in vector])
     return ids, vectors
 
 
@@ -276,18 +264,10 @@ def _cmd_report(args) -> int:
 
 def _load_questions(path: str, pool_path: str | None) -> list[Question]:
     """Accept either a pool file or a selection file plus --pool."""
-    raw = _read_text(path, "questions")
-    first = None
-    for line in raw.splitlines():
-        if line.strip():
-            try:
-                first = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: malformed questions file: {exc}") from exc
-            break
+    first = next(_load_jsonl(path, "questions"), None)
     if first is None:
         raise FormatError(f"{path}: questions file is empty")
-    if "strategy" in first:
+    if "strategy" in first[1]:
         if not pool_path:
             raise UsageError("--pool is required when --questions is a selection file")
         selection = load_selection(path)
@@ -310,18 +290,8 @@ def _cmd_annotate(args) -> int:
     if not config.generate_backend:
         raise FormatError("config has no generate_backend entry")
     if args.env == "toyshop":
-        params = config.env.get("toyshop", {})
-        if not isinstance(params, dict):
-            raise FormatError("config env.toyshop must be an object")
-        unknown = sorted(set(params) - {f.name for f in dataclasses.fields(ToyShopConfig)})
-        if unknown:
-            raise FormatError(f"unknown config env.toyshop keys: {unknown}")
-        for key, value in params.items():
-            if key == "hidden_attrs":
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise FormatError(f"config env.toyshop.{key} must be a list of strings")
-            elif isinstance(value, bool) or not isinstance(value, int):
-                raise FormatError(f"config env.toyshop.{key} must be an integer, got {value!r}")
+        allowed = [f.name for f in dataclasses.fields(ToyShopConfig)]
+        params = keys(config.env.get("toyshop", {}), allowed, "config env.toyshop")
         env = ToyShopEnv(ToyShopConfig(**params))
     elif args.env == "replay":
         recordings_path = config.env.get("replay_trajectories")

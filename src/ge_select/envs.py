@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .models import Question, Step, Trajectory
+from .models import FormatError, Question, Step, Trajectory, keys, number, string
 
 if TYPE_CHECKING:
     import requests
@@ -73,8 +73,25 @@ class Product:
         return " ".join(words)
 
 
+# ``build_catalog`` makes one product per unit of ``catalog_size``, so it is
+# capped far above desk scale (the benchmark uses 100) but below what
+# exhausts memory.
+MAX_CATALOG_SIZE = 10_000
+# [low, high] of each integer setting of ``env.toyshop``.
+_TOYSHOP_BOUNDS = {
+    "seed": (-math.inf, math.inf),
+    "catalog_size": (1, MAX_CATALOG_SIZE),
+    "max_results": (1, math.inf),
+    "turn_cap": (1, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class ToyShopConfig:
+    """The ``env.toyshop`` settings. A value of the wrong type raises
+    ``FormatError``; one out of range, or an unknown hidden attribute kind,
+    raises ``EnvError``."""
+
     seed: int = 0
     catalog_size: int = 20
     hidden_attrs: frozenset[str] = frozenset({"flavor"})
@@ -82,13 +99,20 @@ class ToyShopConfig:
     turn_cap: int = DEFAULT_TURN_CAP
 
     def __post_init__(self) -> None:
-        for name in ("catalog_size", "max_results", "turn_cap"):
-            if getattr(self, name) < 1:
-                raise EnvError(f"{name} must be >= 1")
-        unknown = set(self.hidden_attrs) - set(ATTRIBUTE_KINDS)
+        for name in _TOYSHOP_BOUNDS:
+            number(getattr(self, name), f"env.toyshop.{name}", integer=True)
+        hidden = self.hidden_attrs
+        if not isinstance(hidden, (list, tuple, set, frozenset)) or not all(
+            isinstance(kind, str) for kind in hidden
+        ):
+            raise FormatError(f"env.toyshop.hidden_attrs must be a list of strings, got {hidden!r}")
+        for name, (low, high) in _TOYSHOP_BOUNDS.items():
+            where = f"env.toyshop.{name}"
+            number(getattr(self, name), where, integer=True, low=low, high=high, error=EnvError)
+        unknown = set(hidden) - set(ATTRIBUTE_KINDS)
         if unknown:
             raise EnvError(f"unknown hidden attribute kinds: {sorted(unknown)}")
-        object.__setattr__(self, "hidden_attrs", frozenset(self.hidden_attrs))
+        object.__setattr__(self, "hidden_attrs", frozenset(hidden))
 
 
 def build_catalog(config: ToyShopConfig) -> list[Product]:
@@ -400,31 +424,21 @@ class HttpEnv:
             data = response.json()
         except ValueError as exc:
             raise EnvError(f"environment returned non-JSON body: {exc}") from exc
-        if not isinstance(data, dict):
-            raise EnvError(f"environment {path} returned {type(data).__name__}, not an object")
-        return data
+        return keys(data, None, f"environment {path} reply", EnvError)
 
     def reset(self, question: Question) -> str:
         data = self._post("/reset", {"question_id": question.id, "text": question.text})
         observation = data.get("observation")
-        if not isinstance(observation, str):
-            raise EnvError("environment /reset did not return an observation")
-        return observation
+        return string(observation, "environment /reset observation", empty=True, error=EnvError)
 
     def step(self, action: str) -> EnvStep:
         data = self._post("/step", {"action": action})
-        missing = [key for key in ("observation", "reward", "done") if key not in data]
-        if missing:
-            raise EnvError(f"environment /step response missing {missing}")
-        observation, reward, done = data["observation"], data["reward"], data["done"]
-        if not isinstance(observation, str):
-            raise EnvError(f"environment /step observation must be a string, got {observation!r}")
+        done = data.get("done")
         if not isinstance(done, bool):
             raise EnvError(f"environment /step done must be true or false, got {done!r}")
-        if isinstance(reward, bool) or not isinstance(reward, (int, float)):
-            raise EnvError(f"environment /step reward must be a number, got {reward!r}")
-        try:
-            reward = float(reward)
-        except OverflowError:  # an integer beyond float range; EnvStep rejects it
-            reward = math.inf
-        return EnvStep(observation=observation, reward=reward, done=done)
+        observation = data.get("observation")
+        return EnvStep(
+            string(observation, "environment /step observation", empty=True, error=EnvError),
+            number(data.get("reward"), "environment /step reward", error=EnvError),
+            done,
+        )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -28,26 +29,62 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
-def _require_str(record: dict, key: str, ctx: str, allow_empty: bool = False) -> str:
-    value = record.get(key)
-    if not isinstance(value, str):
-        raise FormatError(f"{ctx}: field '{key}' must be a string")
-    if not allow_empty and not value:
-        raise FormatError(f"{ctx}: field '{key}' must be non-empty")
-    return value
+# The input checker: every value read from a file, config or reply passes one
+# of these. Each raises ``error`` naming ``where`` the value came from; the
+# error class picks the exit code (``FormatError`` exits 2).
 
 
-def _require_number(record: dict, key: str, ctx: str) -> float:
-    value = record.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{ctx}: field '{key}' must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise FormatError(f"{ctx}: field '{key}' must be finite")
-    return number
+def number(
+    value: Any,
+    where: str,
+    *,
+    integer: bool = False,
+    low: float = -math.inf,
+    high: float = math.inf,
+    error: type[Exception] = FormatError,
+) -> Any:
+    """``value`` as a float, or as an int when ``integer``, if it is a JSON
+    number of that kind that is finite and lies in [low, high]. Bools,
+    non-finite values and integers beyond float range are rejected."""
+    if not isinstance(value, bool) and isinstance(value, int if integer else (int, float)):
+        try:
+            as_float = float(value)
+        except OverflowError:  # an integer beyond float range
+            as_float = math.inf
+        if math.isfinite(as_float) and low <= as_float <= high:
+            return value if integer else as_float
+    noun = "an integer" if integer else "a finite number"
+    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+    raise error(f"{where} must be {noun}{bounds}, got {value!r}")
+
+
+def keys(
+    obj: Any, allowed: Iterable[str] | None, where: str, error: type[Exception] = FormatError
+) -> dict:
+    """``obj`` if it is a JSON object whose keys all lie in ``allowed``; None
+    allows any key. The error names each unknown key."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj).difference(allowed)) if allowed is not None else []
+    if unknown:
+        raise error(f"{where}: unknown config key(s): {', '.join(map(repr, unknown))}")
+    return obj
+
+
+# A JSON escape can make a lone surrogate, which no UTF-8 output can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def string(
+    value: Any, where: str, *, empty: bool = False, error: type[Exception] = FormatError
+) -> str:
+    """``value`` if it is a string of Unicode scalar values, and a non-empty
+    one unless ``empty``."""
+    if isinstance(value, str) and (empty or value):
+        if value.isascii() or not _SURROGATE.search(value):
+            return value
+        raise error(f"{where} holds a lone surrogate, which UTF-8 cannot encode: {value!r}")
+    raise error(f"{where} must be a {'' if empty else 'non-empty '}string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +101,8 @@ class Question:
         if not self.text:
             raise FormatError(f"question {self.id!r}: text must be non-empty")
         for k, v in self.metadata.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise FormatError(f"question {self.id!r}: metadata must map strings to strings")
+            string(k, f"question {self.id!r}: metadata key", empty=True)
+            string(v, f"question {self.id!r}: metadata value", empty=True)
 
     def to_record(self) -> dict:
         rec: dict[str, Any] = {"id": self.id, "text": self.text}
@@ -75,13 +112,10 @@ class Question:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "question") -> "Question":
-        meta = record.get("metadata", {})
-        if not isinstance(meta, dict):
-            raise FormatError(f"{ctx}: 'metadata' must be an object")
         return cls(
-            id=_require_str(record, "id", ctx),
-            text=_require_str(record, "text", ctx),
-            metadata=dict(meta),
+            id=string(record.get("id"), f"{ctx}: field 'id'"),
+            text=string(record.get("text"), f"{ctx}: field 'text'"),
+            metadata=dict(keys(record.get("metadata", {}), None, f"{ctx}: field 'metadata'")),
         )
 
 
@@ -107,13 +141,13 @@ class Step:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "step") -> "Step":
-        thought = record.get("thought", "")
-        if not isinstance(thought, str):
-            raise FormatError(f"{ctx}: 'thought' must be a string")
+        keys(record, None, ctx)
         return cls(
-            action=_require_str(record, "action", ctx),
-            observation=_require_str(record, "observation", ctx, allow_empty=True),
-            thought=thought,
+            action=string(record.get("action"), f"{ctx}: field 'action'"),
+            observation=string(
+                record.get("observation"), f"{ctx}: field 'observation'", empty=True
+            ),
+            thought=string(record.get("thought", ""), f"{ctx}: field 'thought'", empty=True),
         )
 
 
@@ -168,21 +202,17 @@ class Trajectory:
         raw_steps = record.get("steps")
         if not isinstance(raw_steps, list):
             raise FormatError(f"{ctx}: 'steps' must be a list")
-        steps = tuple(
-            Step.from_record(s, ctx=f"{ctx} step {i}") for i, s in enumerate(raw_steps)
-        )
-        qtext = record.get("question_text", "")
-        iobs = record.get("initial_observation", "")
-        if not isinstance(qtext, str) or not isinstance(iobs, str):
-            raise FormatError(f"{ctx}: optional text fields must be strings")
+        qtext, iobs = record.get("question_text", ""), record.get("initial_observation", "")
         return cls(
-            question_id=_require_str(record, "question_id", ctx),
-            guideline_version=_require_str(record, "guideline_version", ctx),
-            steps=steps,
-            reward=_require_number(record, "reward", ctx),
-            source=_require_str(record, "source", ctx),
-            question_text=qtext,
-            initial_observation=iobs,
+            question_id=string(record.get("question_id"), f"{ctx}: field 'question_id'"),
+            guideline_version=string(
+                record.get("guideline_version"), f"{ctx}: field 'guideline_version'"
+            ),
+            steps=tuple(Step.from_record(s, f"{ctx} step {i}") for i, s in enumerate(raw_steps)),
+            reward=number(record.get("reward"), f"{ctx}: field 'reward'", low=0.0, high=1.0),
+            source=string(record.get("source"), f"{ctx}: field 'source'"),
+            question_text=string(qtext, f"{ctx}: field 'question_text'", empty=True),
+            initial_observation=string(iobs, f"{ctx}: field 'initial_observation'", empty=True),
         )
 
 
@@ -228,8 +258,8 @@ class StepScore:
     n_tokens: int
 
     def __post_init__(self) -> None:
-        if self.d_i < 0 or self.d_g < 0:
-            raise FormatError("step difficulties must be >= 0")
+        if self.d_i <= 0 or self.d_g <= 0:
+            raise FormatError("step difficulties must be > 0")
         if self.n_tokens < 1:
             raise FormatError("n_tokens must be >= 1")
 
@@ -238,13 +268,13 @@ class StepScore:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "step score") -> "StepScore":
-        n_tokens = record.get("n_tokens")
-        if isinstance(n_tokens, bool) or not isinstance(n_tokens, int):
-            raise FormatError(f"{ctx}: 'n_tokens' must be an integer")
+        keys(record, None, ctx)
         return cls(
-            d_i=_require_number(record, "d_i", ctx),
-            d_g=_require_number(record, "d_g", ctx),
-            n_tokens=n_tokens,
+            d_i=number(record.get("d_i"), f"{ctx}: field 'd_i'"),
+            d_g=number(record.get("d_g"), f"{ctx}: field 'd_g'"),
+            n_tokens=number(
+                record.get("n_tokens"), f"{ctx}: field 'n_tokens'", integer=True, low=1
+            ),
         )
 
 
@@ -292,19 +322,19 @@ class ScoreRecord:
         raw_steps = record.get("per_step")
         if not isinstance(raw_steps, list):
             raise FormatError(f"{ctx}: 'per_step' must be a list")
-        per_step = tuple(
-            StepScore.from_record(s, ctx=f"{ctx} per_step {i}")
-            for i, s in enumerate(raw_steps)
-        )
         mean_entropy = record.get("mean_entropy")
         if mean_entropy is not None:
-            mean_entropy = _require_number(record, "mean_entropy", ctx)
+            mean_entropy = number(mean_entropy, f"{ctx}: field 'mean_entropy'", low=0.0)
         return cls(
-            question_id=_require_str(record, "question_id", ctx),
-            guideline_version=_require_str(record, "guideline_version", ctx),
-            backend_id=_require_str(record, "backend_id", ctx),
-            per_step=per_step,
-            ge=_require_number(record, "ge", ctx),
+            question_id=string(record.get("question_id"), f"{ctx}: field 'question_id'"),
+            guideline_version=string(
+                record.get("guideline_version"), f"{ctx}: field 'guideline_version'"
+            ),
+            backend_id=string(record.get("backend_id"), f"{ctx}: field 'backend_id'"),
+            per_step=tuple(
+                StepScore.from_record(s, f"{ctx} per_step {i}") for i, s in enumerate(raw_steps)
+            ),
+            ge=number(record.get("ge"), f"{ctx}: field 'ge'"),
             mean_entropy=mean_entropy,
         )
 
@@ -319,9 +349,10 @@ class SelectionItem:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "selection item") -> "SelectionItem":
+        keys(record, None, ctx)
         return cls(
-            question_id=_require_str(record, "question_id", ctx),
-            score=_require_number(record, "score", ctx),
+            question_id=string(record.get("question_id"), f"{ctx}: field 'question_id'"),
+            score=number(record.get("score"), f"{ctx}: field 'score'"),
         )
 
 
@@ -360,9 +391,6 @@ class SelectionResult:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "selection") -> "SelectionResult":
-        params = record.get("params", {})
-        if not isinstance(params, dict):
-            raise FormatError(f"{ctx}: 'params' must be an object")
         raw_items = record.get("items")
         if not isinstance(raw_items, list):
             raise FormatError(f"{ctx}: 'items' must be a list")
@@ -370,14 +398,11 @@ class SelectionResult:
             SelectionItem.from_record(i, ctx=f"{ctx} item {n}")
             for n, i in enumerate(raw_items)
         )
-        warning = record.get("warning", "")
-        if not isinstance(warning, str):
-            raise FormatError(f"{ctx}: 'warning' must be a string")
         return cls(
-            strategy=_require_str(record, "strategy", ctx),
-            params=params,
+            strategy=string(record.get("strategy"), f"{ctx}: field 'strategy'"),
+            params=keys(record.get("params", {}), None, f"{ctx}: field 'params'"),
             items=items,
-            warning=warning,
+            warning=string(record.get("warning", ""), f"{ctx}: field 'warning'", empty=True),
         )
 
 
@@ -392,12 +417,14 @@ def _read_text(path: str | Path, what: str) -> str:
 
 def _load_jsonl(path: str | Path, kind: str) -> Iterable[tuple[int, dict]]:
     raw = _read_text(path, kind)
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    # Only "\n" ends a record: ``str.splitlines`` would also split at the
+    # U+0085 and U+2028 that canonical JSON leaves unescaped inside strings.
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
             raise FormatError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
         if not isinstance(record, dict):
             raise FormatError(f"{path}:{lineno}: {kind} record must be a JSON object")
@@ -409,10 +436,7 @@ def load_pool(path: str | Path) -> list[Question]:
     questions: list[Question] = []
     seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "pool"):
-        try:
-            q = Question.from_record(record, ctx=f"{path}:{lineno}")
-        except FormatError:
-            raise
+        q = Question.from_record(record, ctx=f"{path}:{lineno}")
         if q.id in seen:
             raise FormatError(
                 f"{path}:{lineno}: duplicate question id {q.id!r} "

@@ -28,6 +28,9 @@ from .models import (
     Trajectory,
     _load_jsonl,
     _read_text,
+    keys,
+    number,
+    string,
 )
 from .prompts import (
     DEFAULT_TEMPLATE,
@@ -78,26 +81,19 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("top_k", 0), ("parallelism", 1), ("t_max", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise FormatError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise FormatError(f"{name} must be >= {low}")
+            number(getattr(self, name), name, integer=True, low=low)
         if self.score_target not in SCORE_TARGETS:
             raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
         if self.ge_sign not in GE_SIGNS:
             raise FormatError(f"ge_sign must be one of {GE_SIGNS}")
         for name in ("score_backend", "generate_backend", "env"):
-            if not isinstance(getattr(self, name), dict):
-                raise FormatError(f"{name} must be an object")
+            keys(getattr(self, name), None, name)
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
     exemplars = []
     for lineno, record in _load_jsonl(path, "exemplar"):
-        if not isinstance(record.get("text"), str):
-            raise FormatError(f"{path}:{lineno}: exemplar record needs a 'text' field")
-        exemplars.append(record["text"])
+        exemplars.append(string(record.get("text"), f"{path}:{lineno}: field 'text'", empty=True))
     return tuple(exemplars)
 
 
@@ -115,22 +111,16 @@ _RETIRED_CONFIG_KEYS = ("m", "k", "embed_backend")
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(_read_text(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise FormatError(f"{path}: malformed config JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - {*_CONFIG_KEYS, *_PATH_KEYS, *_RETIRED_CONFIG_KEYS})
-    if unknown:
-        raise FormatError(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
+    keys(raw, (*_CONFIG_KEYS, *_PATH_KEYS, *_RETIRED_CONFIG_KEYS), str(path))
     for key in _RETIRED_CONFIG_KEYS:
         if key in raw:
             print(f"warning: {path}: config key {key!r} is retired and ignored", file=sys.stderr)
     base = Path(path).parent
 
     def resolve(p: Any) -> Path:
-        if not isinstance(p, str):
-            raise FormatError(f"{path}: config file paths must be strings, got {p!r}")
-        candidate = Path(p)
+        candidate = Path(string(p, f"{path}: config file paths"))
         return candidate if candidate.is_absolute() else base / candidate
 
     kwargs: dict[str, Any] = {}

@@ -26,6 +26,7 @@ from ge_select.backends import (
     cache_key,
     canonical_request,
 )
+from ge_select.models import FormatError
 
 from conftest import echo_response, oracle_conditional
 
@@ -664,10 +665,28 @@ def test_build_backend_kinds():
     assert isinstance(
         build_backend({"kind": "http", "model": "m", "endpoint": "http://x"}), HttpBackend
     )
-    with pytest.raises(BackendError):
+    with pytest.raises(FormatError):
         build_backend({"kind": "quantum"})
-    with pytest.raises(BackendError):
+    with pytest.raises(FormatError):
         build_backend({"kind": "http", "model": "m"})
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"kind": "ngram", "ordr": 5}, "'ordr'"),
+        ({"kind": "ngram", "order": 2, "dimensions": 8}, "'dimensions'"),
+        ({"kind": "hash_embed", "order": 2}, "'order'"),
+        ({"kind": "http", "model": "m", "endpoint": "http://x", "corpus": ""}, "'corpus'"),
+        ({"kind": ["x"]}, "kind"),
+        ({"order": 3}, "kind"),
+        ("ngram", "backend entry"),
+        ({"kind": "http", "endpoint": "http://x"}, "model"),
+    ],
+)
+def test_build_backend_rejects_entries_of_the_wrong_shape(entry, needle):
+    with pytest.raises(FormatError, match=re.escape(needle)):
+        build_backend(entry)
 
 
 def test_http_echo_parses_offsets_and_sentinel(local_server):
@@ -711,6 +730,7 @@ def echo_payload(**changes) -> dict:
         {"text_offset": [0, 6.5, 11]},
         {"text_offset": [0, "6", 11]},
         {"tokens": ["score ", 5, "prompt"]},
+        {"tokens": ["score ", "this\ud800", "prompt"]},
         {"tokens": "score this prompt"},
         {"tokens": 3, "top_logprobs": None},
         {"text_offset": {"0": 0}},

@@ -262,6 +262,8 @@ def test_select_missing_inputs_usage_error(workspace, capsys):
         ['{"embedding":[1.0]}'],
         ['{"question_id":"a","embedding":[NaN]}'],
         ['{"question_id":"a","embedding":[1' + "0" * 400 + "]}"],
+        ['{"question_id":"a\\ud800","embedding":[1.0]}'],
+        ["[" * 100_000],
         ['{"question_id":"a","embedding":[1.0]}', '{"question_id":"b","embedding":[1.0,2.0]}'],
     ],
 )
@@ -339,6 +341,25 @@ def test_annotate_toyshop_and_selection_resolution(workspace):
     )
     assert code == 0
     assert len(load_trajectories(out2)) == 3
+
+
+@pytest.mark.parametrize("first_line", ["5", "true", "null", '"strategy"'])
+def test_annotate_questions_file_whose_first_record_is_not_an_object_exits_two(
+    workspace, capsys, first_line
+):
+    questions = workspace / "questions.jsonl"
+    pool_text = (workspace / "pool.jsonl").read_text(encoding="utf-8")
+    questions.write_text(first_line + "\n" + pool_text, encoding="utf-8")
+    code = run(
+        ["annotate", "--questions", str(questions),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--env", "toyshop",
+         "--cache-dir", str(workspace / "cache"),
+         "--out", str(workspace / "annotated.jsonl")]
+    )
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, f"{questions}:1:")
 
 
 def test_annotate_replay_env(workspace):
@@ -542,6 +563,13 @@ _CONFIG_CASES = {
     "http-retries-float": ("score_backend", _http(max_retries=1.5), "max_retries"),
     "http-inflight-zero": ("score_backend", _http(max_inflight=0), "max_inflight"),
     "http-model-int": ("score_backend", _http(model=5), "model"),
+    "ngram-unknown-key": ("score_backend", _ngram(ordr=5), "'ordr'"),
+    "hash-unknown-key": ("score_backend", {"kind": "hash_embed", "order": 2}, "'order'"),
+    "http-unknown-key": ("score_backend", _http(retries=1), "'retries'"),
+    "kind-list": ("score_backend", {"kind": ["x"]}, "kind"),
+    "kind-missing": ("score_backend", {"order": 3}, "kind"),
+    "kind-unknown": ("score_backend", {"kind": "quantum"}, "quantum"),
+    "http-no-endpoint": ("score_backend", {"kind": "http", "model": "m"}, "endpoint"),
 }
 
 
@@ -585,6 +613,27 @@ def test_retired_run_config_keys_load_with_one_warning_each(workspace, capsys):
     for key, line in zip(["m", "k", "embed_backend"], warnings):
         assert line.startswith("warning: ") and f"config key {key!r} is retired" in line
     assert (workspace / "scores.jsonl").read_bytes() == scores
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [(_ngram(ordr=5), "'ordr'"), ({"kind": ["x"]}, "kind"), ({"kind": "http"}, "model")],
+)
+def test_annotate_generate_backend_of_the_wrong_shape_exits_two(workspace, capsys, entry, needle):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["generate_backend"] = entry
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run(
+        ["annotate", "--questions", str(workspace / "pool.jsonl"),
+         "--guideline", str(workspace / "guideline.txt"),
+         "--config", str(workspace / "config.json"),
+         "--env", "toyshop",
+         "--cache-dir", str(workspace / "cache"),
+         "--out", str(workspace / "annotated.jsonl")]
+    )
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err, 2, needle)
+    assert not (workspace / "annotated.jsonl").exists()
 
 
 _TOYSHOP_CASES = {
@@ -659,6 +708,30 @@ def test_non_utf8_input_file_exits_two(workspace, capsys, key):
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, "latin1.txt")
+
+
+def test_traced_benchmark_child_runs_score_and_select(workspace):
+    # The benchmark's traced runs wrap names of ge_select.cli and
+    # ge_select.pipeline (load_pool, build_backend, map_spans_to_tokens, ...).
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    select = ["select", "--strategy", "ge", "-k", "3", "--scores", str(workspace / "scores.jsonl"),
+              "--out", str(workspace / "selected.jsonl")]  # fmt: skip
+    for name, argv, span in (("score", score_argv(workspace), "prompts.map_spans_to_tokens"),
+                             ("select", select, "selectors.select_ge")):  # fmt: skip
+        trace = workspace / f"{name}.trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(child), "--trace-out", str(trace), *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        assert spans["models.load"]["calls"] >= 1 and spans[span]["calls"] >= 1
+    assert len(load_selection(workspace / "selected.jsonl").items) == 3
 
 
 _LAZY_IMPORT_CHILD = """

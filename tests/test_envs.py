@@ -6,6 +6,7 @@ from ge_select.envs import (
     ATTRIBUTE_VALUES,
     EnvError,
     EnvStep,
+    MAX_CATALOG_SIZE,
     HttpEnv,
     ReplayEnv,
     ToyShopConfig,
@@ -16,7 +17,7 @@ from ge_select.envs import (
     toyshop_make,
     toyshop_rollout,
 )
-from ge_select.models import Question, Step, Trajectory
+from ge_select.models import FormatError, Question, Step, Trajectory
 
 
 def make_env(seed=0, **kwargs) -> ToyShopEnv:
@@ -29,6 +30,16 @@ def test_env_step_invariants():
     with pytest.raises(EnvError):
         EnvStep("obs", reward=1.5, done=True)
     EnvStep("obs", reward=0.0, done=False)
+
+
+def test_toyshop_config_bounds_catalog_size():
+    # Checked on the config alone, so no catalog of a rejected size is built.
+    assert ToyShopConfig(catalog_size=MAX_CATALOG_SIZE).catalog_size == MAX_CATALOG_SIZE
+    for size in (0, MAX_CATALOG_SIZE + 1, 1_000_000_000_000):
+        with pytest.raises(EnvError, match="catalog_size"):
+            ToyShopConfig(catalog_size=size)
+    with pytest.raises(FormatError, match="catalog_size"):
+        ToyShopConfig(catalog_size=10**400)
 
 
 def test_catalog_deterministic():
@@ -292,9 +303,11 @@ def test_http_env_error_status(local_server):
         ({"observation": "ready"}, {"observation": "ok", "done": True}),
         ({"observation": "ready"}, {"observation": "ok", "reward": 0.0, "done": "false"}),
         ({"observation": "ready"}, {"observation": None, "reward": 0.0, "done": False}),
+        ({"observation": "ready\ud800"}, None),
     ],
     ids=["reset-list", "step-list", "reward-null", "reward-str", "reward-bool",
-         "reward-huge", "reward-missing", "done-str", "observation-null"],
+         "reward-huge", "reward-missing", "done-str", "observation-null",
+         "observation-surrogate"],
 )
 def test_http_env_bad_replies_raise_env_error(local_server, reset_reply, step_reply):
     local_server.handler = lambda path, body: (

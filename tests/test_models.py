@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ge_select.models import (
+    SOURCES,
+    STRATEGIES,
     FormatError,
     Guideline,
     Question,
@@ -22,6 +29,7 @@ from ge_select.models import (
     normalize_guideline_text,
     write_records,
 )
+from ge_select.scoring import ge_score
 
 
 def sample_trajectory(qid: str = "q1", reward: float = 1.0, n_steps: int = 3) -> Trajectory:
@@ -38,6 +46,78 @@ def sample_trajectory(qid: str = "q1", reward: float = 1.0, n_steps: int = 3) ->
         question_text="find a thing",
         initial_observation="You are shopping.",
     )
+
+
+_TEXT = st.text(min_size=1, max_size=12)
+_ANY_TEXT = st.text(max_size=12)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ANY_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_QUESTIONS = st.builds(
+    Question, _TEXT, _TEXT, st.dictionaries(_ANY_TEXT, _ANY_TEXT, max_size=3)
+)
+_STEPS = st.builds(
+    Step, _TEXT.filter(str.strip), observation=_ANY_TEXT, thought=_ANY_TEXT
+)
+_TRAJECTORIES = st.builds(
+    Trajectory,
+    question_id=_TEXT,
+    guideline_version=_TEXT,
+    steps=st.lists(_STEPS, min_size=1, max_size=3).map(tuple),
+    reward=st.floats(min_value=0.0, max_value=1.0),
+    source=st.sampled_from(SOURCES),
+    question_text=_ANY_TEXT,
+    initial_observation=_ANY_TEXT,
+)
+
+
+@st.composite
+def _score_files(draw) -> list[ScoreRecord]:
+    """Records sharing one guideline and backend, as ``load_scores`` requires."""
+    version, backend = draw(_TEXT), draw(_TEXT)
+    records = []
+    for qid in draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True)):
+        per_step = draw(st.lists(st.builds(StepScore, _POSITIVE, _POSITIVE, st.integers(1, 10**9)),
+                                 min_size=1, max_size=3))  # fmt: skip
+        ge = ge_score([(s.d_i, s.d_g) for s in per_step]) * draw(st.sampled_from((1, -1)))
+        entropy = draw(st.none() | st.floats(min_value=0.0, max_value=10.0))
+        records.append(ScoreRecord(qid, version, backend, tuple(per_step), ge, entropy))
+    return records
+
+
+_SELECTIONS = st.builds(
+    SelectionResult,
+    strategy=st.sampled_from(STRATEGIES),
+    params=st.dictionaries(_ANY_TEXT, _JSON, max_size=3),
+    items=st.lists(
+        st.builds(SelectionItem, _TEXT, st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=4,
+        unique_by=lambda item: item.question_id,
+    ).map(tuple),
+    warning=_ANY_TEXT,
+)
+
+
+def _rewrite(records: list, load) -> list:
+    """Write ``records``, load them and write what loaded; the two files must
+    be byte-identical. Returns what loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+        write_records(records, first)
+        loaded = load(first)
+        write_records(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    return loaded
+
+
+@given(st.lists(_QUESTIONS, max_size=4, unique_by=lambda q: q.id))
+@example([Question("q1", "line\u2028separator\x85inside", {"level": "easy"})])
+def test_question_roundtrip_is_byte_stable(pool):
+    assert _rewrite(pool, load_pool) == pool
 
 
 def test_load_pool_preserves_order(tmp_path):
@@ -86,13 +166,27 @@ def test_question_requires_nonempty_fields():
         Question(id="q", text="")
 
 
-def test_trajectory_roundtrip(tmp_path):
-    t = sample_trajectory()
-    path = tmp_path / "t.jsonl"
-    write_records([t], path)
-    loaded = load_trajectories(path)
-    assert loaded == [t]
-    assert len(loaded[0].steps) == 3
+@given(st.lists(_TRAJECTORIES, min_size=1, max_size=3))
+@example([sample_trajectory()])
+def test_trajectory_roundtrip(trajectories):
+    assert _rewrite(trajectories, load_trajectories) == trajectories
+
+
+def test_nested_record_that_is_not_an_object_names_its_line(tmp_path):
+    trajectory = sample_trajectory().to_record()
+    trajectory["steps"][1] = 5
+    score = {"question_id": "q1", "guideline_version": "a", "backend_id": "b",
+             "per_step": [None], "ge": 0.0}  # fmt: skip
+    selection = {"strategy": "ge", "params": {}, "items": [["q1", 0.0]]}
+    path = tmp_path / "records.jsonl"
+    for load, record in (
+        (load_trajectories, trajectory),
+        (load_scores, score),
+        (load_selection, selection),
+    ):
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{path}:1 .* must be a JSON object"):
+            load(path)
 
 
 def test_trajectory_reward_range(tmp_path):
@@ -166,21 +260,19 @@ def test_guideline_any_char_change_changes_version():
         assert Guideline.from_text(mutated).version != version
 
 
-def test_score_record_roundtrip(tmp_path):
-    per_step = (StepScore(d_i=1.0, d_g=0.5, n_tokens=4),)
-    import math
+@given(_score_files())
+@example(
+    [ScoreRecord("q1", "b" * 12, "c" * 12, (StepScore(1.0, 0.5, 4),), math.log(2.0), 0.25)]
+)
+def test_score_record_roundtrip(records):
+    assert _rewrite(records, load_scores) == records
 
-    record = ScoreRecord(
-        question_id="q1",
-        guideline_version="b" * 12,
-        backend_id="c" * 12,
-        per_step=per_step,
-        ge=math.log(2.0),
-        mean_entropy=0.25,
-    )
-    path = tmp_path / "s.jsonl"
-    write_records([record], path)
-    assert load_scores(path) == [record]
+
+def test_step_difficulties_must_be_positive():
+    # ge takes their logarithms; a zero once ended select and report in a traceback.
+    for d_i, d_g in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(FormatError, match="difficulties"):
+            StepScore(d_i=d_i, d_g=d_g, n_tokens=1)
 
 
 def test_score_record_rejects_inconsistent_ge():
@@ -195,8 +287,6 @@ def test_score_record_rejects_inconsistent_ge():
 
 
 def test_score_record_accepts_negated_sign_convention():
-    import math
-
     ScoreRecord(
         question_id="q1",
         guideline_version="b" * 12,
@@ -206,15 +296,12 @@ def test_score_record_accepts_negated_sign_convention():
     )
 
 
-def test_selection_roundtrip_and_duplicates(tmp_path):
-    result = SelectionResult(
-        strategy="ge",
-        params={"k": 2},
-        items=(SelectionItem("q2", -0.5), SelectionItem("q1", 0.1)),
-    )
-    path = tmp_path / "sel.jsonl"
-    write_records([result], path)
-    assert load_selection(path) == result
+@given(_SELECTIONS)
+@example(
+    SelectionResult("ge", {"k": 2}, (SelectionItem("q2", -0.5), SelectionItem("q1", 0.1)))
+)
+def test_selection_roundtrip_and_duplicates(result):
+    assert _rewrite([result], lambda path: [load_selection(path)]) == [result]
     with pytest.raises(FormatError, match="duplicate"):
         SelectionResult(
             strategy="ge",
