@@ -5,7 +5,6 @@ from .backends import (
     BackendId,
     CachedBackend,
     CountingBackend,
-    EchoResult,
     HashEmbedBackend,
     HttpBackend,
     NgramBackend,
@@ -51,7 +50,7 @@ from .pipeline import (
     score_trajectory,
     validate_sft_record,
 )
-from .prompts import PromptBundle, TokenSpanMap, build_prompt, map_spans_to_tokens
+from .prompts import PromptBundle, build_prompt, map_spans_to_tokens
 from .scoring import (
     DIFFICULTY_FLOOR,
     TokenDistribution,

@@ -66,6 +66,10 @@ def _fingerprint(kind: str, model: str, endpoint: str, extra: str = "") -> str:
 
 
 class EchoToken(NamedTuple):
+    """One echoed token. The tokens ``echo_logprobs`` returns tile its text:
+    each starts where the one before ends, the first at 0, and their texts
+    join to the text."""
+
     text: str
     char_start: int
     char_end: int
@@ -73,23 +77,12 @@ class EchoToken(NamedTuple):
     top: TokenDistribution | None = None
 
 
-@dataclass(frozen=True)
-class EchoResult:
-    tokens: tuple[EchoToken, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-
-    def spans(self) -> list[tuple[str, int, int]]:
-        return [(t.text, t.char_start, t.char_end) for t in self.tokens]
-
-
 class Backend:
     """Capability surface; concrete backends override what they support."""
 
     id: BackendId
 
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
+    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
         raise BackendError(f"backend {self.id.kind!r} does not support echo scoring")
 
     def generate(
@@ -217,7 +210,7 @@ class NgramBackend(Backend):
     def _top_k(total: int, following: dict[int, int], k: int) -> TokenDistribution:
         return _distribution(total, tuple(sorted(following.items(), key=_rank)[:k]), k)
 
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
+    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
         """Echo ``text``, reusing the tokens of the characters it shares with
         the previous text echoed at this top-k width. A token depends only on
         the text up to its end, so the shared ones are exact; only their local
@@ -265,7 +258,7 @@ class NgramBackend(Backend):
             tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
         result = tuple(tokens)
         self._echoed[want_top_k] = (text, result)
-        return EchoResult(tokens=result)
+        return result
 
     def generate(
         self,
@@ -420,7 +413,9 @@ class HttpBackend(Backend):
             f"{url} unreachable after {self.max_retries} retries ({last_error})"
         )
 
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
+    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
+        """Echo ``text`` through the endpoint. A reply whose tokens do not tile
+        ``text`` raises ``BackendError``, so callers may rely on the tiling."""
         if not text:
             raise BackendError("echo scoring requires non-empty text")
         body = {
@@ -461,10 +456,16 @@ class HttpBackend(Backend):
             if not isinstance(value, list):
                 raise BackendError(f"malformed echo logprobs: {name!r} must be a list")
         tokens: list[EchoToken] = []
+        end = 0
         for i, (tok, lp, off) in enumerate(zip(token_texts, token_lps, offsets)):
             where = f"malformed echo logprobs: token {i}"
             string(tok, f"{where} text", empty=True, error=BackendError)
-            number(off, f"{where} text_offset", integer=True, error=BackendError)
+            if number(off, f"{where} text_offset", integer=True, error=BackendError) != end:
+                raise BackendError(
+                    f"{where} starts at offset {off}, not where the tokens before it end "
+                    f"({end}); the reply does not tile the submitted prompt"
+                )
+            end += len(tok)
             if lp is not None:
                 lp = min(0.0, number(lp, f"{where} logprob", error=BackendError))
             top = None
@@ -477,19 +478,10 @@ class HttpBackend(Backend):
                 entries = tuple((t, min(0.0, p)) for t, p in ranked)
                 mass = sum(math.exp(p) for _, p in entries)
                 top = TokenDistribution(top=entries, residual_mass=max(0.0, 1.0 - mass))
-            tokens.append(
-                EchoToken(
-                    text=tok,
-                    char_start=off,
-                    char_end=off + len(tok),
-                    logprob=lp,
-                    top=top,
-                )
-            )
-        rebuilt = "".join(t.text for t in tokens)
-        if rebuilt != text:
+            tokens.append(EchoToken(tok, off, end, lp, top))
+        if "".join(t.text for t in tokens) != text:
             raise BackendError("endpoint token stream does not tile the submitted prompt")
-        return EchoResult(tokens=tuple(tokens))
+        return tuple(tokens)
 
     def generate(
         self,
@@ -659,7 +651,9 @@ _BACKEND_KEYS = {
 def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry. An entry that is not
     an object, lacks a known ``kind`` or holds a key its kind does not take
-    raises ``FormatError``."""
+    raises ``FormatError``. The http ``max_retries`` (at most 10) and
+    ``backoff`` (at most 60 s) are capped, so the longest retry sleep,
+    ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours."""
     kind = keys(config, None, "backend entry").get("kind")
     if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
         raise FormatError(f"backend entry needs a 'kind' in {list(_BACKEND_KEYS)}, got {kind!r}")
@@ -670,9 +664,9 @@ def build_backend(config: dict) -> Backend:
             endpoint=string(config.get("endpoint"), "backend 'endpoint'", empty=True),
             timeout=number(config.get("timeout", 60.0), "backend 'timeout'", low=0.001),
             max_retries=number(
-                config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0
+                config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0, high=10
             ),
-            backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0),
+            backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0, high=60),
             max_inflight=number(
                 config.get("max_inflight", 4), "backend 'max_inflight'", integer=True, low=1
             ),
@@ -702,7 +696,7 @@ class CountingBackend(Backend):
     def total_calls(self) -> int:
         return sum(self.counts.values())
 
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> EchoResult:
+    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
         self.counts["echo"] += 1
         return self.inner.echo_logprobs(text, want_top_k)
 

@@ -87,6 +87,19 @@ def string(
     raise error(f"{where} must be a {'' if empty else 'non-empty '}string, got {value!r}")
 
 
+def _located(cls: type, ctx: str) -> Any:
+    """``cls`` as a constructor whose ``__post_init__`` checks name ``ctx``,
+    the record's position, when they fail, as every field check does."""
+
+    def construct(**fields: Any) -> Any:
+        try:
+            return cls(**fields)
+        except FormatError as exc:
+            raise FormatError(f"{ctx}: {exc}") from exc
+
+    return construct
+
+
 @dataclass(frozen=True)
 class Question:
     """One pool item: a task instruction plus optional string metadata."""
@@ -112,7 +125,7 @@ class Question:
 
     @classmethod
     def from_record(cls, record: dict, ctx: str = "question") -> "Question":
-        return cls(
+        return _located(cls, ctx)(
             id=string(record.get("id"), f"{ctx}: field 'id'"),
             text=string(record.get("text"), f"{ctx}: field 'text'"),
             metadata=dict(keys(record.get("metadata", {}), None, f"{ctx}: field 'metadata'")),
@@ -142,7 +155,7 @@ class Step:
     @classmethod
     def from_record(cls, record: dict, ctx: str = "step") -> "Step":
         keys(record, None, ctx)
-        return cls(
+        return _located(cls, ctx)(
             action=string(record.get("action"), f"{ctx}: field 'action'"),
             observation=string(
                 record.get("observation"), f"{ctx}: field 'observation'", empty=True
@@ -203,7 +216,7 @@ class Trajectory:
         if not isinstance(raw_steps, list):
             raise FormatError(f"{ctx}: 'steps' must be a list")
         qtext, iobs = record.get("question_text", ""), record.get("initial_observation", "")
-        return cls(
+        return _located(cls, ctx)(
             question_id=string(record.get("question_id"), f"{ctx}: field 'question_id'"),
             guideline_version=string(
                 record.get("guideline_version"), f"{ctx}: field 'guideline_version'"
@@ -269,7 +282,7 @@ class StepScore:
     @classmethod
     def from_record(cls, record: dict, ctx: str = "step score") -> "StepScore":
         keys(record, None, ctx)
-        return cls(
+        return _located(cls, ctx)(
             d_i=number(record.get("d_i"), f"{ctx}: field 'd_i'"),
             d_g=number(record.get("d_g"), f"{ctx}: field 'd_g'"),
             n_tokens=number(
@@ -325,7 +338,7 @@ class ScoreRecord:
         mean_entropy = record.get("mean_entropy")
         if mean_entropy is not None:
             mean_entropy = number(mean_entropy, f"{ctx}: field 'mean_entropy'", low=0.0)
-        return cls(
+        return _located(cls, ctx)(
             question_id=string(record.get("question_id"), f"{ctx}: field 'question_id'"),
             guideline_version=string(
                 record.get("guideline_version"), f"{ctx}: field 'guideline_version'"
@@ -398,7 +411,7 @@ class SelectionResult:
             SelectionItem.from_record(i, ctx=f"{ctx} item {n}")
             for n, i in enumerate(raw_items)
         )
-        return cls(
+        return _located(cls, ctx)(
             strategy=string(record.get("strategy"), f"{ctx}: field 'strategy'"),
             params=keys(record.get("params", {}), None, f"{ctx}: field 'params'"),
             items=items,

@@ -178,8 +178,8 @@ def _score_prompt(
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
         logprobs: list[list[float]] = []
         dists: list[TokenDistribution] = []
-        for token_span in map_spans_to_tokens(bundle, echo.spans()).per_action:
-            tokens = echo.tokens[token_span.token_start : token_span.token_end]
+        for token_span in map_spans_to_tokens(bundle, echo):
+            tokens = echo[token_span.token_start : token_span.token_end]
             if any(token.logprob is None for token in tokens):
                 raise FormatError(
                     f"scored span for step {token_span.step_index} covers a token "
@@ -314,7 +314,7 @@ def review_report(
     for rank, record in enumerate(ranked, start=1):
         lines.append(f"## {rank}. {record.question_id} (ge = {record.ge:+.6f})")
         lines.append("")
-        ratios = [math.log(s.d_i / s.d_g) for s in record.per_step]
+        ratios = [math.log(s.d_i) - math.log(s.d_g) for s in record.per_step]
         worst = min(ratios)
         lines.append("| step | tokens | d_i | d_g | log(d_i/d_g) | |")
         lines.append("|---:|---:|---:|---:|---:|:---|")

@@ -9,16 +9,19 @@ contain marker text like "Action:" stay exact.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from .models import FormatError, Guideline, Step, Trajectory
+from .models import FormatError, Guideline, Trajectory
 
 SCORE_TARGET_ACTION = "action"
 SCORE_TARGET_EMISSION = "emission"
 SCORE_TARGETS = (SCORE_TARGET_ACTION, SCORE_TARGET_EMISSION)
 
-_PLACEHOLDER_RE = re.compile(r"\{\{(instruction|guideline|exemplars|question|steps)\}\}")
+_PLACEHOLDERS = ("instruction", "guideline", "exemplars", "question", "steps")
+_PLACEHOLDER_RE = re.compile(r"\{\{(" + "|".join(_PLACEHOLDERS) + r")\}\}")
 
 DEFAULT_TEMPLATE = "{{instruction}}\n{{guideline}}{{exemplars}}Task: {{question}}\n{{steps}}"
 
@@ -34,17 +37,11 @@ class ActionSpan:
 class PromptBundle:
     """A rendered prompt plus the exact location of each scored action."""
 
-    instruction: str
-    guideline: Guideline | None
-    exemplars: tuple[str, ...]
     rendered: str
     action_spans: tuple[ActionSpan, ...]
     action_texts: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exemplars", tuple(self.exemplars))
-        object.__setattr__(self, "action_spans", tuple(self.action_spans))
-        object.__setattr__(self, "action_texts", tuple(self.action_texts))
         prev_end = -1
         for span, text in zip(self.action_spans, self.action_texts):
             if span.char_start <= prev_end:
@@ -61,11 +58,6 @@ class TokenSpan:
     step_index: int
     token_start: int
     token_end: int
-
-
-@dataclass(frozen=True)
-class TokenSpanMap:
-    per_action: tuple[TokenSpan, ...]
 
 
 class _Renderer:
@@ -120,6 +112,33 @@ def render_steps(
         renderer.emit(f"Observation: {step.observation}\n")
 
 
+def _segments(
+    template: str,
+    instruction: str,
+    guideline: Guideline | None,
+    exemplars: Sequence[str],
+    question: str,
+) -> Iterator[str | None]:
+    """The template's rendered pieces in order, with None for each
+    ``{{steps}}``. A template missing any placeholder raises ``FormatError``."""
+    names = {m.group(1) for m in _PLACEHOLDER_RE.finditer(template)}
+    for required in _PLACEHOLDERS:
+        if required not in names:
+            raise FormatError(f"template is missing the {{{{{required}}}}} placeholder")
+    values = {
+        "instruction": instruction,
+        "guideline": guideline.text if guideline is not None else "",
+        "exemplars": render_exemplars(exemplars),
+        "question": question,
+    }
+    cursor = 0
+    for match in _PLACEHOLDER_RE.finditer(template):
+        yield template[cursor : match.start()]
+        yield values.get(match.group(1))
+        cursor = match.end()
+    yield template[cursor:]
+
+
 def build_prompt(
     instruction: str,
     guideline: Guideline | None,
@@ -137,35 +156,14 @@ def build_prompt(
     """
     if score_target not in SCORE_TARGETS:
         raise FormatError(f"unknown score target {score_target!r}")
-    names = {m.group(1) for m in _PLACEHOLDER_RE.finditer(template)}
-    for required in ("instruction", "guideline", "exemplars", "question", "steps"):
-        if required not in names:
-            raise FormatError(f"template is missing the {{{{{required}}}}} placeholder")
-
     question = question_text or trajectory.question_text or trajectory.question_id
     renderer = _Renderer()
-    cursor = 0
-    for match in _PLACEHOLDER_RE.finditer(template):
-        renderer.emit(template[cursor : match.start()])
-        name = match.group(1)
-        if name == "instruction":
-            renderer.emit(instruction)
-        elif name == "guideline":
-            if guideline is not None:
-                renderer.emit(guideline.text)
-        elif name == "exemplars":
-            renderer.emit(render_exemplars(exemplars))
-        elif name == "question":
-            renderer.emit(question)
-        elif name == "steps":
+    for segment in _segments(template, instruction, guideline, exemplars, question):
+        if segment is None:
             render_steps(renderer, trajectory, score_target)
-        cursor = match.end()
-    renderer.emit(template[cursor:])
-
+        else:
+            renderer.emit(segment)
     return PromptBundle(
-        instruction=instruction,
-        guideline=guideline,
-        exemplars=tuple(exemplars),
         rendered=renderer.rendered(),
         action_spans=tuple(renderer.spans),
         action_texts=tuple(renderer.texts),
@@ -181,64 +179,43 @@ def build_generation_prompt(
     history: Sequence[tuple[str, str]],
     template: str = DEFAULT_TEMPLATE,
 ) -> str:
-    """Render the prompt for the next action: history so far plus an open cue."""
-    stub = Trajectory(
-        question_id="pending",
-        guideline_version=guideline.version if guideline else "none",
-        steps=(Step(action="placeholder", observation=""),),
-        reward=0.0,
-        source="synthetic",
-        question_text=question_text,
-        initial_observation=initial_observation,
-    )
-    bundle = build_prompt(
-        instruction, guideline, exemplars, stub, template, question_text=question_text
-    )
-    # Rendered text up to (and including) the first "Action: " cue.
-    prefix_end = bundle.action_spans[0].char_start
-    prefix = bundle.rendered[:prefix_end]
-    lines = []
+    """Render the prompt for the next action: the template up to its first
+    ``{{steps}}``, the opening of the steps up to the first "Action: " cue,
+    then the history so far, each turn ending on an open cue."""
+    parts = []
+    for segment in _segments(template, instruction, guideline, exemplars, question_text):
+        if segment is None:
+            break
+        parts.append(segment)
+    if initial_observation:
+        parts.append(f"{initial_observation}\n")
+    parts.append("Action: ")
     for action, observation in history:
-        lines.append(f"{action}\nObservation: {observation}\nAction: ")
-    return prefix + "".join(lines)
+        parts.append(f"{action}\nObservation: {observation}\nAction: ")
+    return "".join(parts)
+
+
+_START, _END = itemgetter(1), itemgetter(2)
 
 
 def map_spans_to_tokens(
     bundle: PromptBundle,
-    tokens: Sequence[tuple[str, int, int]],
-) -> TokenSpanMap:
-    """Map each action's character span onto backend token indices.
+    tokens: Sequence[tuple],
+) -> tuple[TokenSpan, ...]:
+    """Map each action's character span onto indices of ``tokens``.
 
-    Tokens must tile the rendered text. A token belongs to a span when their
-    character intervals overlap at all, so split tokens at span boundaries
-    are kept rather than dropped.
+    Fields 1 and 2 of a token are its character start and end, and the tokens
+    tile the rendered text, as every ``echo_logprobs`` reply does. So their
+    bounds are sorted, and each span costs two bisections whatever the
+    prompt's length. A token belongs to a span when their character intervals
+    overlap at all, so split tokens at span boundaries are kept rather than
+    dropped.
     """
-    offset = 0
-    for i, (text, start, end) in enumerate(tokens):
-        if start != offset or end - start != len(text):
-            raise FormatError(
-                f"token {i} ({text!r}) does not tile the rendered text at offset {offset}"
-            )
-        offset = end
-    if offset != len(bundle.rendered):
-        raise FormatError(
-            f"tokens cover {offset} chars but rendered text has {len(bundle.rendered)}"
-        )
-    concatenated = "".join(t[0] for t in tokens)
-    if concatenated != bundle.rendered:
-        raise FormatError("token texts do not reproduce the rendered text")
-
-    per_action: list[TokenSpan] = []
-    token_index = 0
+    per_action = []
     for span in bundle.action_spans:
-        while token_index < len(tokens) and tokens[token_index][2] <= span.char_start:
-            token_index += 1
-        first = token_index
-        last = first
-        while last < len(tokens) and tokens[last][1] < span.char_end:
-            last += 1
+        first = bisect_right(tokens, span.char_start, key=_END)
+        last = bisect_left(tokens, span.char_end, lo=first, key=_START)
         if last == first:
             raise FormatError(f"action span {span.step_index} maps to zero tokens")
         per_action.append(TokenSpan(span.step_index, first, last))
-        token_index = first
-    return TokenSpanMap(per_action=tuple(per_action))
+    return tuple(per_action)

@@ -46,8 +46,8 @@ def count_oracle(corpus: bytes, ctx: bytes, b: int) -> float:
 def test_empty_corpus_uniform_logprobs():
     backend = NgramBackend("", order=3)
     result = backend.echo_logprobs("abcd")
-    assert len(result.tokens) == 4
-    for token in result.tokens:
+    assert len(result) == 4
+    for token in result:
         assert token.logprob == pytest.approx(-math.log(256.0), abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_trained_conditional_beats_uniform():
     corpus = "ab" * 50
     backend = NgramBackend(corpus, order=3)
     result = backend.echo_logprobs("ab")
-    lp_b = result.tokens[1].logprob
+    lp_b = result[1].logprob
     assert lp_b > -math.log(256.0)
     expected = count_oracle(corpus.encode(), b"a", ord("b"))
     assert lp_b == pytest.approx(math.log(expected), abs=1e-12)
@@ -94,8 +94,8 @@ def test_prefix_repetition_boosts_later_occurrence():
     backend = NgramBackend("", order=4)
     text = "click[buy] now and again click[buy]"
     result = backend.echo_logprobs(text)
-    first = sum(t.logprob for t in result.tokens[0:10])
-    second = sum(t.logprob for t in result.tokens[25:35])
+    first = sum(t.logprob for t in result[0:10])
+    second = sum(t.logprob for t in result[25:35])
     assert text[25:35] == "click[buy]"
     assert second > first
 
@@ -104,14 +104,14 @@ def test_echo_tokens_tile_text_with_multibyte_chars():
     backend = NgramBackend("héllo wörld", order=2)
     text = "héllo"
     result = backend.echo_logprobs(text)
-    assert "".join(t.text for t in result.tokens) == text
-    assert [t.char_start for t in result.tokens] == list(range(len(text)))
+    assert "".join(t.text for t in result) == text
+    assert [t.char_start for t in result] == list(range(len(text)))
 
 
 def test_echo_top_k_distribution_shape():
     backend = NgramBackend("abcabcabc", order=2)
     result = backend.echo_logprobs("abc", want_top_k=5)
-    for token in result.tokens:
+    for token in result:
         assert token.top is not None
         assert len(token.top.top) == 5
         mass = sum(math.exp(lp) for _, lp in token.top.top)
@@ -197,7 +197,7 @@ def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
         data = echoed.encode("utf-8")
         result = backend.echo_logprobs(echoed, want_top_k=k)
         i = 0
-        for char, token in zip(echoed, result.tokens):
+        for char, token in zip(echoed, result):
             ranked, p = brute_ranking(corpus_bytes, data[:i], data[max(0, i - order) : i])
             expected = [(chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p[b])) for b in ranked[:k]]
             if k:
@@ -222,8 +222,31 @@ def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
                 backend.generate(generated_from, stop=stop, max_tokens=8)
 
 
+_ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=100)
+@given(
+    corpus=_NGRAM_TEXT,
+    order=st.integers(1, 5),
+    first=_ANY_TEXT.filter(bool),
+    second=_ANY_TEXT,
+    k=st.sampled_from([0, 5]),
+)
+def test_ngram_echo_tiles_any_text(corpus, order, first, second, k):
+    backend = NgramBackend(corpus, order)
+    # The later texts share a prefix with the one before, so they reuse its tokens.
+    for text in (first, first + second, first[: len(first) // 2] + second or "a"):
+        tokens = backend.echo_logprobs(text, want_top_k=k)
+        end = 0
+        for token in tokens:
+            assert (token.char_start, token.char_end) == (end, end + len(token.text))
+            end = token.char_end
+        assert "".join(token.text for token in tokens) == text
+
+
 def echo_key(result) -> list[tuple]:
-    return [(t.text, t.char_start, t.char_end, t.logprob.hex(), t.top) for t in result.tokens]
+    return [(t.text, t.char_start, t.char_end, t.logprob.hex(), t.top) for t in result]
 
 
 def generate_outcome(backend: NgramBackend, prompt: str) -> str:
@@ -359,7 +382,7 @@ def reference_top_k(total: int, following: dict[int, int], k: int) -> tuple[list
 def echo_top_k(backend: NgramBackend, text: str, k: int) -> list[tuple[list, str]]:
     return [
         ([(t, lp.hex()) for t, lp in token.top.top], token.top.residual_mass.hex())
-        for token in backend.echo_logprobs(text, want_top_k=k).tokens
+        for token in backend.echo_logprobs(text, want_top_k=k)
     ]
 
 
@@ -694,10 +717,10 @@ def test_http_echo_parses_offsets_and_sentinel(local_server):
     backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
     text = "score this prompt"
     result = backend.echo_logprobs(text, want_top_k=2)
-    assert "".join(t.text for t in result.tokens) == text
-    assert result.tokens[0].logprob is None
-    assert all(t.logprob is not None and t.logprob <= 0 for t in result.tokens[1:])
-    assert result.tokens[1].top is not None
+    assert "".join(t.text for t in result) == text
+    assert result[0].logprob is None
+    assert all(t.logprob is not None and t.logprob <= 0 for t in result[1:])
+    assert result[1].top is not None
     path, body, headers = local_server.requests[0]
     assert path == "/completions"
     assert body["max_tokens"] == 0 and body["echo"] is True and body["temperature"] == 0
@@ -740,9 +763,20 @@ def echo_payload(**changes) -> dict:
 def test_http_echo_malformed_logprobs_raise_backend_error(local_server, changes):
     backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
     local_server.handler = lambda path, body: (200, echo_payload())
-    assert len(backend.echo_logprobs("score this prompt", want_top_k=2).tokens) == 3
+    assert len(backend.echo_logprobs("score this prompt", want_top_k=2)) == 3
     local_server.handler = lambda path, body: (200, echo_payload(**changes))
     with pytest.raises(BackendError, match="malformed echo logprobs"):
+        backend.echo_logprobs("score this prompt", want_top_k=2)
+
+
+@pytest.mark.parametrize(
+    "offsets", [[0, 7, 11], [0, 5, 11], [1, 7, 12]], ids=["gap", "overlap", "nonzero-start"]
+)
+def test_http_echo_rejects_offsets_that_do_not_tile_the_prompt(local_server, offsets):
+    # The token texts still join to the prompt: only the offsets are wrong.
+    local_server.handler = lambda path, body: (200, echo_payload(text_offset=offsets))
+    backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
+    with pytest.raises(BackendError, match="does not tile the submitted prompt"):
         backend.echo_logprobs("score this prompt", want_top_k=2)
 
 
@@ -778,7 +812,7 @@ def test_http_retries_then_succeeds(local_server):
     backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
     result = backend.echo_logprobs("retry me")
     assert state["count"] == 3
-    assert result.tokens
+    assert result
 
 
 def test_http_fails_after_three_retries(local_server):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,8 @@ from ge_select.models import (
     load_trajectories,
     write_records,
 )
+
+from conftest import echo_response
 
 
 @pytest.fixture
@@ -528,6 +531,87 @@ def test_scores_file_mixing_guidelines_or_backends_exits_two(tmp_path, capsys, f
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, f"{path}:3:", field, "line 1")
     assert not out.exists()
+
+
+def test_report_on_difficulties_whose_quotient_underflows_exits_zero(workspace):
+    # d_i / d_g underflows to 0.0, but the log of each is finite.
+    ge = math.log(1e-200) - math.log(1e200)
+    record = {
+        "question_id": "q1",
+        "guideline_version": "0" * 12,
+        "backend_id": "b" * 12,
+        "per_step": [{"d_i": 1e-200, "d_g": 1e200, "n_tokens": 1}],
+        "ge": ge,
+    }
+    path = workspace / "extreme.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out = workspace / "report.md"
+    argv = ["report", "--scores", str(path), "--out", str(out),
+            "--trajectories", str(workspace / "trajectories.jsonl")]  # fmt: skip
+    assert run(argv) == 0
+    assert f"| {ge:+.6f} | guideline conflict |" in out.read_text(encoding="utf-8")
+
+
+_BAD_RECORDS = {
+    "score-ge": ("scores", {"per_step": [{"d_i": 1.0, "d_g": 2.0, "n_tokens": 1}], "ge": 5.0},
+                 "does not match per_step"),
+    "score-difficulty": ("scores", {"per_step": [{"d_i": -1.0, "d_g": 2.0, "n_tokens": 1}]},
+                         "difficulties must be > 0"),
+    "trajectory-source": ("trajectories", {"source": "scraped"}, "source must be one of"),
+    "trajectory-steps": ("trajectories", {"steps": []}, "steps must be non-empty"),
+    "step-action": ("trajectories", {"steps": [{"action": " ", "observation": ""}]},
+                    "action must be non-empty"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("kind, changes, needle", _BAD_RECORDS.values(), ids=list(_BAD_RECORDS))
+def test_record_checks_name_the_file_position(workspace, capsys, kind, changes, needle):
+    if kind == "scores":
+        record = {"question_id": "q1", "guideline_version": "0" * 12, "backend_id": "b" * 12,
+                  "ge": 0.0, **changes}  # fmt: skip
+        argv = ["select", "--strategy", "ge", "-k", "1", "--scores"]
+    else:
+        line = (workspace / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        record = {**json.loads(line), **changes}
+        argv = ["stats", "--trajectories"]
+    path = workspace / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    argv.append(str(path))
+    if kind == "scores":
+        argv += ["--out", str(workspace / "sel.jsonl")]
+    assert run(argv) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, f"{path}:1", needle)
+
+
+@pytest.mark.parametrize(
+    "settings, needle",
+    [({"backoff": 1e300, "max_retries": 1}, "backoff"), ({"max_retries": 10**6}, "max_retries")],
+)
+def test_http_retry_schedule_beyond_its_caps_exits_two_before_connecting(
+    workspace, capsys, local_server, settings, needle
+):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url, **settings}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, needle)
+    assert local_server.requests == []
+
+
+def test_http_echo_reply_that_does_not_tile_exits_three(workspace, capsys, local_server):
+    def shifted(path, body):
+        reply = echo_response(body["prompt"], body["logprobs"])
+        logprobs = reply["choices"][0]["logprobs"]
+        logprobs["text_offset"] = [offset + 1 for offset in logprobs["text_offset"]]
+        return 200, reply
+
+    local_server.handler = shifted
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 3
+    assert_one_error_line(capsys.readouterr().err, 3, "does not tile the submitted prompt")
+    assert not (workspace / "scores.jsonl").exists()
 
 
 def _ngram(**settings):

@@ -134,7 +134,7 @@ def test_map_spans_identity_alignment():
         (bundle.rendered[span.char_end :], span.char_end, len(bundle.rendered)),
     ]
     mapping = map_spans_to_tokens(bundle, tokens)
-    ts = mapping.per_action[0]
+    ts = mapping[0]
     assert (ts.token_start, ts.token_end) == (1, 2)
 
 
@@ -149,25 +149,16 @@ def test_map_spans_straddling_token_included():
         (bundle.rendered[split :], split, len(bundle.rendered)),
     ]
     mapping = map_spans_to_tokens(bundle, tokens)
-    ts = mapping.per_action[0]
+    ts = mapping[0]
     # both the straddling token and the tail token intersect the span
     assert (ts.token_start, ts.token_end) == (1, 3)
-
-
-def test_map_spans_gap_is_tiling_error():
-    trajectory = make_trajectory(["click[buy]"])
-    bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
-    tokens = char_tokens(bundle.rendered)
-    broken = tokens[:10] + tokens[11:]
-    with pytest.raises(FormatError, match="tile"):
-        map_spans_to_tokens(bundle, broken)
 
 
 def test_map_spans_char_tokens_count_equals_action_length():
     trajectory = make_trajectory(["click[buy]", "search[red lamp]"])
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
     mapping = map_spans_to_tokens(bundle, char_tokens(bundle.rendered))
-    for token_span, text in zip(mapping.per_action, bundle.action_texts):
+    for token_span, text in zip(mapping, bundle.action_texts):
         assert token_span.token_end - token_span.token_start == len(text)
 
 
@@ -202,8 +193,8 @@ def test_map_spans_selects_exactly_the_overlapping_tokens(steps, score_target, d
     tokens = [(text[a:b], a, b) for a, b in zip(bounds, bounds[1:])]
 
     mapping = map_spans_to_tokens(bundle, tokens)
-    assert len(mapping.per_action) == len(bundle.action_spans)
-    for token_span, span in zip(mapping.per_action, bundle.action_spans):
+    assert len(mapping) == len(bundle.action_spans)
+    for token_span, span in zip(mapping, bundle.action_spans):
         overlapping = [
             i for i, (_, start, end) in enumerate(tokens)
             if start < span.char_end and end > span.char_start
@@ -231,3 +222,63 @@ def test_generation_prompt_ends_with_action_cue():
 def test_default_template_has_all_placeholders():
     for name in ("instruction", "guideline", "exemplars", "question", "steps"):
         assert f"{{{{{name}}}}}" in DEFAULT_TEMPLATE
+
+
+def stub_generation_prompt(
+    instruction, guideline, exemplars, question_text, initial_observation, history, template
+):
+    """The generation prompt as first written: render a one-step stub
+    trajectory, cut at its action, and append the history."""
+    stub = Trajectory(
+        question_id="pending",
+        guideline_version=guideline.version if guideline else "none",
+        steps=(Step(action="placeholder", observation=""),),
+        reward=0.0,
+        source="synthetic",
+        question_text=question_text,
+        initial_observation=initial_observation,
+    )
+    bundle = build_prompt(
+        instruction, guideline, exemplars, stub, template, question_text=question_text
+    )
+    prefix = bundle.rendered[: bundle.action_spans[0].char_start]
+    return prefix + "".join(f"{a}\nObservation: {o}\nAction: " for a, o in history)
+
+
+_PLACEHOLDER_NAMES = ("instruction", "guideline", "exemplars", "question", "steps")
+_literal = st.text(alphabet="ab {}\né", max_size=4) | st.sampled_from(["Action: ", "Task: ", "{{"])
+_text = st.text(alphabet="ab \né€Action:", max_size=8)
+
+
+@st.composite
+def _templates(draw):
+    """Every placeholder in any order, some drawn twice, amid literal text."""
+    names = list(draw(st.permutations(_PLACEHOLDER_NAMES)))
+    names += draw(st.lists(st.sampled_from(_PLACEHOLDER_NAMES), max_size=2))
+    names = draw(st.permutations(names))
+    return "".join(draw(_literal) + "{{" + name + "}}" for name in names) + draw(_literal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    template=_templates(),
+    instruction=_text,
+    guideline=st.none() | _text.map(Guideline.from_text),
+    exemplars=st.lists(_text, max_size=2),
+    question=_text.filter(bool),
+    initial=_text,
+    history=st.lists(st.tuples(_text, _text), max_size=3),
+)
+def test_generation_prompt_matches_the_stub_rendering(
+    template, instruction, guideline, exemplars, question, initial, history
+):
+    args = (instruction, guideline, exemplars, question, initial, history, template)
+    assert build_generation_prompt(*args) == stub_generation_prompt(*args)
+
+
+def test_generation_prompt_keeps_the_missing_placeholder_check():
+    with pytest.raises(FormatError, match="steps"):
+        build_generation_prompt(
+            INSTRUCTION, None, (), "find a lamp", "", [],
+            template="{{instruction}}{{guideline}}{{exemplars}}{{question}}",
+        )
