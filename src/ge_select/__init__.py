@@ -4,8 +4,6 @@ from .backends import (
     BackendError,
     BackendId,
     CachedBackend,
-    CountingBackend,
-    HashEmbedBackend,
     HttpBackend,
     NgramBackend,
     ResponseCache,
@@ -60,6 +58,7 @@ from .scoring import (
     step_difficulty,
 )
 from .selectors import (
+    HashEmbedBackend,
     fl_objective,
     select_facility_location,
     select_ge,

@@ -1,6 +1,6 @@
-"""Model backends: echo logprob scoring, generation, and embedding.
+"""Model backends: echo logprob scoring and generation.
 
-Three implementations share one duck-typed surface:
+Two implementations share one duck-typed surface:
 
 - ``NgramBackend``: a deterministic byte-level model for offline runs. Its
   conditionals blend training-corpus counts with counts accumulated over the
@@ -8,8 +8,7 @@ Three implementations share one duck-typed surface:
   appears earlier in a prompt (for example a guideline) raises the
   probability of matching continuations later in the same prompt. That is
   what lets teacher-forced difficulty react to prompt content at all.
-- ``HashEmbedBackend``: feature-hashed unigram embeddings.
-- ``HttpBackend``: OpenAI-compatible completions/embeddings endpoints.
+- ``HttpBackend``: an OpenAI-compatible completions endpoint.
 
 ``ResponseCache`` is a content-addressed, append-only response log so
 repeated runs are reproducible and issue no outbound calls. Scoring stores
@@ -24,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -37,11 +35,8 @@ from .scoring import TokenDistribution
 if TYPE_CHECKING:
     import requests
 
-EMBED_DIMENSIONS = 256
 API_KEY_ENV = "GE_API_KEY"
 MAX_NGRAM_ORDER = 5
-
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class BackendError(RuntimeError):
@@ -94,9 +89,6 @@ class Backend:
         top_p: float = 0.95,
     ) -> str:
         raise BackendError(f"backend {self.id.kind!r} does not support generation")
-
-    def embed(self, text: str) -> list[float]:
-        raise BackendError(f"backend {self.id.kind!r} does not support embedding")
 
 
 _EMPTY_BUCKET: tuple[int, dict[int, int]] = (0, {})
@@ -302,50 +294,8 @@ class NgramBackend(Backend):
         return text
 
 
-class HashEmbedBackend(Backend):
-    """Signed feature hashing of lowercased word unigrams, L2-normalized."""
-
-    def __init__(self, dimensions: int = EMBED_DIMENSIONS, model: str = "") -> None:
-        self.dimensions = dimensions
-        name = model or f"hash-{dimensions}"
-        self.id = BackendId(
-            kind="hash_embed",
-            model=name,
-            endpoint="",
-            fingerprint=_fingerprint("hash_embed", name, "", str(dimensions)),
-        )
-        # Word -> bucket_and_sign(word). Pool texts repeat their words, so
-        # each distinct word is hashed once; racing threads store equal values.
-        self._hashed: dict[str, tuple[int, float]] = {}
-
-    def bucket_and_sign(self, token: str) -> tuple[int, float]:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        index = int.from_bytes(digest[:4], "big") % self.dimensions
-        sign = 1.0 if digest[4] & 1 else -1.0
-        return index, sign
-
-    def embed(self, text: str) -> list[float]:
-        # Bucket values are sums of +-1, so they and their squares are exact
-        # integers: summing only the nonzero buckets gives the same norm.
-        buckets: dict[int, float] = {}
-        hashed = self._hashed
-        for token in _WORD_RE.findall(text.lower()):
-            bucket = hashed.get(token)
-            if bucket is None:
-                bucket = hashed[token] = self.bucket_and_sign(token)
-            index, sign = bucket
-            buckets[index] = buckets.get(index, 0.0) + sign
-        vec = [0.0] * self.dimensions
-        norm = math.sqrt(sum(v * v for v in buckets.values()))
-        if norm == 0.0:
-            return vec
-        for index, v in buckets.items():
-            vec[index] = v / norm
-        return vec
-
-
 class HttpBackend(Backend):
-    """OpenAI-compatible completions/embeddings client with bounded retries.
+    """OpenAI-compatible completions client with bounded retries.
 
     Scoring uses completion echo (max_tokens=0, echo=true, temperature=0) so
     the endpoint must return logprobs for prompt tokens; chat-only endpoints
@@ -455,6 +405,11 @@ class HttpBackend(Backend):
         ):
             if not isinstance(value, list):
                 raise BackendError(f"malformed echo logprobs: {name!r} must be a list")
+        if not len(token_texts) == len(token_lps) == len(offsets):
+            raise BackendError(
+                "malformed echo logprobs: 'tokens', 'token_logprobs' and 'text_offset' hold "
+                f"{len(token_texts)}, {len(token_lps)} and {len(offsets)} entries"
+            )
         tokens: list[EchoToken] = []
         end = 0
         for i, (tok, lp, off) in enumerate(zip(token_texts, token_lps, offsets)):
@@ -517,14 +472,6 @@ class HttpBackend(Backend):
         if not text:
             raise BackendError("backend produced an empty completion")
         return text
-
-    def embed(self, text: str) -> list[float]:
-        data = self._post("/embeddings", {"model": self.model, "input": text})
-        try:
-            vector = data["data"][0]["embedding"]
-            return [number(v, "embedding value", error=BackendError) for v in vector]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed embeddings response: {data}") from exc
 
 
 def canonical_request(payload: dict) -> str:
@@ -643,22 +590,27 @@ class CachedBackend(Backend):
 # The keys a backend entry of each kind may hold.
 _BACKEND_KEYS = {
     "ngram": ("kind", "model", "corpus", "order"),
-    "hash_embed": ("kind", "model", "dimensions"),
     "http": ("kind", "model", "endpoint", "timeout", "max_retries", "backoff", "max_inflight"),
 }
 
 
+def backend_kind(config: Any, where: str = "backend entry") -> str:
+    """The ``kind`` of one backend config entry. An entry that is not an
+    object, lacks a known ``kind`` or holds a key its kind does not take
+    raises ``FormatError``."""
+    kind = keys(config, None, where).get("kind")
+    if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
+        raise FormatError(f"{where} needs a 'kind' in {list(_BACKEND_KEYS)}, got {kind!r}")
+    keys(config, _BACKEND_KEYS[kind], f"{kind} {where}")
+    return kind
+
+
 def build_backend(config: dict) -> Backend:
-    """Instantiate a backend from one config-file entry. An entry that is not
-    an object, lacks a known ``kind`` or holds a key its kind does not take
-    raises ``FormatError``. The http ``max_retries`` (at most 10) and
+    """Instantiate a backend from one config-file entry, checked as
+    ``backend_kind`` checks it. The http ``max_retries`` (at most 10) and
     ``backoff`` (at most 60 s) are capped, so the longest retry sleep,
     ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours."""
-    kind = keys(config, None, "backend entry").get("kind")
-    if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
-        raise FormatError(f"backend entry needs a 'kind' in {list(_BACKEND_KEYS)}, got {kind!r}")
-    keys(config, _BACKEND_KEYS[kind], f"{kind} backend entry")
-    if kind == "http":
+    if backend_kind(config) == "http":
         return HttpBackend(
             model=string(config.get("model"), "backend 'model'", empty=True),
             endpoint=string(config.get("endpoint"), "backend 'endpoint'", empty=True),
@@ -671,39 +623,10 @@ def build_backend(config: dict) -> Backend:
                 config.get("max_inflight", 4), "backend 'max_inflight'", integer=True, low=1
             ),
         )
-    model = string(config.get("model", ""), "backend 'model'", empty=True)
-    if kind == "ngram":
-        return NgramBackend(
-            corpus=string(config.get("corpus", ""), "backend 'corpus'", empty=True),
-            order=number(
-                config.get("order", 3), "backend 'order'", integer=True, low=1, high=MAX_NGRAM_ORDER
-            ),
-            model=model,
-        )
-    dimensions = config.get("dimensions", EMBED_DIMENSIONS)
-    return HashEmbedBackend(number(dimensions, "backend 'dimensions'", integer=True, low=1), model)
-
-
-class CountingBackend(Backend):
-    """Pass-through wrapper that counts calls reaching the wrapped backend."""
-
-    def __init__(self, inner: Backend) -> None:
-        self.inner = inner
-        self.id = inner.id
-        self.counts = {"echo": 0, "generate": 0, "embed": 0}
-
-    @property
-    def total_calls(self) -> int:
-        return sum(self.counts.values())
-
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
-        self.counts["echo"] += 1
-        return self.inner.echo_logprobs(text, want_top_k)
-
-    def generate(self, prompt, stop=(), max_tokens=512, temperature=0.7, top_p=0.95) -> str:
-        self.counts["generate"] += 1
-        return self.inner.generate(prompt, stop, max_tokens, temperature, top_p)
-
-    def embed(self, text: str) -> list[float]:
-        self.counts["embed"] += 1
-        return self.inner.embed(text)
+    return NgramBackend(
+        corpus=string(config.get("corpus", ""), "backend 'corpus'", empty=True),
+        order=number(
+            config.get("order", 3), "backend 'order'", integer=True, low=1, high=MAX_NGRAM_ORDER
+        ),
+        model=string(config.get("model", ""), "backend 'model'", empty=True),
+    )

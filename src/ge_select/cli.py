@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .backends import BackendError, CachedBackend, HashEmbedBackend, ResponseCache, build_backend
+from .backends import BackendError, CachedBackend, ResponseCache, build_backend
 from .envs import EnvError, HttpEnv, ReplayEnv, ToyShopConfig, ToyShopEnv
 from .models import (
     FormatError,
@@ -45,6 +45,7 @@ from .pipeline import (
 from .scoring import GE_SIGN_EQ5, GE_SIGNS
 from .selectors import (
     DEFAULT_REWARD_TOLERANCE,
+    HashEmbedBackend,
     select_facility_location,
     select_ge,
     select_high_score,

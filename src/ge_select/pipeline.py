@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .backends import Backend, BackendError, ResponseCache, cache_key, canonical_request
+from .backends import (
+    Backend,
+    BackendError,
+    ResponseCache,
+    backend_kind,
+    cache_key,
+    canonical_request,
+)
 from .envs import EnvError
 from .models import (
     LEVELS,
@@ -86,8 +93,10 @@ class RunConfig:
             raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
         if self.ge_sign not in GE_SIGNS:
             raise FormatError(f"ge_sign must be one of {GE_SIGNS}")
-        for name in ("score_backend", "generate_backend", "env"):
-            keys(getattr(self, name), None, name)
+        for name in ("score_backend", "generate_backend"):
+            if getattr(self, name) != {}:  # empty when the run needs no such backend
+                backend_kind(getattr(self, name), name)
+        keys(self.env, ("toyshop", "replay_trajectories"), "env")
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:

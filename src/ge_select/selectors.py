@@ -1,4 +1,5 @@
-"""The five data-selection strategies.
+"""The five data-selection strategies, and the embedder facility location
+uses when it is given a pool instead of embeddings.
 
 Each maps scored or embedded pool data to a deterministic ordered subset of
 size min(k, eligible). Ties always break by ascending question id so output
@@ -9,8 +10,11 @@ start without it.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import math
 import random
+import re
 from typing import TYPE_CHECKING, Sequence
 
 from .models import (
@@ -26,6 +30,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_REWARD_TOLERANCE = 1e-9
+EMBED_DIMENSIONS = 256
+
+_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def select_ge(scores: Sequence[ScoreRecord], k: int, ascending: bool = True) -> SelectionResult:
@@ -79,6 +86,41 @@ def select_high_score(
         items=items,
         warning=warning,
     )
+
+
+class HashEmbedBackend:
+    """Signed feature hashing of lowercased word unigrams into
+    ``EMBED_DIMENSIONS`` buckets, L2-normalized. It calls no model."""
+
+    def __init__(self) -> None:
+        # Word -> bucket_and_sign(word). Pool texts repeat their words, so
+        # each distinct word is hashed once; racing threads store equal values.
+        self._hashed: dict[str, tuple[int, float]] = {}
+
+    def bucket_and_sign(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        index = int.from_bytes(digest[:4], "big") % EMBED_DIMENSIONS
+        sign = 1.0 if digest[4] & 1 else -1.0
+        return index, sign
+
+    def embed(self, text: str) -> list[float]:
+        # Bucket values are sums of +-1, so they and their squares are exact
+        # integers: summing only the nonzero buckets gives the same norm.
+        buckets: dict[int, float] = {}
+        hashed = self._hashed
+        for token in _WORD_RE.findall(text.lower()):
+            bucket = hashed.get(token)
+            if bucket is None:
+                bucket = hashed[token] = self.bucket_and_sign(token)
+            index, sign = bucket
+            buckets[index] = buckets.get(index, 0.0) + sign
+        vec = [0.0] * EMBED_DIMENSIONS
+        norm = math.sqrt(sum(v * v for v in buckets.values()))
+        if norm == 0.0:
+            return vec
+        for index, v in buckets.items():
+            vec[index] = v / norm
+        return vec
 
 
 def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:

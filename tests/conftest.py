@@ -77,6 +77,27 @@ def local_server():
     server.close()
 
 
+class CountingBackend:
+    """Forwards to a backend and counts the calls that reach it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.id = inner.id
+        self.counts = {"echo": 0, "generate": 0}
+
+    @property
+    def total_calls(self) -> int:
+        return sum(self.counts.values())
+
+    def echo_logprobs(self, text, want_top_k=0):
+        self.counts["echo"] += 1
+        return self.inner.echo_logprobs(text, want_top_k)
+
+    def generate(self, prompt, stop=(), max_tokens=512, temperature=0.7, top_p=0.95):
+        self.counts["generate"] += 1
+        return self.inner.generate(prompt, stop, max_tokens, temperature, top_p)
+
+
 def whitespace_tokens(text: str) -> list[str]:
     """Greedy split keeping separators attached, mimicking subword offsets."""
     tokens = []

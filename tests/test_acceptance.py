@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import ge_select
-from ge_select.backends import CountingBackend, NgramBackend, ResponseCache
+from ge_select.backends import NgramBackend, ResponseCache
 from ge_select.envs import (
     ToyShopConfig,
     toyshop_guideline,
@@ -60,6 +60,7 @@ from ge_select.scoring import (
     step_difficulty,
 )
 from ge_select.selectors import (
+    HashEmbedBackend,
     cosine_similarity_matrix,
     fl_objective,
     select_facility_location,
@@ -68,7 +69,8 @@ from ge_select.selectors import (
     select_mean_entropy,
     select_random,
 )
-from ge_select.backends import HashEmbedBackend
+
+from conftest import CountingBackend
 
 
 def announce(n: int, description: str) -> None:

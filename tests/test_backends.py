@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from ge_select import backends
 from ge_select.backends import (
+    Backend,
     BackendError,
     BackendId,
     CachedBackend,
-    CountingBackend,
-    HashEmbedBackend,
     HttpBackend,
     NgramBackend,
     ResponseCache,
@@ -27,8 +26,9 @@ from ge_select.backends import (
     canonical_request,
 )
 from ge_select.models import FormatError
+from ge_select.selectors import EMBED_DIMENSIONS, HashEmbedBackend
 
-from conftest import echo_response, oracle_conditional
+from conftest import CountingBackend, echo_response, oracle_conditional
 
 
 def count_oracle(corpus: bytes, ctx: bytes, b: int) -> float:
@@ -503,7 +503,7 @@ def test_hash_embed_disjoint_vocab_orthogonal_when_no_collisions():
 
 def dense_embed(backend: HashEmbedBackend, text: str) -> list[float]:
     """Reference embedding: accumulate into every dimension, normalize all."""
-    vec = [0.0] * backend.dimensions
+    vec = [0.0] * EMBED_DIMENSIONS
     for token in re.findall(r"[a-z0-9]+", text.lower()):
         index, sign = backend.bucket_and_sign(token)
         vec[index] += sign
@@ -684,12 +684,12 @@ def test_concurrent_cache_access_single_entry(tmp_path):
 
 def test_build_backend_kinds():
     assert isinstance(build_backend({"kind": "ngram", "order": 2, "corpus": "ab"}), NgramBackend)
-    assert isinstance(build_backend({"kind": "hash_embed"}), HashEmbedBackend)
     assert isinstance(
         build_backend({"kind": "http", "model": "m", "endpoint": "http://x"}), HttpBackend
     )
-    with pytest.raises(FormatError):
-        build_backend({"kind": "quantum"})
+    for kind in ("quantum", "hash_embed"):
+        with pytest.raises(FormatError, match=f"got '{kind}'"):
+            build_backend({"kind": kind})
     with pytest.raises(FormatError):
         build_backend({"kind": "http", "model": "m"})
 
@@ -699,7 +699,7 @@ def test_build_backend_kinds():
     [
         ({"kind": "ngram", "ordr": 5}, "'ordr'"),
         ({"kind": "ngram", "order": 2, "dimensions": 8}, "'dimensions'"),
-        ({"kind": "hash_embed", "order": 2}, "'order'"),
+        ({"kind": "http", "model": "m", "endpoint": "http://x", "order": 2}, "'order'"),
         ({"kind": "http", "model": "m", "endpoint": "http://x", "corpus": ""}, "'corpus'"),
         ({"kind": ["x"]}, "kind"),
         ({"order": 3}, "kind"),
@@ -780,6 +780,23 @@ def test_http_echo_rejects_offsets_that_do_not_tile_the_prompt(local_server, off
         backend.echo_logprobs("score this prompt", want_top_k=2)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"token_logprobs": [None, -0.5]},
+        {"tokens": ["score ", "this ", "prompt", ""], "text_offset": [0, 6, 11, 17]},
+    ],
+    ids=["logprob-missing", "extra-empty-token"],
+)
+def test_http_echo_rejects_lists_of_unequal_length(local_server, changes):
+    # Zipped, the first would fail the tiling check and the second would
+    # pass it with its last token dropped.
+    local_server.handler = lambda path, body: (200, echo_payload(**changes))
+    backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
+    with pytest.raises(BackendError, match="malformed echo logprobs: 'tokens', 'token_logprobs'"):
+        backend.echo_logprobs("score this prompt", want_top_k=2)
+
+
 def test_http_bearer_token_from_env(local_server, monkeypatch):
     monkeypatch.setenv("GE_API_KEY", "sekrit")
     local_server.handler = lambda path, body: (200, echo_response(body["prompt"]))
@@ -846,18 +863,6 @@ def test_http_generate_stop_and_defaults(local_server):
     assert body["stop"] == ["\nObservation"]
 
 
-def test_http_embeddings(local_server):
-    local_server.handler = lambda path, body: (
-        200,
-        {"data": [{"embedding": [0.6, 0.8]}]},
-    )
-    backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
-    assert backend.embed("anything") == [0.6, 0.8]
-    path, body, _ = local_server.requests[0]
-    assert path == "/embeddings"
-    assert body == {"model": "m", "input": "anything"}
-
-
 def test_http_inflight_requests_are_bounded(local_server):
     state = {"active": 0, "peak": 0}
     gate = threading.Lock()
@@ -886,12 +891,14 @@ def test_http_inflight_requests_are_bounded(local_server):
     assert state["peak"] <= 2
 
 
-def test_capability_errors():
-    ngram = NgramBackend("abc", order=2)
-    with pytest.raises(BackendError, match="embed"):
-        ngram.embed("text")
-    embedder = HashEmbedBackend()
-    with pytest.raises(BackendError, match="echo"):
-        embedder.echo_logprobs("text")
-    with pytest.raises(BackendError, match="generation"):
-        embedder.generate("text")
+def test_capability_errors(tmp_path):
+    # The generation cache does not echo: scoring caches its spans itself.
+    cached = CachedBackend(NgramBackend("abc", order=2), ResponseCache(tmp_path / "c.jsonl"))
+    with pytest.raises(BackendError, match="'ngram' does not support echo scoring"):
+        cached.echo_logprobs("text")
+
+    class EchoOnly(Backend):
+        id = BackendId(kind="echo-only", model="m")
+
+    with pytest.raises(BackendError, match="'echo-only' does not support generation"):
+        EchoOnly().generate("text")

@@ -631,6 +631,7 @@ _CONFIG_CASES = {
     "t_max-zero": ("t_max", 0, "t_max"),
     "score_target-typo": ("score_target", "actoin", "score_target"),
     "env-list": ("env", [1], "env"),
+    "env-typo": ("env", {"toyshp": {"seed": 41}}, "'toyshp'"),
     "score_backend-str": ("score_backend", "ngram", "score_backend"),
     "generate_backend-list": ("generate_backend", [1], "generate_backend"),
     "instruction_path-int": ("instruction_path", 5, "paths"),
@@ -639,8 +640,6 @@ _CONFIG_CASES = {
     "ngram-order-float": ("score_backend", _ngram(order=3.7), "order"),
     "ngram-corpus-int": ("score_backend", _ngram(corpus=5), "corpus"),
     "ngram-model-int": ("score_backend", _ngram(model=5), "model"),
-    "hash-dimensions-zero": ("score_backend", {"kind": "hash_embed", "dimensions": 0}, "dimensions"),
-    "hash-dimensions-str": ("score_backend", {"kind": "hash_embed", "dimensions": "256"}, "dimensions"),
     "http-timeout-str": ("score_backend", _http(timeout="30"), "timeout"),
     "http-timeout-huge": ("score_backend", _http(timeout=10**400), "timeout"),
     "http-backoff-negative": ("score_backend", _http(backoff=-1), "backoff"),
@@ -648,11 +647,12 @@ _CONFIG_CASES = {
     "http-inflight-zero": ("score_backend", _http(max_inflight=0), "max_inflight"),
     "http-model-int": ("score_backend", _http(model=5), "model"),
     "ngram-unknown-key": ("score_backend", _ngram(ordr=5), "'ordr'"),
-    "hash-unknown-key": ("score_backend", {"kind": "hash_embed", "order": 2}, "'order'"),
     "http-unknown-key": ("score_backend", _http(retries=1), "'retries'"),
+    "generate_backend-unknown-key": ("generate_backend", _ngram(ordr=5), "'ordr'"),
     "kind-list": ("score_backend", {"kind": ["x"]}, "kind"),
     "kind-missing": ("score_backend", {"order": 3}, "kind"),
     "kind-unknown": ("score_backend", {"kind": "quantum"}, "quantum"),
+    "kind-hash_embed": ("score_backend", {"kind": "hash_embed"}, "'hash_embed'"),
     "http-no-endpoint": ("score_backend", {"kind": "http", "model": "m"}, "endpoint"),
 }
 
@@ -804,8 +804,12 @@ def test_traced_benchmark_child_runs_score_and_select(workspace):
     child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
     select = ["select", "--strategy", "ge", "-k", "3", "--scores", str(workspace / "scores.jsonl"),
               "--out", str(workspace / "selected.jsonl")]  # fmt: skip
+    # fl embeds the pool with ``cli.HashEmbedBackend``, which the trace subclasses.
+    select_fl = ["select", "--strategy", "fl", "-k", "3", "--pool", str(workspace / "pool.jsonl"),
+                 "--out", str(workspace / "sel_fl.jsonl")]  # fmt: skip
     for name, argv, span in (("score", score_argv(workspace), "prompts.map_spans_to_tokens"),
-                             ("select", select, "selectors.select_ge")):  # fmt: skip
+                             ("select", select, "selectors.select_ge"),
+                             ("select_fl", select_fl, "backends.hash_embed.embed")):  # fmt: skip
         trace = workspace / f"{name}.trace.json"
         proc = subprocess.run(
             [sys.executable, str(child), "--trace-out", str(trace), *argv],

@@ -12,7 +12,6 @@ from ge_select.backends import (
     Backend,
     BackendError,
     CachedBackend,
-    CountingBackend,
     NgramBackend,
     ResponseCache,
     cache_key,
@@ -44,7 +43,7 @@ from ge_select.pipeline import (
 )
 from ge_select.prompts import build_prompt
 
-from conftest import oracle_conditional
+from conftest import CountingBackend, oracle_conditional
 
 
 def tiny_config(**kwargs) -> RunConfig:
@@ -444,6 +443,12 @@ def test_score_pool_and_annotate_need_only_the_benchmark_backend_surface(tmp_pat
     env, _, _ = toyshop_make(config, 4)
     assert annotated == annotate(pool, guideline, NgramBackend(corpus, order=4), env, run_config)
     assert annotated[0]
+
+    # ``Backend`` declares no more than the benchmark forwards.
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    assert public(Backend) | {"id"} == public(BenchmarkSurface)
 
 
 def test_annotate_immediate_buy_is_one_step_zero_reward():

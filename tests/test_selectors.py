@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ge_select.backends import HashEmbedBackend
 from ge_select.envs import ToyShopConfig, toyshop_make
 from ge_select.models import (
     FormatError,
@@ -20,6 +19,7 @@ from ge_select.models import (
     Step,
 )
 from ge_select.selectors import (
+    HashEmbedBackend,
     cosine_similarity_matrix,
     fl_objective,
     select_facility_location,
