@@ -33,7 +33,9 @@ from .models import (
     write_records,
 )
 from .pipeline import (
-    RunConfig,
+    MAX_PARALLELISM,
+    SCORE_SKIPS,
+    Diagnostic,
     annotate,
     dataset_stats,
     difficulty_shift,
@@ -42,7 +44,6 @@ from .pipeline import (
     review_report,
     score_pool,
 )
-from .scoring import GE_SIGN_EQ5, GE_SIGNS
 from .selectors import (
     DEFAULT_REWARD_TOLERANCE,
     HashEmbedBackend,
@@ -108,12 +109,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", help="embedding JSONL (fl)")
     p.add_argument("--pool", help="pool JSONL (random; fl when embedding on the fly)")
     p.add_argument(
-        "--ge-sign",
-        choices=list(GE_SIGNS),
-        default=None,
-        help="sign convention the score file was written with (default: default)",
-    )
-    p.add_argument(
         "--reward-tolerance",
         type=float,
         default=DEFAULT_REWARD_TOLERANCE,
@@ -165,8 +160,8 @@ def _response_cache(cache_dir: str) -> ResponseCache:
 def _cmd_score(args) -> int:
     config = load_run_config(args.config)
     if args.parallel is not None:
-        if args.parallel < 1:
-            raise UsageError("--parallel must be >= 1")
+        if not 1 <= args.parallel <= MAX_PARALLELISM:
+            raise UsageError(f"--parallel must be between 1 and {MAX_PARALLELISM}")
         config.parallelism = args.parallel
     pool = load_pool(args.pool)
     trajectories = load_trajectories(args.trajectories)
@@ -183,13 +178,18 @@ def _cmd_score(args) -> int:
         args.no_guideline_only,
         cache=_response_cache(args.cache_dir),
     )
-    skips = {"duplicate trajectory ignored", "no trajectory for question; skipped"}
-    failures = [d for d in diagnostics if d.error not in skips]
+    failures = [d for d in diagnostics if d.error not in SCORE_SKIPS]
     if failures and not records:
         raise BackendError(f"all {len(failures)} scoring attempts failed: {failures[0].error}")
-    write_records(records, args.out)
+    return _write_with_diagnostics(records, diagnostics, args.out)
+
+
+def _write_with_diagnostics(records: list, diagnostics: list[Diagnostic], out: str) -> int:
+    """Write ``records`` to ``out``, and any diagnostics to the ``.diag.jsonl``
+    sidecar with one warning line each on stderr."""
+    write_records(records, out)
     if diagnostics:
-        write_records(diagnostics, args.out + ".diag.jsonl")
+        write_records(diagnostics, out + ".diag.jsonl")
         for diag in diagnostics:
             print(f"warning: {diag.question_id}: {diag.error}", file=sys.stderr)
     return EXIT_OK
@@ -212,15 +212,11 @@ def _cmd_select(args) -> int:
     if args.k < 0:
         raise UsageError("-k must be >= 0")
     strategy = args.strategy
-    if strategy == "ge":
+    if strategy in ("ge", "entropy"):
         if not args.scores:
-            raise UsageError("--scores is required for --strategy ge")
-        scores = load_scores(args.scores)
-        result = select_ge(scores, args.k, ascending=args.ge_sign != GE_SIGN_EQ5)
-    elif strategy == "entropy":
-        if not args.scores:
-            raise UsageError("--scores is required for --strategy entropy")
-        result = select_mean_entropy(load_scores(args.scores), args.k)
+            raise UsageError(f"--scores is required for --strategy {strategy}")
+        select = select_ge if strategy == "ge" else select_mean_entropy
+        result = select(load_scores(args.scores), args.k)
     elif strategy == "random":
         if args.pool:
             pool = load_pool(args.pool)
@@ -312,12 +308,7 @@ def _cmd_annotate(args) -> int:
         if all(d.stage == "annotate-env" for d in diagnostics):
             raise EnvError(f"all {len(diagnostics)} rollouts failed: {diagnostics[0].error}")
         raise BackendError(f"all {len(diagnostics)} rollouts failed: {diagnostics[0].error}")
-    write_records(trajectories, args.out)
-    if diagnostics:
-        write_records(diagnostics, args.out + ".diag.jsonl")
-        for diag in diagnostics:
-            print(f"warning: {diag.question_id}: {diag.error}", file=sys.stderr)
-    return EXIT_OK
+    return _write_with_diagnostics(trajectories, diagnostics, args.out)
 
 
 def _cmd_export(args) -> int:

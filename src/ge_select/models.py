@@ -301,6 +301,8 @@ class ScoreRecord:
     per_step: tuple[StepScore, ...]
     ge: float
     mean_entropy: float | None = None
+    # Whether ``ge`` follows the eq5 convention (negated); set from per_step.
+    _eq5: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.per_step:
@@ -308,15 +310,23 @@ class ScoreRecord:
         object.__setattr__(self, "per_step", tuple(self.per_step))
         if self.mean_entropy is not None and self.mean_entropy < 0:
             raise FormatError(f"score {self.question_id!r}: mean_entropy must be >= 0")
-        # ge must be recomputable from per_step up to the sign convention.
+        # ge must be recomputable from per_step under the default sign
+        # convention or under eq5; a value matching both counts as default.
         from .scoring import ge_score
 
         recomputed = ge_score([(s.d_i, s.d_g) for s in self.per_step])
-        if min(abs(self.ge - recomputed), abs(self.ge + recomputed)) > 1e-9:
+        eq5 = abs(self.ge - recomputed) > 1e-9
+        if eq5 and abs(self.ge + recomputed) > 1e-9:
             raise FormatError(
                 f"score {self.question_id!r}: ge {self.ge} does not match per_step "
                 f"aggregation {recomputed}"
             )
+        object.__setattr__(self, "_eq5", eq5)
+
+    @property
+    def default_ge(self) -> float:
+        """``ge`` under the default sign convention: lowest helps least."""
+        return -self.ge if self._eq5 else self.ge
 
     def to_record(self) -> dict:
         rec: dict[str, Any] = {

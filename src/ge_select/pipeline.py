@@ -48,16 +48,14 @@ from .prompts import (
     build_prompt,
     map_spans_to_tokens,
 )
-from .scoring import (
-    GE_SIGN_DEFAULT,
-    GE_SIGN_EQ5,
-    GE_SIGNS,
-    TokenDistribution,
-    aggregate_trajectory,
-    mean_entropy,
-)
+from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
 
 OBSERVATION_STOP = "\nObservation"
+
+# The two diagnostics of ``score_pool`` that skip a question without a failure.
+DUPLICATE_TRAJECTORY = "duplicate trajectory ignored"
+NO_TRAJECTORY = "no trajectory for question; skipped"
+SCORE_SKIPS = (DUPLICATE_TRAJECTORY, NO_TRAJECTORY)
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,15 @@ class Diagnostic:
 
     def to_record(self) -> dict:
         return {"question_id": self.question_id, "stage": self.stage, "error": self.error}
+
+
+# Sign conventions of the ge that scoring writes: eq5 negates the default.
+GE_SIGN_DEFAULT = "default"
+GE_SIGN_EQ5 = "eq5"
+GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
+
+# Scoring runs one thread per worker, so the worker count stays small.
+MAX_PARALLELISM = 256
 
 
 @dataclass
@@ -87,8 +94,9 @@ class RunConfig:
     env: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, low in (("top_k", 0), ("parallelism", 1), ("t_max", 1)):
-            number(getattr(self, name), name, integer=True, low=low)
+        number(self.top_k, "top_k", integer=True, low=0)
+        number(self.parallelism, "parallelism", integer=True, low=1, high=MAX_PARALLELISM)
+        number(self.t_max, "t_max", integer=True, low=1)
         if self.score_target not in SCORE_TARGETS:
             raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
         if self.ge_sign not in GE_SIGNS:
@@ -271,14 +279,12 @@ def score_pool(
         if qid not in by_id:
             raise FormatError(f"trajectory question_id {qid!r} is not in the pool")
         if qid in chosen:
-            diagnostics.append(Diagnostic(qid, "score", "duplicate trajectory ignored"))
+            diagnostics.append(Diagnostic(qid, "score", DUPLICATE_TRAJECTORY))
             continue
         chosen[qid] = trajectory
     for question in pool:
         if question.id not in chosen:
-            diagnostics.append(
-                Diagnostic(question.id, "score", "no trajectory for question; skipped")
-            )
+            diagnostics.append(Diagnostic(question.id, "score", NO_TRAJECTORY))
 
     def work(item: tuple[str, Trajectory]):
         qid, trajectory = item
@@ -307,13 +313,14 @@ def review_report(
     trajectories: Sequence[Trajectory],
     m: int,
 ) -> str:
-    """Human-readable dossier of the m lowest-scoring questions."""
+    """Human-readable dossier of the m questions the guideline helps least,
+    ranked as ``select_ge`` ranks them."""
     if m < 1:
         raise FormatError("m must be >= 1")
     by_id: dict[str, Trajectory] = {}
     for t in trajectories:
         by_id.setdefault(t.question_id, t)
-    ranked = sorted(scores, key=lambda s: (s.ge, s.question_id))[:m]
+    ranked = sorted(scores, key=lambda s: (s.default_ge, s.question_id))[:m]
     lines = ["# Guideline review report", ""]
     lines.append(
         f"Showing {len(ranked)} of {len(scores)} scored questions, "

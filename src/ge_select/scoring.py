@@ -16,10 +16,6 @@ from .models import FormatError, StepScore
 # Difficulty floor: keeps log-ratios finite on perfectly predicted actions.
 DIFFICULTY_FLOOR = 1e-6
 
-GE_SIGN_DEFAULT = "default"
-GE_SIGN_EQ5 = "eq5"
-GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
-
 
 @dataclass(frozen=True)
 class TokenDistribution:
@@ -51,16 +47,12 @@ def step_difficulty(logprobs: Sequence[float]) -> float:
     return max(DIFFICULTY_FLOOR, -sum(logprobs) / len(logprobs))
 
 
-def ge_score(per_step: Iterable[tuple[float, float]], sign: str = GE_SIGN_DEFAULT) -> float:
+def ge_score(per_step: Iterable[tuple[float, float]]) -> float:
     """Aggregate per-step (d_i, d_g) pairs into one guideline-effectiveness value.
 
-    Under the default convention a positive score means the guideline lowered
-    difficulty on average (d_g < d_i). ``sign="eq5"`` negates the result; it
-    never reorders anything else, so callers sorting "lowest first" must flip
-    direction themselves when using it.
+    This is the default sign convention: a positive score means the guideline
+    lowered difficulty on average (d_g < d_i).
     """
-    if sign not in GE_SIGNS:
-        raise ValueError(f"unknown ge sign convention {sign!r}")
     pairs = list(per_step)
     if not pairs:
         raise ValueError("per_step must be non-empty")
@@ -70,8 +62,7 @@ def ge_score(per_step: Iterable[tuple[float, float]], sign: str = GE_SIGN_DEFAUL
             raise ValueError(f"difficulties must be positive, got ({d_i}, {d_g})")
         # log(d_i) - log(d_g), not log(d_i/d_g): keeps swap antisymmetry exact.
         total += math.log(d_i) - math.log(d_g)
-    value = total / len(pairs)
-    return -value if sign == GE_SIGN_EQ5 else value
+    return total / len(pairs)
 
 
 def mean_entropy(dists: Sequence[TokenDistribution]) -> float:
@@ -117,5 +108,4 @@ def aggregate_trajectory(
         )
         for wi, wo in zip(with_g, without_g)
     ]
-    ge = ge_score([(s.d_i, s.d_g) for s in per_step])
-    return per_step, ge
+    return per_step, ge_score([(s.d_i, s.d_g) for s in per_step])

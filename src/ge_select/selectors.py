@@ -35,10 +35,11 @@ EMBED_DIMENSIONS = 256
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
-def select_ge(scores: Sequence[ScoreRecord], k: int, ascending: bool = True) -> SelectionResult:
-    """Take the k lowest-ge questions (``ascending=False`` for eq5-signed files)."""
-    direction = 1.0 if ascending else -1.0
-    ranked = sorted(scores, key=lambda s: (direction * s.ge, s.question_id))
+def select_ge(scores: Sequence[ScoreRecord], k: int) -> SelectionResult:
+    """Take the k questions the guideline helps least: lowest ``default_ge``,
+    whichever sign each record was written with. Item scores are the ``ge``
+    values as written."""
+    ranked = sorted(scores, key=lambda s: (s.default_ge, s.question_id))
     items = tuple(SelectionItem(s.question_id, s.ge) for s in ranked[: max(k, 0)])
     return SelectionResult(strategy="ge", params={"k": k}, items=items)
 

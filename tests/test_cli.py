@@ -624,6 +624,7 @@ def _http(**settings):
 
 _CONFIG_CASES = {
     "parallelism-str": ("parallelism", "4", "parallelism"),
+    "parallelism-257": ("parallelism", 257, "parallelism"),
     "top_k-str": ("top_k", "5", "top_k"),
     "top_k-negative": ("top_k", -1, "top_k"),
     "top_k-bool": ("top_k", True, "top_k"),
@@ -873,3 +874,70 @@ def test_cli_loads_numpy_and_requests_only_where_used(workspace):
         )
         assert proc.returncode == 0, proc.stderr
     assert len(load_selection(workspace / "sel_fl.jsonl").items) == 3
+
+
+def _ranked_ids(report: str) -> list[str]:
+    return [line.split()[2] for line in report.splitlines() if line.startswith("## ")]
+
+
+def test_select_and_report_rank_eq5_scores_as_default_ones(workspace, capsys):
+    """A scores file carries its ge sign: select and report need no flag for it."""
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    eq5_config = json.dumps({**config, "ge_sign": "eq5"})
+    (workspace / "config_eq5.json").write_text(eq5_config, encoding="utf-8")
+    ranked = {}
+    for sign, config_name in (("default", "config.json"), ("eq5", "config_eq5.json")):
+        scores, sel, report = (workspace / f"{sign}.{ext}" for ext in ("jsonl", "sel", "md"))
+        argv = score_argv(workspace)
+        argv[argv.index("--config") + 1] = str(workspace / config_name)
+        argv[argv.index("--out") + 1] = str(scores)
+        assert run(argv) == 0
+        assert run(["select", "--scores", str(scores), "--strategy", "ge", "-k", "5",
+                    "--out", str(sel)]) == 0  # fmt: skip
+        assert run(["report", "--scores", str(scores), "-m", "5", "--out", str(report),
+                    "--trajectories", str(workspace / "trajectories.jsonl")]) == 0  # fmt: skip
+        ranked[sign] = load_selection(sel).items, _ranked_ids(report.read_text(encoding="utf-8"))
+    (default_items, default_report), (eq5_items, eq5_report) = ranked["default"], ranked["eq5"]
+    assert [i.question_id for i in eq5_items] == [i.question_id for i in default_items]
+    assert [i.score for i in eq5_items] == [-i.score for i in default_items]
+    assert any(i.score != 0.0 for i in default_items)
+    assert eq5_report == default_report == [i.question_id for i in default_items]
+
+    capsys.readouterr()
+    assert run(["select", "--help"]) == 0
+    assert "--ge-sign" not in capsys.readouterr().out
+    assert run(["select", "--scores", str(workspace / "eq5.jsonl"), "--strategy", "ge",
+                "--ge-sign", "eq5", "--out", str(workspace / "x.sel")]) == 1  # fmt: skip
+    assert_one_error_line(capsys.readouterr().err, 1, "unrecognized arguments: --ge-sign")
+
+
+def test_parallel_above_its_cap_is_a_usage_error(workspace, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    assert run(score_argv(workspace) + ["--parallel", "257"]) == 1
+    assert_one_error_line(capsys.readouterr().err, 1, "--parallel", "256")
+    assert not (workspace / "scores.jsonl").exists()
+
+
+def test_score_with_every_question_skipped_writes_empty_scores(workspace, capsys):
+    (workspace / "trajectories.jsonl").write_text("", encoding="utf-8")
+    assert run(score_argv(workspace)) == 0
+    assert (workspace / "scores.jsonl").read_bytes() == b""
+    diagnostics = (workspace / "scores.jsonl.diag.jsonl").read_text(encoding="utf-8")
+    assert len(diagnostics.splitlines()) == 12
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 12
+    assert all(w.endswith(": no trajectory for question; skipped") for w in warnings)
+
+
+def test_score_with_every_question_failing_exits_three(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = _http(max_retries=0, timeout=0.2)
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 3
+    assert_one_error_line(capsys.readouterr().err, 3, "all 12 scoring attempts failed")
+    assert not (workspace / "scores.jsonl").exists()

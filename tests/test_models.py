@@ -296,6 +296,23 @@ def test_score_record_accepts_negated_sign_convention():
     )
 
 
+@pytest.mark.parametrize(
+    "d_g, ge, default_ge",
+    [
+        (0.5, math.log(2.0), math.log(2.0)),  # default sign
+        (0.5, -math.log(2.0), math.log(2.0)),  # eq5: the default value is its negation
+        (0.5, math.log(2.0) + 5e-10, math.log(2.0) + 5e-10),  # default within 1e-9
+        (0.5, -math.log(2.0) - 5e-10, math.log(2.0) + 5e-10),  # eq5 within 1e-9
+        (1.0, 4e-10, 4e-10),  # matches both signs: taken as default
+    ],
+)
+def test_score_record_default_ge_follows_the_sign_its_ge_was_written_with(d_g, ge, default_ge):
+    record = ScoreRecord("q1", "b" * 12, "c" * 12, (StepScore(1.0, d_g, 1),), ge)
+    assert record.default_ge == default_ge
+    assert record.ge == ge and "default_ge" not in record.to_record()
+    assert record == ScoreRecord("q1", "b" * 12, "c" * 12, (StepScore(1.0, d_g, 1),), ge)
+
+
 @given(_SELECTIONS)
 @example(
     SelectionResult("ge", {"k": 2}, (SelectionItem("q2", -0.5), SelectionItem("q1", 0.1)))

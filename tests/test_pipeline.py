@@ -346,6 +346,27 @@ def test_score_pool_no_guideline_only_mode():
     assert record.mean_entropy is not None
 
 
+@pytest.mark.parametrize("top_k, echoes_per_question", [(0, 1), (2, 2)])
+def test_no_guideline_only_warms_the_full_pass_only_at_top_k_zero(
+    tmp_path, top_k, echoes_per_question
+):
+    """The warming pass keys its prompts with the config's top_k, but a full
+    pass reads the guideline-free prompt at top_k 0: only then does the full
+    pass echo nothing but the guideline prompts."""
+    pool = [Question(id=f"q{i}", text=f"find item {i}") for i in range(3)]
+    trajectories = [make_trajectory(f"q{i}", question=f"find item {i}") for i in range(3)]
+    guideline = Guideline.from_text("Act fast.")
+    cache = ResponseCache(tmp_path / "c.jsonl")
+    config = tiny_config(top_k=top_k)
+    counting = CountingBackend(NgramBackend("", order=2))
+    score_pool(pool, trajectories, guideline, counting, config, True, cache=cache)
+    assert counting.counts["echo"] == 3
+    counting.counts["echo"] = 0
+    records, _ = score_pool(pool, trajectories, guideline, counting, config, cache=cache)
+    assert counting.counts["echo"] == 3 * echoes_per_question
+    assert records == score_pool(pool, trajectories, guideline, counting, config)[0]
+
+
 def test_score_records_carry_backend_fingerprint_and_entropy():
     pool = [Question(id="q1", text="find a mug")]
     guideline = Guideline.from_text("g")

@@ -128,23 +128,11 @@ def test_ge_score_matches_oracle_on_random_cases():
         assert ge_score(pairs) == pytest.approx(brute_force_ge(pairs), abs=1e-9)
 
 
-def test_ge_sign_flag_negates_bit_exactly():
-    rng = random.Random(77)
-    for _ in range(50):
-        pairs = [
-            (rng.uniform(1e-6, 10.0), rng.uniform(1e-6, 10.0))
-            for _ in range(rng.randint(1, 8))
-        ]
-        assert ge_score(pairs, sign="eq5") == -ge_score(pairs)
-
-
 def test_ge_score_rejects_bad_input():
     with pytest.raises(ValueError):
         ge_score([])
     with pytest.raises(ValueError):
         ge_score([(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        ge_score([(1.0, 1.0)], sign="bogus")
 
 
 def test_mean_entropy_deterministic_distribution():

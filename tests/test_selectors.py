@@ -18,6 +18,7 @@ from ge_select.models import (
     Trajectory,
     Step,
 )
+from ge_select.scoring import ge_score
 from ge_select.selectors import (
     HashEmbedBackend,
     cosine_similarity_matrix,
@@ -101,8 +102,22 @@ def test_select_ge_permutation_invariant():
 
 
 def test_select_ge_descending_for_eq5_files():
-    scores = [make_score("a", 0.5), make_score("b", -0.2)]
-    assert select_ge(scores, 1, ascending=False).question_ids == ["a"]
+    """eq5 records hold ge = -ge_score(per_step); select_ge ranks them by the
+    default-sign value, as the default file ranks, and keeps their own ge."""
+    rng = random.Random(12)
+    per_steps = [make_score(f"q{i}", rng.uniform(-1, 1)).per_step for i in range(9)]
+    signed = {
+        sign: [
+            ScoreRecord(f"q{i}", "g" * 12, "b" * 12, p, sign * ge_score((s.d_i, s.d_g) for s in p))
+            for i, p in enumerate(per_steps)
+        ]
+        for sign in (1, -1)
+    }
+    default, eq5 = select_ge(signed[1], 4), select_ge(signed[-1], 4)
+    assert eq5.question_ids == default.question_ids
+    by_negated_ge = sorted(signed[-1], key=lambda s: (-s.ge, s.question_id))
+    assert eq5.question_ids == [s.question_id for s in by_negated_ge[:4]]
+    assert [item.score for item in eq5.items] == [-item.score for item in default.items]
 
 
 def test_select_random_deterministic_and_exhaustive():
