@@ -92,18 +92,23 @@ class Backend:
 
 
 _EMPTY_BUCKET: tuple[int, dict[int, int]] = (0, {})
+_NO_COUNTS: dict[bytes, list] = {}  # what the corpus table is counted over
 
 
-def _count(counts: dict[bytes, list], ctx: bytes, b: int) -> None:
+def _count(counts: dict[bytes, list], ctx: bytes, b: int, base: dict[bytes, list]) -> None:
     """Add one ``ctx -> b`` observation to a map of context bytes to
-    ``[total, {next byte: count}]``; a key's length is its order."""
+    ``[total, {next byte: count}]``; a key's length is its order. A context
+    new to ``counts`` starts from a copy of its bucket in ``base``."""
     bucket = counts.get(ctx)
-    if bucket is None:
-        counts[ctx] = [1, {b: 1}]
-    else:
+    if bucket is not None:
         bucket[0] += 1
         following = bucket[1]
         following[b] = following.get(b, 0) + 1
+    elif ctx in base:
+        total, following = base[ctx]
+        counts[ctx] = [total + 1, {**following, b: following.get(b, 0) + 1}]
+    else:  # the literal spares an empty base a copy
+        counts[ctx] = [1, {b: 1}]
 
 
 _BYTE_TEXT = tuple(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in range(256))
@@ -138,7 +143,10 @@ class NgramBackend(Backend):
 
     ``order`` is the context length in bytes. Counts are the training-corpus
     counts plus the counts of the already-processed prefix of the current
-    call, so the model is deterministic but prompt-sensitive.
+    call, so the model is deterministic but prompt-sensitive. Each table of
+    text counts is counted over the tables beneath it, so a lookup reads the
+    first table that holds its context. Text tables hold full-order contexts
+    only: shorter ones are looked up only before the text has counted any.
     """
 
     def __init__(self, corpus: str, order: int, model: str = "") -> None:
@@ -149,7 +157,7 @@ class NgramBackend(Backend):
         self.counts: dict[bytes, list] = {}
         for i, b in enumerate(data):
             for start in range(max(0, i - order), i + 1):
-                _count(self.counts, data[start:i], b)
+                _count(self.counts, data[start:i], b, _NO_COUNTS)
         corpus_hash = hashlib.sha256(data).hexdigest()[:12]
         # Prefix reuse. ``_echoed`` maps each top-k width to the last echoed
         # ``(text, tokens)``; a snapshot is never mutated, so threads share
@@ -164,33 +172,6 @@ class NgramBackend(Backend):
             endpoint="",
             fingerprint=_fingerprint("ngram", name, "", f"{corpus_hash}\norder={order}"),
         )
-
-    # The counts of the text being scored or generated (``layers``) hold only
-    # full-order contexts. A shorter context is looked up only within the
-    # first ``order`` bytes, where no earlier position has a context that
-    # long, so its local bucket would always be empty.
-    def _blend(self, ctx: bytes, *layers: dict[bytes, list]) -> tuple[int, dict[int, int]]:
-        """Total and next-byte counts of ``ctx`` over corpus plus ``layers``.
-
-        Counts are integer sums and every ranking of them breaks ties by
-        byte, so the order of the layers never changes a result. Only a
-        merge of two sources makes a new dict; otherwise the one source's
-        own dict comes back: read it only, before counting more."""
-        total, following = self.counts.get(ctx, _EMPTY_BUCKET)
-        copied = False
-        for layer in layers:
-            bucket = layer.get(ctx)
-            if bucket is None:
-                continue
-            if not total:  # no source so far has this context
-                total, following = bucket
-                continue
-            if not copied:
-                following, copied = dict(following), True
-            for b, c in bucket[1].items():
-                following[b] = following.get(b, 0) + c
-            total += bucket[0]
-        return total, following
 
     def conditional(self, context: str | bytes, byte_value: int) -> float:
         """Corpus-only conditional; exposed for direct probability checks."""
@@ -216,9 +197,9 @@ class NgramBackend(Backend):
         shared = os.path.commonprefix([previous_text, text])
         tokens: list[EchoToken] = list(previous[: len(shared)])
         i = len(shared.encode("utf-8"))
-        for end in range(order, i):
-            _count(local, data[end - order : end], data[end])
         corpus = self.counts
+        for end in range(order, i):
+            _count(local, data[end - order : end], data[end], corpus)
         log = math.log
         for char_index in range(len(shared), len(text)):
             char = text[char_index]
@@ -227,25 +208,22 @@ class NgramBackend(Backend):
             for j in range(1 if char < "\x80" else len(char.encode("utf-8"))):
                 b = data[i]
                 ctx = data[i - order : i] if i >= order else data[:i]
-                # ``_blend(ctx, local)`` and ``_count(local, ctx, b)``, inlined
+                # The lookup and ``_count(local, ctx, b, corpus)``, inlined
                 # because this loop runs once per byte.
                 bucket = local.get(ctx)
-                if bucket is None:
-                    total, following = corpus.get(ctx, _EMPTY_BUCKET)
-                elif ctx in corpus:
-                    total, following = self._blend(ctx, local)
-                else:
-                    total, following = bucket
+                total, following = corpus.get(ctx, _EMPTY_BUCKET) if bucket is None else bucket
                 if j == 0 and want_top_k > 0:
                     top = self._top_k(total, following, want_top_k)
                 logprob += log((following.get(b, 0) + 1) / (total + 256))
                 if i >= order:
-                    if bucket is None:
-                        local[ctx] = [1, {b: 1}]
-                    else:
+                    if bucket is not None:
                         bucket[0] += 1
                         counted = bucket[1]
                         counted[b] = counted.get(b, 0) + 1
+                    elif total:
+                        local[ctx] = [total + 1, {**following, b: following.get(b, 0) + 1}]
+                    else:
+                        local[ctx] = [1, {b: 1}]
                 i += 1
             tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
         result = tuple(tokens)
@@ -271,18 +249,19 @@ class NgramBackend(Backend):
         counted, prompt_counts = getattr(self._prompt, "table", (b"", {}))
         if not data.startswith(counted):
             counted, prompt_counts = b"", {}
+        corpus = self.counts
         for i in range(max(order, len(counted)), len(data)):
-            _count(prompt_counts, data[i - order : i], data[i])
+            _count(prompt_counts, data[i - order : i], data[i], corpus)
         self._prompt.table = (data, prompt_counts)
-        grown: dict[bytes, list] = {}  # the completion's own counts
+        grown: dict[bytes, list] = {}  # prompt counts plus the completion's own
         ctx = data[-order:]
         stop_bytes = tuple(s.encode("utf-8") for s in stop if s)
         generated = bytearray()
         for _ in range(max_tokens):
-            _, following = self._blend(ctx, prompt_counts, grown)
+            _, following = grown.get(ctx) or prompt_counts.get(ctx) or corpus.get(ctx, _EMPTY_BUCKET)
             best = min(following, key=lambda b: (-following[b], b), default=0)
             if len(ctx) == order:
-                _count(grown, ctx, best)
+                _count(grown, ctx, best, prompt_counts if ctx in prompt_counts else corpus)
             ctx = (ctx + bytes((best,)))[-order:]
             generated.append(best)
             if generated.endswith(stop_bytes):
@@ -432,7 +411,10 @@ class HttpBackend(Backend):
                 ranked = sorted(alternatives, key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
                 entries = tuple((t, min(0.0, p)) for t, p in ranked)
                 mass = sum(math.exp(p) for _, p in entries)
-                top = TokenDistribution(top=entries, residual_mass=max(0.0, 1.0 - mass))
+                try:
+                    top = TokenDistribution(top=entries, residual_mass=max(0.0, 1.0 - mass))
+                except ValueError as exc:  # the alternatives hold more than all the mass
+                    raise BackendError(f"{where} top_logprobs: {exc}") from exc
             tokens.append(EchoToken(tok, off, end, lp, top))
         if "".join(t.text for t in tokens) != text:
             raise BackendError("endpoint token stream does not tile the submitted prompt")
@@ -463,12 +445,7 @@ class HttpBackend(Backend):
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completions response: {data}") from exc
         string(text, "completion text", empty=True, error=BackendError)
-        cut = len(text)
-        for s in stop:
-            idx = text.find(s)
-            if idx != -1:
-                cut = min(cut, idx)
-        text = text[:cut]
+        text = text[: min((text.find(s) for s in stop if s in text), default=len(text))]
         if not text:
             raise BackendError("backend produced an empty completion")
         return text
@@ -492,9 +469,10 @@ class ResponseCache:
     goes out in a single ``os.write`` on an ``O_APPEND`` descriptor, so
     processes sharing the file cannot interleave the bytes of one entry; a
     short write raises instead of being retried. A line that is not a JSON
-    object with a ``key``, such as a torn final line (crash mid-append), is
-    skipped on load and counted in ``skipped_lines``; the next append starts
-    on a fresh line so it is not lost to the torn one.
+    object with a ``key`` and a non-null ``response`` (no stored response is
+    null), such as a torn final line (crash mid-append), is skipped on load
+    and counted in ``skipped_lines``; the next append starts on a fresh line
+    so it is not lost to the torn one.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -514,8 +492,9 @@ class ResponseCache:
                         entry = json.loads(line)
                     except (ValueError, RecursionError):  # e.g. a torn final line
                         entry = None
-                    if isinstance(entry, dict) and isinstance(entry.get("key"), str):
-                        self._index[entry["key"]] = entry.get("response")
+                    response = entry.get("response") if isinstance(entry, dict) else None
+                    if response is not None and isinstance(entry.get("key"), str):
+                        self._index[entry["key"]] = response
                     else:
                         self.skipped_lines += 1
         else:
@@ -583,7 +562,7 @@ class CachedBackend(Backend):
         key = cache_key(self.id, body)
         cached = self.cache.get(key)
         if cached is not None:
-            return cached
+            return string(cached, f"cache {self.cache.path}: generation entry")
         return self.cache.put(key, self.inner.generate(prompt, stop, max_tokens, temperature, top_p))
 
 

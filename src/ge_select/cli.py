@@ -252,6 +252,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.m < 1:
+        raise UsageError("-m must be >= 1")
     scores = load_scores(args.scores)
     trajectories = load_trajectories(args.trajectories)
     report = review_report(scores, trajectories, args.m)

@@ -164,6 +164,22 @@ def load_run_config(path: str | Path) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _check_scored(scored: Any, spans: int, where: str) -> None:
+    """Raise ``FormatError`` unless a cached scoring entry holds exactly
+    ``logprobs``, one non-empty list of finite numbers <= 0 per span, and
+    ``mean_entropy``, null or a finite number >= 0."""
+    lists = keys(scored, ("logprobs", "mean_entropy"), where).get("logprobs")
+    if "mean_entropy" not in scored or not isinstance(lists, list) or len(lists) != spans:
+        raise FormatError(f"{where} needs 'mean_entropy' and one 'logprobs' list per span")
+    for logprobs in lists:
+        if not isinstance(logprobs, list) or not logprobs:
+            raise FormatError(f"{where}: each span's logprobs must be a non-empty list")
+        for logprob in logprobs:
+            number(logprob, f"{where} logprob", high=0)
+    if scored["mean_entropy"] is not None:
+        number(scored["mean_entropy"], f"{where} mean_entropy", low=0)
+
+
 def _score_prompt(
     bundle: PromptBundle,
     backend: Backend,
@@ -177,6 +193,7 @@ def _score_prompt(
     so a hit needs neither the backend, span mapping nor any distribution.
     A miss stores them and returns what the cache holds, so racing writers
     agree; JSON floats round-trip exactly, so a hit returns the same bytes.
+    A hit of any other shape raises ``FormatError`` naming the cache.
     """
     key = cache_key(
         backend.id,
@@ -191,7 +208,9 @@ def _score_prompt(
         ),
     )
     scored = cache.get(key) if cache is not None else None
-    if scored is None:
+    if scored is not None:
+        _check_scored(scored, len(bundle.action_spans), f"cache {cache.path}: scoring entry")
+    else:
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
         logprobs: list[list[float]] = []
         dists: list[TokenDistribution] = []
@@ -298,12 +317,11 @@ def score_pool(
     # Imported here so the subcommands that never score skip its start-up cost.
     from concurrent.futures import ThreadPoolExecutor
 
-    ordered = sorted(chosen.items())
+    ordered = sorted(chosen.items())  # ``map`` keeps this order in its outcomes
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool_exec:
         outcomes = list(pool_exec.map(work, ordered))
     records = [o for o in outcomes if isinstance(o, ScoreRecord)]
     diagnostics.extend(o for o in outcomes if isinstance(o, Diagnostic))
-    records.sort(key=lambda r: r.question_id)
     diagnostics.sort(key=lambda d: (d.question_id, d.error))
     return records, diagnostics
 

@@ -9,7 +9,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ge_select import backends
@@ -188,6 +188,12 @@ _NGRAM_TEXT = st.text(alphabet="ab \n[é€𝄞", max_size=16)
     k=st.integers(0, 4),
     stop=st.lists(st.text(alphabet="ab\né", min_size=1, max_size=2), max_size=2),
 )
+# Contexts that occur in the corpus, earlier in the echoed text, and in both
+# the prompt and its completion, so every lookup reads a table that is
+# counted over the ones beneath it.
+@example(corpus="ab ab", text="ab ab ab", prompt="ab ab", order=2, k=2, stop=[])
+@example(corpus="ab é ab", text="é ab é ab", prompt="ab é", order=3, k=3, stop=["\n"])
+@example(corpus="a[a[", text="a[a[a[", prompt="[a[a", order=1, k=1, stop=[])
 def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
     backend = NgramBackend(corpus, order)
     corpus_bytes = corpus.encode("utf-8")
@@ -758,6 +764,7 @@ def echo_payload(**changes) -> dict:
         {"tokens": 3, "top_logprobs": None},
         {"text_offset": {"0": 0}},
         {"top_logprobs": {"1": None}},
+        {"top_logprobs": [None, {"this ": -0.01, " other": -0.01}, None]},  # mass 1.98
     ],
 )
 def test_http_echo_malformed_logprobs_raise_backend_error(local_server, changes):

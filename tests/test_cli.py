@@ -941,3 +941,79 @@ def test_score_with_every_question_failing_exits_three(workspace, capsys):
     assert run(score_argv(workspace)) == 3
     assert_one_error_line(capsys.readouterr().err, 3, "all 12 scoring attempts failed")
     assert not (workspace / "scores.jsonl").exists()
+
+
+def annotate_argv(workspace) -> list[str]:
+    return ["annotate", "--questions", str(workspace / "pool.jsonl"),
+            "--guideline", str(workspace / "guideline.txt"),
+            "--config", str(workspace / "config.json"), "--env", "toyshop", "--tmax", "3",
+            "--out", str(workspace / "annotated.jsonl"), "--cache-dir", str(workspace / "cache")]
+
+
+def rewrite_cache_entry(workspace, kind: type, change) -> None:
+    """Replace the response of the first cache entry whose response is of
+    type ``kind`` (scoring entries are objects, generations strings)."""
+    path = workspace / "cache" / "cache.jsonl"
+    entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    entry = next(e for e in entries if isinstance(e["response"], kind))
+    entry["response"] = change(entry["response"])
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, out, kind",
+    [(score_argv, "scores.jsonl", dict), (annotate_argv, "annotated.jsonl", str)],
+    ids=["score", "annotate"],
+)
+def test_null_cache_entry_is_a_skipped_line_and_is_stored_again(workspace, capsys, argv, out, kind):
+    cache_path = workspace / "cache" / "cache.jsonl"
+    assert run(argv(workspace)) == 0
+    first = (workspace / out).read_bytes()
+    lines = len(cache_path.read_text(encoding="utf-8").splitlines())
+    rewrite_cache_entry(workspace, kind, lambda response: None)
+    capsys.readouterr()
+    assert run(argv(workspace)) == 0
+    assert capsys.readouterr().err == f"warning: cache {cache_path}: skipped 1 malformed line(s)\n"
+    assert (workspace / out).read_bytes() == first
+    assert len(cache_path.read_text(encoding="utf-8").splitlines()) == lines + 1
+
+
+def test_cached_string_logprobs_are_a_diagnostic_naming_the_cache(workspace, capsys):
+    assert run(score_argv(workspace)) == 0
+    rewrite_cache_entry(
+        workspace, dict, lambda r: {**r, "logprobs": [[str(lp) for lp in s] for s in r["logprobs"]]}
+    )
+    capsys.readouterr()
+    assert run(score_argv(workspace)) == 0
+    cache_path = workspace / "cache" / "cache.jsonl"
+    # Questions whose prompts render alike share the entry, so it fails each of them.
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings and all(f"cache {cache_path}: scoring entry logprob" in w for w in warnings)
+    diagnostics = (workspace / "scores.jsonl.diag.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [f"warning: {d['question_id']}: {d['error']}" for d in map(json.loads, diagnostics)] == warnings
+    assert len(load_scores(workspace / "scores.jsonl")) == 12 - len(warnings)
+
+
+@pytest.mark.parametrize("response", [5, ["x"], ""], ids=["number", "list", "empty"])
+def test_malformed_cached_generation_exits_two(workspace, capsys, response):
+    assert run(annotate_argv(workspace)) == 0
+    rewrite_cache_entry(workspace, str, lambda r: response)
+    (workspace / "annotated.jsonl").unlink()
+    capsys.readouterr()
+    assert run(annotate_argv(workspace)) == 2
+    cache_path = workspace / "cache" / "cache.jsonl"
+    assert_one_error_line(capsys.readouterr().err, 2, f"cache {cache_path}: generation entry")
+    assert not (workspace / "annotated.jsonl").exists()
+
+
+def test_report_m_below_one_is_a_usage_error(workspace, capsys):
+    assert run(score_argv(workspace)) == 0
+    report = workspace / "report.md"
+    argv = ["report", "--scores", str(workspace / "scores.jsonl"),
+            "--trajectories", str(workspace / "trajectories.jsonl"), "--out", str(report)]
+    capsys.readouterr()
+    for m in ("0", "-2"):
+        assert run([*argv, "-m", m]) == 1
+        assert_one_error_line(capsys.readouterr().err, 1, "-m")
+    assert not report.exists()
+    assert run([*argv, "-m", "1"]) == 0

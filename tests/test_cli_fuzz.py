@@ -52,7 +52,7 @@ def _argvs(ws: Path) -> dict[str, list[list[str]]]:
     files = {name: str(ws / name) for name in (
         "pool.jsonl", "trajectories.jsonl", "guideline.txt", "config.json", "scores.jsonl",
         "selection.jsonl", "embeddings.jsonl", "instruction.txt")}  # fmt: skip
-    out, cache = str(ws / "out"), str(ws.parent / "cache")
+    out, cache = str(ws / "out"), str(ws)  # each workspace holds its own cache.jsonl
     score = ["score", "--pool", files["pool.jsonl"], "--trajectories", files["trajectories.jsonl"],
              "--guideline", files["guideline.txt"], "--config", files["config.json"],
              "--out", out, "--cache-dir", cache]  # fmt: skip
@@ -92,6 +92,7 @@ def _argvs(ws: Path) -> dict[str, list[list[str]]]:
         ],  # fmt: skip
         "embeddings.jsonl": [["select", "--strategy", "fl", "-k", "2",
                               "--embeddings", files["embeddings.jsonl"], "--out", out]],
+        "cache.jsonl": [score, annotate(files["pool.jsonl"], "toyshop")],
     }  # fmt: skip
 
 
@@ -105,7 +106,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Well-formed inputs for every subcommand, the outputs of score and
-    select included."""
+    select included, and a cache that score and annotate have warmed."""
     ws = tmp_path_factory.mktemp("fuzz") / "base"
     ws.mkdir()
     env, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=8), 3)
@@ -127,6 +128,8 @@ def workspace(tmp_path_factory):
                            (argvs["scores.jsonl"][0], "selection.jsonl")):  # fmt: skip
         assert _run(argv)[0] == 0
         (ws / "out").rename(ws / produced)
+    assert _run(argvs["cache.jsonl"][1])[0] == 0
+    (ws / "out").unlink()
     return ws
 
 
@@ -175,23 +178,65 @@ def _mutate_file(data, path: Path) -> None:
     path.write_bytes(raw)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["config.json", "exemplars.jsonl", "pool.jsonl", "trajectories.jsonl", "scores.jsonl",
-     "selection.jsonl", "embeddings.jsonl"],
-)  # fmt: skip
-@settings(max_examples=40)
-@given(data=st.data())
-def test_mutated_input_exits_zero_or_with_one_error_line(workspace, name, data):
+def _run_on_a_copy(workspace: Path, name: str, mutate, pick) -> tuple[int, str]:
+    """Run the subcommand ``pick`` chooses among those that read ``name``,
+    in a copy of ``workspace`` where ``mutate`` has changed that file."""
     with tempfile.TemporaryDirectory(dir=workspace.parent) as tmp:
         ws = Path(tmp)
         for path in workspace.iterdir():
             shutil.copy(path, ws / path.name)
-        _mutate_file(data, ws / name)
-        argv = data.draw(st.sampled_from(_argvs(ws)[name]))
-        code, err = _run(argv)
+        mutate(ws / name)
+        return _run(pick(_argvs(ws)[name]))
+
+
+def _assert_zero_or_one_error_line(code: int, err: str) -> None:
     assert "Traceback" not in err
     if code == 0:
         assert not any(line.startswith("error:") for line in err.splitlines()), err
     else:
         assert err.startswith(f"error:{code}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["config.json", "exemplars.jsonl", "pool.jsonl", "trajectories.jsonl", "scores.jsonl",
+     "selection.jsonl", "embeddings.jsonl", "cache.jsonl"],
+)  # fmt: skip
+@settings(max_examples=40)
+@given(data=st.data())
+def test_mutated_input_exits_zero_or_with_one_error_line(workspace, name, data):
+    code, err = _run_on_a_copy(
+        workspace,
+        name,
+        lambda path: _mutate_file(data, path),
+        lambda argvs: data.draw(st.sampled_from(argvs)),
+    )
+    _assert_zero_or_one_error_line(code, err)
+
+
+def _strings(logprobs):
+    return [[str(lp) for lp in span] for span in logprobs]
+
+
+@pytest.mark.parametrize(
+    "command, kind, change",
+    [
+        (0, dict, lambda response: None),
+        (0, dict, lambda response: {**response, "logprobs": _strings(response["logprobs"])}),
+        (1, str, lambda response: None),
+        (1, str, lambda response: 5),
+        (1, str, lambda response: ["x"]),
+    ],
+    ids=["score-null", "score-string-logprobs", "annotate-null", "annotate-5", "annotate-list"],
+)
+def test_malformed_cache_entry_exits_zero_or_with_one_error_line(workspace, command, kind, change):
+    # ``command`` 0 is score, which reads the scoring entries (objects); 1 is
+    # annotate, which reads the generation entries (strings).
+    def mutate(path: Path) -> None:
+        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        entry = next(e for e in entries if isinstance(e["response"], kind))
+        entry["response"] = change(entry["response"])
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+
+    code, err = _run_on_a_copy(workspace, "cache.jsonl", mutate, lambda argvs: argvs[command])
+    _assert_zero_or_one_error_line(code, err)
