@@ -290,7 +290,6 @@ class HttpBackend(Backend):
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        max_inflight: int = 4,
         session: requests.Session | None = None,
     ) -> None:
         self.model = model
@@ -299,7 +298,6 @@ class HttpBackend(Backend):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._inflight = threading.Semaphore(max_inflight)
         if session is None:
             import requests
 
@@ -322,10 +320,9 @@ class HttpBackend(Backend):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                with self._inflight:
-                    response = self.session.post(
-                        url, json=body, headers=self._headers(), timeout=self.timeout
-                    )
+                response = self.session.post(
+                    url, json=body, headers=self._headers(), timeout=self.timeout
+                )
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
                 continue
@@ -403,10 +400,10 @@ class HttpBackend(Backend):
             if lp is not None:
                 lp = min(0.0, number(lp, f"{where} logprob", error=BackendError))
             top = None
-            if want_top_k > 0 and i < len(tops) and isinstance(tops[i], dict):
+            if want_top_k > 0 and i < len(tops) and tops[i] is not None:
                 alternatives = [
                     (t, number(p, f"{where} top_logprobs", error=BackendError))
-                    for t, p in tops[i].items()
+                    for t, p in keys(tops[i], None, f"{where} top_logprobs", BackendError).items()
                 ]
                 ranked = sorted(alternatives, key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
                 entries = tuple((t, min(0.0, p)) for t, p in ranked)
@@ -569,7 +566,7 @@ class CachedBackend(Backend):
 # The keys a backend entry of each kind may hold.
 _BACKEND_KEYS = {
     "ngram": ("kind", "model", "corpus", "order"),
-    "http": ("kind", "model", "endpoint", "timeout", "max_retries", "backoff", "max_inflight"),
+    "http": ("kind", "model", "endpoint", "timeout", "max_retries", "backoff"),
 }
 
 
@@ -598,9 +595,6 @@ def build_backend(config: dict) -> Backend:
                 config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0, high=10
             ),
             backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0, high=60),
-            max_inflight=number(
-                config.get("max_inflight", 4), "backend 'max_inflight'", integer=True, low=1
-            ),
         )
     return NgramBackend(
         corpus=string(config.get("corpus", ""), "backend 'corpus'", empty=True),

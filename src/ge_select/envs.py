@@ -145,9 +145,9 @@ def parse_requirements(text: str) -> dict[str, str]:
 class ToyShopEnv:
     """Seeded synthetic shop; one instance runs one episode at a time."""
 
-    def __init__(self, config: ToyShopConfig, catalog: Sequence[Product] | None = None) -> None:
+    def __init__(self, config: ToyShopConfig) -> None:
         self.config = config
-        self.catalog = list(catalog) if catalog is not None else build_catalog(config)
+        self.catalog = build_catalog(config)
         self._by_id = {p.id: p for p in self.catalog}
         self._by_title = {p.title(config.hidden_attrs): p for p in self.catalog}
         self._question: Question | None = None

@@ -245,7 +245,7 @@ class Guideline:
     """
 
     text: str
-    version: str = ""
+    version: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
         normalized = normalize_guideline_text(self.text)

@@ -202,7 +202,7 @@ def _score_prompt(
                 "op": "score_spans",
                 "v": 2,
                 "text": bundle.rendered,
-                "spans": [[s.char_start, s.char_end] for s in bundle.action_spans],
+                "spans": bundle.action_spans,
                 "top_k": top_k,
             }
         ),
@@ -214,11 +214,11 @@ def _score_prompt(
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
         logprobs: list[list[float]] = []
         dists: list[TokenDistribution] = []
-        for token_span in map_spans_to_tokens(bundle, echo):
-            tokens = echo[token_span.token_start : token_span.token_end]
+        for index, (first, last) in enumerate(map_spans_to_tokens(bundle, echo)):
+            tokens = echo[first:last]
             if any(token.logprob is None for token in tokens):
                 raise FormatError(
-                    f"scored span for step {token_span.step_index} covers a token "
+                    f"scored span for step {index} covers a token "
                     "without a logprob (prompt must not begin with an action)"
                 )
             logprobs.append([token.logprob for token in tokens])

@@ -27,37 +27,12 @@ DEFAULT_TEMPLATE = "{{instruction}}\n{{guideline}}{{exemplars}}Task: {{question}
 
 
 @dataclass(frozen=True)
-class ActionSpan:
-    step_index: int
-    char_start: int
-    char_end: int
-
-
-@dataclass(frozen=True)
 class PromptBundle:
-    """A rendered prompt plus the exact location of each scored action."""
+    """A rendered prompt plus the ``(start, end)`` character offsets of each
+    step's scored text, one pair per step in step order."""
 
     rendered: str
-    action_spans: tuple[ActionSpan, ...]
-    action_texts: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        prev_end = -1
-        for span, text in zip(self.action_spans, self.action_texts):
-            if span.char_start <= prev_end:
-                raise FormatError("action spans must be strictly increasing and disjoint")
-            if self.rendered[span.char_start : span.char_end] != text:
-                raise FormatError(
-                    f"action span {span.step_index} does not slice to its action text"
-                )
-            prev_end = span.char_end
-
-
-@dataclass(frozen=True)
-class TokenSpan:
-    step_index: int
-    token_start: int
-    token_end: int
+    action_spans: tuple[tuple[int, int], ...]
 
 
 class _Renderer:
@@ -66,18 +41,16 @@ class _Renderer:
     def __init__(self) -> None:
         self.parts: list[str] = []
         self.length = 0
-        self.spans: list[ActionSpan] = []
-        self.texts: list[str] = []
+        self.spans: list[tuple[int, int]] = []
 
     def emit(self, text: str) -> None:
         self.parts.append(text)
         self.length += len(text)
 
-    def emit_target(self, step_index: int, text: str) -> None:
+    def emit_target(self, text: str) -> None:
         start = self.length
         self.emit(text)
-        self.spans.append(ActionSpan(step_index, start, self.length))
-        self.texts.append(text)
+        self.spans.append((start, self.length))
 
     def rendered(self) -> str:
         return "".join(self.parts)
@@ -99,15 +72,15 @@ def render_steps(
     if trajectory.initial_observation:
         renderer.emit(trajectory.initial_observation)
         renderer.emit("\n")
-    for index, step in enumerate(trajectory.steps):
+    for step in trajectory.steps:
         if score_target == SCORE_TARGET_EMISSION and step.thought:
             renderer.emit("Thought: ")
-            renderer.emit_target(index, f"{step.thought}\nAction: {step.action}")
+            renderer.emit_target(f"{step.thought}\nAction: {step.action}")
         else:
             if step.thought:
                 renderer.emit(f"Thought: {step.thought}\n")
             renderer.emit("Action: ")
-            renderer.emit_target(index, step.action)
+            renderer.emit_target(step.action)
         renderer.emit("\n")
         renderer.emit(f"Observation: {step.observation}\n")
 
@@ -163,11 +136,7 @@ def build_prompt(
             render_steps(renderer, trajectory, score_target)
         else:
             renderer.emit(segment)
-    return PromptBundle(
-        rendered=renderer.rendered(),
-        action_spans=tuple(renderer.spans),
-        action_texts=tuple(renderer.texts),
-    )
+    return PromptBundle(renderer.rendered(), tuple(renderer.spans))
 
 
 def build_generation_prompt(
@@ -201,8 +170,9 @@ _START, _END = itemgetter(1), itemgetter(2)
 def map_spans_to_tokens(
     bundle: PromptBundle,
     tokens: Sequence[tuple],
-) -> tuple[TokenSpan, ...]:
-    """Map each action's character span onto indices of ``tokens``.
+) -> tuple[tuple[int, int], ...]:
+    """Map each step's character span onto a ``(first, last)`` slice of
+    ``tokens``.
 
     Fields 1 and 2 of a token are its character start and end, and the tokens
     tile the rendered text, as every ``echo_logprobs`` reply does. So their
@@ -212,10 +182,10 @@ def map_spans_to_tokens(
     dropped.
     """
     per_action = []
-    for span in bundle.action_spans:
-        first = bisect_right(tokens, span.char_start, key=_END)
-        last = bisect_left(tokens, span.char_end, lo=first, key=_START)
+    for index, (start, end) in enumerate(bundle.action_spans):
+        first = bisect_right(tokens, start, key=_END)
+        last = bisect_left(tokens, end, lo=first, key=_START)
         if last == first:
-            raise FormatError(f"action span {span.step_index} maps to zero tokens")
-        per_action.append(TokenSpan(span.step_index, first, last))
+            raise FormatError(f"action span {index} maps to zero tokens")
+        per_action.append((first, last))
     return tuple(per_action)

@@ -614,6 +614,30 @@ def test_http_echo_reply_that_does_not_tile_exits_three(workspace, capsys, local
     assert not (workspace / "scores.jsonl").exists()
 
 
+def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_server):
+    import threading
+    import time
+
+    state = {"active": 0, "peak": 0}
+    gate = threading.Lock()
+
+    def handler(path, body):
+        with gate:
+            state["active"] += 1
+            state["peak"] = max(state["peak"], state["active"])
+        time.sleep(0.05)
+        with gate:
+            state["active"] -= 1
+        return 200, echo_response(body["prompt"], body["logprobs"])
+
+    local_server.handler = handler
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace) + ["--parallel", "2"]) == 0
+    assert 1 <= state["peak"] <= 2
+
+
 def _ngram(**settings):
     return {"kind": "ngram", "order": 3, "corpus": "", **settings}
 
@@ -645,7 +669,7 @@ _CONFIG_CASES = {
     "http-timeout-huge": ("score_backend", _http(timeout=10**400), "timeout"),
     "http-backoff-negative": ("score_backend", _http(backoff=-1), "backoff"),
     "http-retries-float": ("score_backend", _http(max_retries=1.5), "max_retries"),
-    "http-inflight-zero": ("score_backend", _http(max_inflight=0), "max_inflight"),
+    "http-max_inflight-unknown-key": ("score_backend", _http(max_inflight=2), "'max_inflight'"),
     "http-model-int": ("score_backend", _http(model=5), "model"),
     "ngram-unknown-key": ("score_backend", _ngram(ordr=5), "'ordr'"),
     "http-unknown-key": ("score_backend", _http(retries=1), "'retries'"),
@@ -797,7 +821,8 @@ def test_non_utf8_input_file_exits_two(workspace, capsys, key):
 
 def test_traced_benchmark_child_runs_score_and_select(workspace):
     # The benchmark's traced runs wrap names of ge_select.cli and
-    # ge_select.pipeline (load_pool, build_backend, map_spans_to_tokens, ...).
+    # ge_select.pipeline (load_pool, build_backend, map_spans_to_tokens, ...),
+    # and subclass ``cli.CachedBackend`` and ``cli.ToyShopEnv`` for annotate.
     import subprocess
     import sys
     from pathlib import Path
@@ -808,9 +833,12 @@ def test_traced_benchmark_child_runs_score_and_select(workspace):
     # fl embeds the pool with ``cli.HashEmbedBackend``, which the trace subclasses.
     select_fl = ["select", "--strategy", "fl", "-k", "3", "--pool", str(workspace / "pool.jsonl"),
                  "--out", str(workspace / "sel_fl.jsonl")]  # fmt: skip
-    for name, argv, span in (("score", score_argv(workspace), "prompts.map_spans_to_tokens"),
-                             ("select", select, "selectors.select_ge"),
-                             ("select_fl", select_fl, "backends.hash_embed.embed")):  # fmt: skip
+    for name, argv, spans_run in (
+        ("score", score_argv(workspace), ["prompts.map_spans_to_tokens"]),
+        ("select", select, ["selectors.select_ge"]),
+        ("select_fl", select_fl, ["backends.hash_embed.embed"]),
+        ("annotate", annotate_argv(workspace), ["backends.ngram.generate", "envs.toyshop.step"]),
+    ):
         trace = workspace / f"{name}.trace.json"
         proc = subprocess.run(
             [sys.executable, str(child), "--trace-out", str(trace), *argv],
@@ -819,7 +847,8 @@ def test_traced_benchmark_child_runs_score_and_select(workspace):
         )
         assert proc.returncode == 0, proc.stderr
         spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
-        assert spans["models.load"]["calls"] >= 1 and spans[span]["calls"] >= 1
+        for span in ["models.load", *spans_run]:
+            assert spans[span]["calls"] >= 1, (name, span)
     assert len(load_selection(workspace / "selected.jsonl").items) == 3
 
 

@@ -88,14 +88,12 @@ def test_guideline_containing_action_lowers_with_guideline_difficulty():
     # independent oracle: recount bytes over both rendered variants
     bundle_with = build_prompt("Shop.", guideline, (), trajectory, question_text=question.text)
     bundle_without = build_prompt("Shop.", None, (), trajectory, question_text=question.text)
-    span_w = bundle_with.action_spans[0]
-    span_wo = bundle_without.action_spans[0]
     assert step.d_g == pytest.approx(
-        oracle_span_difficulty("", bundle_with.rendered, span_w.char_start, span_w.char_end, 3),
+        oracle_span_difficulty("", bundle_with.rendered, *bundle_with.action_spans[0], 3),
         abs=1e-9,
     )
     assert step.d_i == pytest.approx(
-        oracle_span_difficulty("", bundle_without.rendered, span_wo.char_start, span_wo.char_end, 3),
+        oracle_span_difficulty("", bundle_without.rendered, *bundle_without.action_spans[0], 3),
         abs=1e-9,
     )
 
@@ -280,12 +278,12 @@ def test_pre_v2_cache_entries_are_never_read(tmp_path):
             {
                 "op": "score_spans",
                 "text": bundle.rendered,
-                "spans": [[s.char_start, s.char_end] for s in bundle.action_spans],
+                "spans": [[start, end] for start, end in bundle.action_spans],
                 "top_k": 0 if g is None else config.top_k,
             }
         )
         stale = {
-            "logprobs": [[-9.0] * (s.char_end - s.char_start) for s in bundle.action_spans],
+            "logprobs": [[-9.0] * (end - start) for start, end in bundle.action_spans],
             "top": [],
         }
         cache.put(cache_key(backend.id, old_body), stale)

@@ -42,8 +42,8 @@ def test_spans_slice_to_action_text():
     trajectory = make_trajectory(["click[buy]"])
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
     assert len(bundle.action_spans) == 1
-    span = bundle.action_spans[0]
-    assert bundle.rendered[span.char_start : span.char_end] == "click[buy]"
+    start, end = bundle.action_spans[0]
+    assert bundle.rendered[start:end] == "click[buy]"
 
 
 def test_without_guideline_is_exact_segment_removal():
@@ -54,11 +54,12 @@ def test_without_guideline_is_exact_segment_removal():
     assert guideline.text in with_g.rendered
     assert with_g.rendered.replace(guideline.text, "", 1) == without_g.rendered
     # identical scored action texts in both variants
-    assert with_g.action_texts == without_g.action_texts
+    assert [with_g.rendered[a:b] for a, b in with_g.action_spans] == [
+        without_g.rendered[a:b] for a, b in without_g.action_spans
+    ]
     shift = len(guideline.text)
-    for a, b in zip(with_g.action_spans, without_g.action_spans):
-        assert a.char_start - shift == b.char_start
-        assert a.char_end - shift == b.char_end
+    for (a_start, a_end), (b_start, b_end) in zip(with_g.action_spans, without_g.action_spans):
+        assert (a_start - shift, a_end - shift) == (b_start, b_end)
 
 
 def test_rendered_equals_concat_without_guideline():
@@ -79,9 +80,9 @@ def test_adversarial_action_containing_marker_text():
     trajectory = make_trajectory([tricky, "click[buy]"])
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
     assert len(bundle.action_spans) == 2
-    s0, s1 = bundle.action_spans
-    assert bundle.rendered[s0.char_start : s0.char_end] == tricky
-    assert bundle.rendered[s1.char_start : s1.char_end] == "click[buy]"
+    (start0, end0), (start1, end1) = bundle.action_spans
+    assert bundle.rendered[start0:end0] == tricky
+    assert bundle.rendered[start1:end1] == "click[buy]"
 
 
 def test_thought_excluded_by_default_included_in_emission_mode():
@@ -89,15 +90,15 @@ def test_thought_excluded_by_default_included_in_emission_mode():
         ["click[buy]"], thoughts=["the lamp matches"], observations=["done"]
     )
     action_bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
-    span = action_bundle.action_spans[0]
-    assert action_bundle.rendered[span.char_start : span.char_end] == "click[buy]"
+    start, end = action_bundle.action_spans[0]
+    assert action_bundle.rendered[start:end] == "click[buy]"
     assert "Thought: the lamp matches" in action_bundle.rendered
 
     emission_bundle = build_prompt(
         INSTRUCTION, None, EXEMPLARS, trajectory, score_target="emission"
     )
-    span = emission_bundle.action_spans[0]
-    target = emission_bundle.rendered[span.char_start : span.char_end]
+    start, end = emission_bundle.action_spans[0]
+    target = emission_bundle.rendered[start:end]
     assert target == "the lamp matches\nAction: click[buy]"
 
 
@@ -127,39 +128,34 @@ def test_initial_observation_rendered_before_steps():
 def test_map_spans_identity_alignment():
     trajectory = make_trajectory(["click[buy]"])
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
-    span = bundle.action_spans[0]
+    start, end = bundle.action_spans[0]
     tokens = [
-        (bundle.rendered[: span.char_start], 0, span.char_start),
-        (bundle.rendered[span.char_start : span.char_end], span.char_start, span.char_end),
-        (bundle.rendered[span.char_end :], span.char_end, len(bundle.rendered)),
+        (bundle.rendered[:start], 0, start),
+        (bundle.rendered[start:end], start, end),
+        (bundle.rendered[end:], end, len(bundle.rendered)),
     ]
-    mapping = map_spans_to_tokens(bundle, tokens)
-    ts = mapping[0]
-    assert (ts.token_start, ts.token_end) == (1, 2)
+    assert map_spans_to_tokens(bundle, tokens) == ((1, 2),)
 
 
 def test_map_spans_straddling_token_included():
     trajectory = make_trajectory(["click[buy]"])
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
-    span = bundle.action_spans[0]
-    split = span.char_start + 3
+    start, _ = bundle.action_spans[0]
+    split = start + 3
     tokens = [
-        (bundle.rendered[: span.char_start - 2], 0, span.char_start - 2),
-        (bundle.rendered[span.char_start - 2 : split], span.char_start - 2, split),
-        (bundle.rendered[split :], split, len(bundle.rendered)),
+        (bundle.rendered[: start - 2], 0, start - 2),
+        (bundle.rendered[start - 2 : split], start - 2, split),
+        (bundle.rendered[split:], split, len(bundle.rendered)),
     ]
-    mapping = map_spans_to_tokens(bundle, tokens)
-    ts = mapping[0]
     # both the straddling token and the tail token intersect the span
-    assert (ts.token_start, ts.token_end) == (1, 3)
+    assert map_spans_to_tokens(bundle, tokens) == ((1, 3),)
 
 
 def test_map_spans_char_tokens_count_equals_action_length():
-    trajectory = make_trajectory(["click[buy]", "search[red lamp]"])
-    bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory)
+    actions = ["click[buy]", "search[red lamp]"]
+    bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, make_trajectory(actions))
     mapping = map_spans_to_tokens(bundle, char_tokens(bundle.rendered))
-    for token_span, text in zip(mapping, bundle.action_texts):
-        assert token_span.token_end - token_span.token_start == len(text)
+    assert [last - first for first, last in mapping] == [len(a) for a in actions]
 
 
 # Fragments that look like the prompt's own markers, so actions can contain them.
@@ -192,15 +188,26 @@ def test_map_spans_selects_exactly_the_overlapping_tokens(steps, score_target, d
     bounds = [0, *sorted(cuts), len(text)]
     tokens = [(text[a:b], a, b) for a, b in zip(bounds, bounds[1:])]
 
+    # each span slices to its step's scored text, and the spans strictly increase
+    assert len(bundle.action_spans) == len(steps)
+    prev_end = -1
+    for (start, end), step in zip(bundle.action_spans, steps):
+        if score_target == "emission" and step.thought:
+            scored = f"{step.thought}\nAction: {step.action}"
+        else:
+            scored = step.action
+        assert text[start:end] == scored
+        assert prev_end < start
+        prev_end = end
+
     mapping = map_spans_to_tokens(bundle, tokens)
     assert len(mapping) == len(bundle.action_spans)
-    for token_span, span in zip(mapping, bundle.action_spans):
+    for (first, last), (span_start, span_end) in zip(mapping, bundle.action_spans):
         overlapping = [
             i for i, (_, start, end) in enumerate(tokens)
-            if start < span.char_end and end > span.char_start
+            if start < span_end and end > span_start
         ]
-        assert token_span.step_index == span.step_index
-        assert list(range(token_span.token_start, token_span.token_end)) == overlapping
+        assert list(range(first, last)) == overlapping
 
 
 def test_generation_prompt_ends_with_action_cue():
@@ -241,7 +248,7 @@ def stub_generation_prompt(
     bundle = build_prompt(
         instruction, guideline, exemplars, stub, template, question_text=question_text
     )
-    prefix = bundle.rendered[: bundle.action_spans[0].char_start]
+    prefix = bundle.rendered[: bundle.action_spans[0][0]]
     return prefix + "".join(f"{a}\nObservation: {o}\nAction: " for a, o in history)
 
 
