@@ -112,6 +112,7 @@ def _count(counts: dict[bytes, list], ctx: bytes, b: int, base: dict[bytes, list
 
 
 _BYTE_TEXT = tuple(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in range(256))
+_LOG_UNSEEN = math.log(1 / 256)  # any byte after a context that no table holds
 
 
 def _rank(item: tuple[int, int]) -> tuple[int, int]:
@@ -179,55 +180,69 @@ class NgramBackend(Backend):
         total, following = self.counts.get(ctx[-self.order :], _EMPTY_BUCKET)
         return (following.get(byte_value, 0) + 1) / (total + 256)
 
-    @staticmethod
-    def _top_k(total: int, following: dict[int, int], k: int) -> TokenDistribution:
-        return _distribution(total, tuple(sorted(following.items(), key=_rank)[:k]), k)
-
     def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
         """Echo ``text``, reusing the tokens of the characters it shares with
         the previous text echoed at this top-k width. A token depends only on
         the text up to its end, so the shared ones are exact; only their local
-        counts are rebuilt before the loop resumes after them."""
+        counts are rebuilt before the loop resumes after them.
+
+        One loop visits each remaining byte. A character's first byte opens
+        its token and, at ``want_top_k > 0``, its top-k distribution; a UTF-8
+        continuation byte adds its logprob to the open token."""
         if not text:
             raise BackendError("echo scoring requires non-empty text")
+        k = want_top_k
         order = self.order
         local: dict[bytes, list] = {}
         data = text.encode("utf-8")
-        previous_text, previous = self._echoed.get(want_top_k, ("", ()))
-        shared = os.path.commonprefix([previous_text, text])
-        tokens: list[EchoToken] = list(previous[: len(shared)])
-        i = len(shared.encode("utf-8"))
+        previous_text, previous = self._echoed.get(k, ("", ()))
+        shared = len(os.path.commonprefix([previous_text, text]))
+        start = len(text[:shared].encode("utf-8"))
         corpus = self.counts
-        for end in range(order, i):
+        for end in range(order, start):
             _count(local, data[end - order : end], data[end], corpus)
         log = math.log
-        for char_index in range(len(shared), len(text)):
-            char = text[char_index]
-            logprob = 0.0
-            top: TokenDistribution | None = None
-            for j in range(1 if char < "\x80" else len(char.encode("utf-8"))):
-                b = data[i]
-                ctx = data[i - order : i] if i >= order else data[:i]
-                # The lookup and ``_count(local, ctx, b, corpus)``, inlined
-                # because this loop runs once per byte.
-                bucket = local.get(ctx)
-                total, following = corpus.get(ctx, _EMPTY_BUCKET) if bucket is None else bucket
-                if j == 0 and want_top_k > 0:
-                    top = self._top_k(total, following, want_top_k)
-                logprob += log((following.get(b, 0) + 1) / (total + 256))
+        unseen_top = _distribution(0, (), k) if k > 0 else None
+        logprobs: list[float] = []
+        tops: list[TokenDistribution | None] = []
+        for i in range(start, len(data)):
+            b = data[i]
+            opens = b & 0xC0 != 0x80  # not a UTF-8 continuation byte
+            ctx = data[i - order : i] if i >= order else data[:i]
+            # The lookup and ``_count(local, ctx, b, corpus)``, inlined
+            # because this loop runs once per byte.
+            counted = local.get(ctx)
+            bucket = counted or corpus.get(ctx)
+            if bucket is None:  # a context in no table: every byte is 1/256
+                if opens:
+                    logprobs.append(_LOG_UNSEEN)
+                    tops.append(unseen_top)
+                else:
+                    logprobs[-1] += _LOG_UNSEEN
                 if i >= order:
-                    if bucket is not None:
-                        bucket[0] += 1
-                        counted = bucket[1]
-                        counted[b] = counted.get(b, 0) + 1
-                    elif total:
-                        local[ctx] = [total + 1, {**following, b: following.get(b, 0) + 1}]
-                    else:
-                        local[ctx] = [1, {b: 1}]
-                i += 1
-            tokens.append(EchoToken(char, char_index, char_index + 1, logprob, top))
-        result = tuple(tokens)
-        self._echoed[want_top_k] = (text, result)
+                    local[ctx] = [1, {b: 1}]
+                continue
+            total, following = bucket
+            count = following.get(b, 0)
+            logprob = log((count + 1) / (total + 256))
+            if opens:
+                logprobs.append(logprob)
+                tops.append(
+                    _distribution(total, tuple(sorted(following.items(), key=_rank)[:k]), k)
+                    if k > 0
+                    else None
+                )
+            else:
+                logprobs[-1] += logprob
+            if counted is not None:
+                counted[0] = total + 1
+                following[b] = count + 1
+            elif i >= order:
+                local[ctx] = [total + 1, {**following, b: count + 1}]
+        n = len(text)
+        columns = zip(text[shared:], range(shared, n), range(shared + 1, n + 1), logprobs, tops)
+        result = previous[:shared] + tuple(map(EchoToken._make, columns))
+        self._echoed[k] = (text, result)
         return result
 
     def generate(

@@ -93,7 +93,12 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="score only the guideline-free prompt variant (ge is 0 in this mode)",
     )
-    p.add_argument("--parallel", type=int, default=None, help="worker count (default 4)")
+    p.add_argument(
+        "--parallel",
+        type=int,
+        default=None,
+        help="http scoring threads (default 4); n-gram scoring runs on one thread",
+    )
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help="response cache directory")
 
     p = sub.add_parser("select", help="select k questions")

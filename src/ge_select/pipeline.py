@@ -1,9 +1,12 @@
 """End-to-end orchestration: pool scoring, review reports, annotation, export.
 
-Scoring fans out across a bounded worker pool; aggregation is
-order-independent and the output is sorted by question id before writing, so
-results are invariant to pool order and parallelism degree. Failures are
-collected as diagnostics instead of aborting the batch.
+Scoring visits questions in id order. An http backend waits on the network,
+so its questions fan out across a bounded pool of worker threads; any other
+backend is CPU-bound under the GIL, so it scores on the calling thread and its
+cache appends follow question order. Aggregation is order-independent and the
+output is sorted by question id before writing, so results are invariant to
+pool order and parallelism degree. Failures are collected as diagnostics
+instead of aborting the batch.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ GE_SIGN_DEFAULT = "default"
 GE_SIGN_EQ5 = "eq5"
 GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
 
-# Scoring runs one thread per worker, so the worker count stays small.
+# An http backend scores on one thread per worker, so the worker count stays
+# small; other backends start no threads and ignore it.
 MAX_PARALLELISM = 256
 
 
@@ -314,12 +318,16 @@ def score_pool(
         except (BackendError, FormatError) as exc:
             return Diagnostic(qid, "score", str(exc))
 
-    # Imported here so the subcommands that never score skip its start-up cost.
-    from concurrent.futures import ThreadPoolExecutor
-
     ordered = sorted(chosen.items())  # ``map`` keeps this order in its outcomes
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool_exec:
-        outcomes = list(pool_exec.map(work, ordered))
+    # Wrappers forward ``id``, so its kind names the backend beneath them.
+    if backend.id.kind == "http":
+        # Imported here so runs that start no threads skip its start-up cost.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=config.parallelism) as pool_exec:
+            outcomes = list(pool_exec.map(work, ordered))
+    else:
+        outcomes = list(map(work, ordered))
     records = [o for o in outcomes if isinstance(o, ScoreRecord)]
     diagnostics.extend(o for o in outcomes if isinstance(o, Diagnostic))
     diagnostics.sort(key=lambda d: (d.question_id, d.error))

@@ -194,6 +194,12 @@ _NGRAM_TEXT = st.text(alphabet="ab \n[é€𝄞", max_size=16)
 @example(corpus="ab ab", text="ab ab ab", prompt="ab ab", order=2, k=2, stop=[])
 @example(corpus="ab é ab", text="é ab é ab", prompt="ab é", order=3, k=3, stop=["\n"])
 @example(corpus="a[a[", text="a[a[a[", prompt="[a[a", order=1, k=1, stop=[])
+# A character's first byte follows a context that no table holds while its
+# continuation byte follows a counted one: in the corpus, then earlier in the text.
+@example(corpus="é", text="aé", prompt="", order=1, k=2, stop=[])
+@example(corpus="", text="éaé", prompt="é", order=1, k=0, stop=[])
+# Top-k at contexts that no table holds, before and after the text counts any.
+@example(corpus="", text="ab €ab", prompt="b", order=2, k=4, stop=[])
 def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
     backend = NgramBackend(corpus, order)
     corpus_bytes = corpus.encode("utf-8")
@@ -418,7 +424,12 @@ def test_memoized_top_k_matches_an_unmemoized_reference(models, calls):
     for which, text, k in calls:
         n = which % len(models)
         assert echo_top_k(shared[n], text, k) == expected_top_k(*models[n], text, k)
-    assert NgramBackend._top_k(3, {97: 2, 98: 1}, 5) is NgramBackend._top_k(3, {98: 1, 97: 2}, 5)
+    # After "x" both texts have counted a twice and b once, in a different
+    # order; the memo hands both the same distribution object.
+    first, second = (
+        NgramBackend("", 1).echo_logprobs(text, 5)[-1].top for text in ("xaxaxbxc", "xbxaxaxc")
+    )
+    assert first is second
 
 
 def test_memoized_top_k_is_exact_under_eight_threads(monkeypatch):

@@ -635,7 +635,25 @@ def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_ser
     config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert run(score_argv(workspace) + ["--parallel", "2"]) == 0
-    assert 1 <= state["peak"] <= 2
+    assert state["peak"] == 2
+
+
+def test_ngram_score_starts_no_threads_and_writes_the_same_cache_twice(workspace, monkeypatch):
+    import concurrent.futures
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    written = []
+    for name in ("first", "second"):
+        argv = score_argv(workspace) + ["--parallel", "2"]
+        argv[argv.index("--cache-dir") + 1] = str(workspace / name)
+        assert run(argv) == 0
+        cache = workspace / name / "cache.jsonl"
+        written.append((cache.read_bytes(), (workspace / "scores.jsonl").read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][0]
 
 
 def _ngram(**settings):

@@ -11,6 +11,7 @@ import ge_select.pipeline as pipeline
 from ge_select.backends import (
     Backend,
     BackendError,
+    BackendId,
     CachedBackend,
     NgramBackend,
     ResponseCache,
@@ -139,6 +140,20 @@ def test_score_pool_rejects_unknown_question():
         )
 
 
+class HttpKind(Backend):
+    """Forwards echoes to a backend under an http ``id`` with the same
+    fingerprint, and records the threads they run on."""
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+        self.id = BackendId(kind="http", model=inner.id.model, fingerprint=inner.id.fingerprint)
+        self.threads: set[int] = set()
+
+    def echo_logprobs(self, text, want_top_k=0):
+        self.threads.add(threading.get_ident())
+        return self.inner.echo_logprobs(text, want_top_k)
+
+
 def test_score_pool_invariant_to_order_and_parallelism():
     config = ToyShopConfig(seed=21, catalog_size=10)
     env, pool, _ = toyshop_make(config, 8)
@@ -154,6 +169,18 @@ def test_score_pool_invariant_to_order_and_parallelism():
         tiny_config(parallelism=4),
     )
     assert base == shuffled
+    # Only an http backend scores on worker threads; this one forwards to the
+    # same n-gram model, so its records are the same.
+    pooled = HttpKind(backend)
+    threaded, _ = score_pool(
+        list(reversed(pool)),
+        list(reversed(trajectories)),
+        guideline,
+        pooled,
+        tiny_config(parallelism=4),
+    )
+    assert threaded == base
+    assert pooled.threads and threading.get_ident() not in pooled.threads
 
 
 def test_score_pool_warm_cache_issues_zero_calls(tmp_path):
