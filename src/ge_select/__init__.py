@@ -14,7 +14,6 @@ from .envs import (
     EnvError,
     EnvStep,
     HttpEnv,
-    ReplayEnv,
     ToyShopConfig,
     ToyShopEnv,
     toyshop_guideline,

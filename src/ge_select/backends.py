@@ -600,12 +600,15 @@ def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry, checked as
     ``backend_kind`` checks it. The http ``max_retries`` (at most 10) and
     ``backoff`` (at most 60 s) are capped, so the longest retry sleep,
-    ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours."""
+    ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours; ``timeout``
+    is capped at one hour, far below what a socket timeout can hold."""
     if backend_kind(config) == "http":
         return HttpBackend(
             model=string(config.get("model"), "backend 'model'", empty=True),
             endpoint=string(config.get("endpoint"), "backend 'endpoint'", empty=True),
-            timeout=number(config.get("timeout", 60.0), "backend 'timeout'", low=0.001),
+            timeout=number(
+                config.get("timeout", 60.0), "backend 'timeout'", low=0.001, high=3600
+            ),
             max_retries=number(
                 config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0, high=10
             ),

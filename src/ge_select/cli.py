@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backends import BackendError, CachedBackend, ResponseCache, build_backend
-from .envs import EnvError, HttpEnv, ReplayEnv, ToyShopConfig, ToyShopEnv
+from .envs import EnvError, HttpEnv, ToyShopConfig, ToyShopEnv
 from .models import (
     FormatError,
     Guideline,
@@ -45,7 +45,6 @@ from .pipeline import (
     score_pool,
 )
 from .selectors import (
-    DEFAULT_REWARD_TOLERANCE,
     HashEmbedBackend,
     select_facility_location,
     select_ge,
@@ -113,12 +112,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trajectories", help="trajectory JSONL (highscore)")
     p.add_argument("--embeddings", help="embedding JSONL (fl)")
     p.add_argument("--pool", help="pool JSONL (random; fl when embedding on the fly)")
-    p.add_argument(
-        "--reward-tolerance",
-        type=float,
-        default=DEFAULT_REWARD_TOLERANCE,
-        help="highscore: |reward-1| tolerance",
-    )
     p.add_argument("--out", required=True, help="output selection JSONL")
 
     p = sub.add_parser("report", help="write review report")
@@ -132,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", help="pool JSONL to resolve a selection file against")
     p.add_argument("--guideline", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--env", required=True, choices=["toyshop", "replay", "http"])
+    p.add_argument("--env", required=True, choices=["toyshop", "http"])
     p.add_argument("--env-url", help="base URL for --env http")
     p.add_argument("--tmax", type=int, default=None, help="turn cap (default 15)")
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
@@ -233,12 +226,7 @@ def _cmd_select(args) -> int:
     elif strategy == "highscore":
         if not args.trajectories:
             raise UsageError("--trajectories is required for --strategy highscore")
-        result = select_high_score(
-            load_trajectories(args.trajectories),
-            args.k,
-            args.seed,
-            reward_tolerance=args.reward_tolerance,
-        )
+        result = select_high_score(load_trajectories(args.trajectories), args.k, args.seed)
     else:  # fl
         if args.embeddings:
             ids, vectors = _load_embeddings_file(args.embeddings)
@@ -297,11 +285,6 @@ def _cmd_annotate(args) -> int:
         allowed = [f.name for f in dataclasses.fields(ToyShopConfig)]
         params = keys(config.env.get("toyshop", {}), allowed, "config env.toyshop")
         env = ToyShopEnv(ToyShopConfig(**params))
-    elif args.env == "replay":
-        recordings_path = config.env.get("replay_trajectories")
-        if not recordings_path:
-            raise FormatError("config env.replay_trajectories is required for --env replay")
-        env = ReplayEnv.from_trajectories(load_trajectories(recordings_path))
     else:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")

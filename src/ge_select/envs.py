@@ -6,9 +6,8 @@ result titles and are only revealed on the product page. Questions that need
 a hidden attribute are exactly the ones an incomplete guideline cannot help
 with, which gives the scoring pipeline a desk-scale ground truth.
 
-``ReplayEnv`` re-serves recorded trajectories so ingested data can be
-re-scored without a live environment. ``HttpEnv`` adapts a remote
-reset/step service.
+``HttpEnv`` adapts a remote reset/step service. Recorded trajectories need
+no environment: ``score`` re-scores them as they are.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .models import FormatError, Question, Step, Trajectory, keys, number, string
 
@@ -349,48 +348,6 @@ def toyshop_rollout(
         question_text=question.text,
         initial_observation=initial,
     )
-
-
-@dataclass
-class ReplayEnv:
-    """Replays recorded trajectories; actions must match the recording."""
-
-    recordings: dict[str, Trajectory] = field(default_factory=dict)
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Sequence[Trajectory]) -> "ReplayEnv":
-        recordings: dict[str, Trajectory] = {}
-        for t in trajectories:
-            recordings.setdefault(t.question_id, t)
-        return cls(recordings=recordings)
-
-    def __post_init__(self) -> None:
-        self._current: Trajectory | None = None
-        self._cursor = 0
-
-    def reset(self, question: Question) -> str:
-        recording = self.recordings.get(question.id)
-        if recording is None:
-            raise EnvError(f"no recorded trajectory for question {question.id!r}")
-        self._current = recording
-        self._cursor = 0
-        return recording.initial_observation
-
-    def step(self, action: str) -> EnvStep:
-        if self._current is None:
-            raise EnvError("reset must be called before step")
-        if self._cursor >= len(self._current.steps):
-            raise EnvError("step called after episode end; reset first")
-        recorded = self._current.steps[self._cursor]
-        if action != recorded.action:
-            raise EnvError(
-                f"replay mismatch at step {self._cursor}: got {action!r}, "
-                f"recorded {recorded.action!r}"
-            )
-        self._cursor += 1
-        done = self._cursor == len(self._current.steps)
-        reward = self._current.reward if done else 0.0
-        return EnvStep(recorded.observation, reward, done)
 
 
 class HttpEnv:

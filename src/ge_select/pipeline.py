@@ -108,7 +108,7 @@ class RunConfig:
         for name in ("score_backend", "generate_backend"):
             if getattr(self, name) != {}:  # empty when the run needs no such backend
                 backend_kind(getattr(self, name), name)
-        keys(self.env, ("toyshop", "replay_trajectories"), "env")
+        keys(self.env, ("toyshop",), "env")
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
@@ -119,14 +119,15 @@ def load_exemplars(path: str | Path) -> tuple[str, ...]:
 
 
 # The keys a run config may hold: files to read, and settings that go to
-# ``RunConfig`` as they are. Older configs still carry the retired keys,
-# which load with a warning.
+# ``RunConfig`` as they are. Older configs still carry the retired keys, at
+# the top level or in ``env``, which load with a warning.
 _PATH_KEYS = ("instruction_path", "exemplars_path", "template_path")
 _CONFIG_KEYS = (
     "score_target", "ge_sign", "top_k", "parallelism", "t_max",
     "score_backend", "generate_backend", "env",
 )  # fmt: skip
 _RETIRED_CONFIG_KEYS = ("m", "k", "embed_backend")
+_RETIRED_ENV_KEY = "replay_trajectories"
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -135,9 +136,13 @@ def load_run_config(path: str | Path) -> RunConfig:
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise FormatError(f"{path}: malformed config JSON: {exc}") from exc
     keys(raw, (*_CONFIG_KEYS, *_PATH_KEYS, *_RETIRED_CONFIG_KEYS), str(path))
-    for key in _RETIRED_CONFIG_KEYS:
-        if key in raw:
-            print(f"warning: {path}: config key {key!r} is retired and ignored", file=sys.stderr)
+    retired = [key for key in _RETIRED_CONFIG_KEYS if key in raw]
+    env = raw.get("env")
+    if isinstance(env, dict) and _RETIRED_ENV_KEY in env:
+        retired.append(f"env.{_RETIRED_ENV_KEY}")
+        raw["env"] = {k: v for k, v in env.items() if k != _RETIRED_ENV_KEY}
+    for key in retired:
+        print(f"warning: {path}: config key {key!r} is retired and ignored", file=sys.stderr)
     base = Path(path).parent
 
     def resolve(p: Any) -> Path:
@@ -160,11 +165,6 @@ def load_run_config(path: str | Path) -> RunConfig:
             cfg = dict(cfg)
             cfg["corpus"] = _read_text(resolve(cfg.pop("corpus_path")), "corpus")
             kwargs[backend_key] = cfg
-    env_cfg = kwargs.get("env")
-    if isinstance(env_cfg, dict) and "replay_trajectories" in env_cfg:
-        env_cfg = dict(env_cfg)
-        env_cfg["replay_trajectories"] = str(resolve(env_cfg["replay_trajectories"]))
-        kwargs["env"] = env_cfg
     return RunConfig(**kwargs)
 
 

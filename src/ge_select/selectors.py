@@ -29,7 +29,8 @@ from .models import (
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_REWARD_TOLERANCE = 1e-9
+# ``highscore`` takes a trajectory as perfect when its reward is this close to 1.
+REWARD_TOLERANCE = 1e-9
 EMBED_DIMENSIONS = 256
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -69,9 +70,8 @@ def select_high_score(
     trajectories: Sequence[Trajectory],
     k: int,
     seed: int,
-    reward_tolerance: float = DEFAULT_REWARD_TOLERANCE,
 ) -> SelectionResult:
-    perfect = [t for t in trajectories if abs(t.reward - 1.0) <= reward_tolerance]
+    perfect = [t for t in trajectories if abs(t.reward - 1.0) <= REWARD_TOLERANCE]
     warning = ""
     if len(perfect) < k:
         warning = (

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from ge_select.cli import run
+from ge_select.cli import _build_parser, run
 from ge_select.envs import ToyShopConfig, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
     Guideline,
@@ -77,6 +80,47 @@ def test_help_exits_zero_and_documents_flags(capsys):
         help_text = capsys.readouterr().out
         for flag in flags:
             assert flag in help_text, (command, flag)
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """Each subcommand's lines of the README's CLI synopsis."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    parts = re.split(r"^ge-select +(\w+)", block, flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    synopsis = _readme_synopsis()
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert sorted(synopsis) == sorted(commands)
+    for command, parser in commands.items():
+        text = synopsis[command]
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == options, command
+        for action in parser._actions:
+            if action.choices:
+                flag = action.option_strings[-1]
+                listed = re.search(rf"{flag} (\S+)", text).group(1).split("|")
+                assert listed == list(action.choices), (command, flag)
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["annotate", "--questions", "pool.jsonl", "--guideline", "guideline.txt",
+          "--config", "config.json", "--env", "replay", "--out", "out.jsonl"], "--env"),
+        (["select", "--strategy", "highscore", "--trajectories", "trajectories.jsonl",
+          "--reward-tolerance", "0.5", "--out", "out.jsonl"], "--reward-tolerance"),
+    ],  # fmt: skip
+    ids=["annotate-env-replay", "select-reward-tolerance"],
+)
+def test_removed_options_are_usage_errors(workspace, capsys, argv, needle):
+    assert run(ws_args(workspace, *argv)) == 1
+    assert_one_error_line(capsys.readouterr().err, 1, needle)
+    assert not (workspace / "out.jsonl").exists()
 
 
 def test_unknown_subcommand_and_flag_exit_one(capsys):
@@ -363,27 +407,6 @@ def test_annotate_questions_file_whose_first_record_is_not_an_object_exits_two(
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, f"{questions}:1:")
-
-
-def test_annotate_replay_env(workspace):
-    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
-    config["env"]["replay_trajectories"] = str(workspace / "trajectories.jsonl")
-    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    guideline = Guideline.load(workspace / "guideline.txt")
-    recorded = load_trajectories(workspace / "trajectories.jsonl")
-
-    # replay requires the generator to reproduce recorded actions, which the
-    # ngram generator will not; every question should fail with env errors
-    out = workspace / "replayed.jsonl"
-    code = run(
-        ["annotate", "--questions", str(workspace / "pool.jsonl"),
-         "--guideline", str(workspace / "guideline.txt"),
-         "--config", str(workspace / "config.json"),
-         "--env", "replay", "--tmax", "3",
-         "--cache-dir", str(workspace / "cache"),
-         "--out", str(out)]
-    )
-    assert code == 4
 
 
 def test_annotate_tmax_below_one_is_usage_error(workspace, capsys):
@@ -685,6 +708,7 @@ _CONFIG_CASES = {
     "ngram-model-int": ("score_backend", _ngram(model=5), "model"),
     "http-timeout-str": ("score_backend", _http(timeout="30"), "timeout"),
     "http-timeout-huge": ("score_backend", _http(timeout=10**400), "timeout"),
+    "http-timeout-1e10": ("score_backend", _http(timeout=1e10), "timeout"),
     "http-backoff-negative": ("score_backend", _http(backoff=-1), "backoff"),
     "http-retries-float": ("score_backend", _http(max_retries=1.5), "max_retries"),
     "http-max_inflight-unknown-key": ("score_backend", _http(max_inflight=2), "'max_inflight'"),
@@ -733,11 +757,12 @@ def test_retired_run_config_keys_load_with_one_warning_each(workspace, capsys):
     scores = (workspace / "scores.jsonl").read_bytes()
     capsys.readouterr()
     config.update({"m": 5, "k": 9, "embed_backend": {"kind": "hash_embed"}})
+    config["env"]["replay_trajectories"] = "recorded.jsonl"
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert run(score_argv(workspace)) == 0
     warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 3
-    for key, line in zip(["m", "k", "embed_backend"], warnings):
+    assert len(warnings) == 4
+    for key, line in zip(["m", "k", "embed_backend", "env.replay_trajectories"], warnings):
         assert line.startswith("warning: ") and f"config key {key!r} is retired" in line
     assert (workspace / "scores.jsonl").read_bytes() == scores
 

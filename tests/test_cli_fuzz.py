@@ -42,7 +42,6 @@ CONFIG = {
     "env": {
         "toyshop": {"seed": 3, "catalog_size": 8, "hidden_attrs": ["flavor"],
                     "max_results": 3, "turn_cap": 4},
-        "replay_trajectories": "trajectories.jsonl",
     },
 }  # fmt: skip
 
@@ -57,18 +56,17 @@ def _argvs(ws: Path) -> dict[str, list[list[str]]]:
              "--guideline", files["guideline.txt"], "--config", files["config.json"],
              "--out", out, "--cache-dir", cache]  # fmt: skip
 
-    def annotate(questions: str, env: str) -> list[str]:
+    def annotate(questions: str) -> list[str]:
         return ["annotate", "--questions", questions, "--pool", files["pool.jsonl"],
                 "--guideline", files["guideline.txt"], "--config", files["config.json"],
-                "--env", env, "--out", out, "--cache-dir", cache]  # fmt: skip
+                "--env", "toyshop", "--out", out, "--cache-dir", cache]  # fmt: skip
 
     report = ["report", "--scores", files["scores.jsonl"],
               "--trajectories", files["trajectories.jsonl"], "--out", out]  # fmt: skip
     return {
-        "config.json": [score, annotate(files["pool.jsonl"], "toyshop"),
-                        annotate(files["pool.jsonl"], "replay")],  # fmt: skip
+        "config.json": [score, annotate(files["pool.jsonl"])],
         "exemplars.jsonl": [score],
-        "pool.jsonl": [score, annotate(files["pool.jsonl"], "toyshop")],
+        "pool.jsonl": [score, annotate(files["pool.jsonl"])],
         "trajectories.jsonl": [
             score,
             report,
@@ -86,13 +84,13 @@ def _argvs(ws: Path) -> dict[str, list[list[str]]]:
             report,
         ],  # fmt: skip
         "selection.jsonl": [
-            annotate(files["selection.jsonl"], "toyshop"),
+            annotate(files["selection.jsonl"]),
             ["stats", "--trajectories", files["trajectories.jsonl"],
              "--selected", files["selection.jsonl"], "--pool", files["pool.jsonl"]],
         ],  # fmt: skip
         "embeddings.jsonl": [["select", "--strategy", "fl", "-k", "2",
                               "--embeddings", files["embeddings.jsonl"], "--out", out]],
-        "cache.jsonl": [score, annotate(files["pool.jsonl"], "toyshop")],
+        "cache.jsonl": [score, annotate(files["pool.jsonl"])],
     }  # fmt: skip
 
 

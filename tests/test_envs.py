@@ -8,7 +8,6 @@ from ge_select.envs import (
     EnvStep,
     MAX_CATALOG_SIZE,
     HttpEnv,
-    ReplayEnv,
     ToyShopConfig,
     ToyShopEnv,
     build_catalog,
@@ -17,7 +16,7 @@ from ge_select.envs import (
     toyshop_make,
     toyshop_rollout,
 )
-from ge_select.models import FormatError, Question, Step, Trajectory
+from ge_select.models import FormatError, Question
 
 
 def make_env(seed=0, **kwargs) -> ToyShopEnv:
@@ -221,44 +220,6 @@ def test_guideline_builder_covers_visible_only_by_default():
     for value in ATTRIBUTE_VALUES["flavor"]:
         assert f"click[{value}]" in full
     assert "never appear in titles" in full
-
-
-def sample_recorded() -> Trajectory:
-    return Trajectory(
-        question_id="q1",
-        guideline_version="0" * 12,
-        steps=(
-            Step(action="search[lamp]", observation="Results: [P001] lamp"),
-            Step(action="click[buy]", observation="done"),
-        ),
-        reward=0.75,
-        source="ingested",
-        initial_observation="You are shopping.",
-    )
-
-
-def test_replay_follows_recording():
-    env = ReplayEnv.from_trajectories([sample_recorded()])
-    obs = env.reset(Question(id="q1", text="find a lamp"))
-    assert obs == "You are shopping."
-    step1 = env.step("search[lamp]")
-    assert step1.observation == "Results: [P001] lamp"
-    assert not step1.done and step1.reward == 0.0
-    step2 = env.step("click[buy]")
-    assert step2.done and step2.reward == 0.75
-
-
-def test_replay_unknown_question_is_error():
-    env = ReplayEnv.from_trajectories([sample_recorded()])
-    with pytest.raises(EnvError, match="no recorded"):
-        env.reset(Question(id="q999", text="unknown"))
-
-
-def test_replay_action_mismatch_is_error():
-    env = ReplayEnv.from_trajectories([sample_recorded()])
-    env.reset(Question(id="q1", text="find a lamp"))
-    with pytest.raises(EnvError, match="mismatch"):
-        env.step("click[P001]")
 
 
 def test_http_env_round_trip(local_server):
