@@ -88,11 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", required=True, help="output score JSONL")
     p.add_argument(
-        "--no-guideline-only",
-        action="store_true",
-        help="score only the guideline-free prompt variant (ge is 0 in this mode)",
-    )
-    p.add_argument(
         "--parallel",
         type=int,
         default=None,
@@ -168,13 +163,7 @@ def _cmd_score(args) -> int:
         raise FormatError("config has no score_backend entry")
     backend = build_backend(config.score_backend)
     records, diagnostics = score_pool(
-        pool,
-        trajectories,
-        guideline,
-        backend,
-        config,
-        args.no_guideline_only,
-        cache=_response_cache(args.cache_dir),
+        pool, trajectories, guideline, backend, config, cache=_response_cache(args.cache_dir)
     )
     failures = [d for d in diagnostics if d.error not in SCORE_SKIPS]
     if failures and not records:

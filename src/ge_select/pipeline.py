@@ -49,6 +49,7 @@ from .prompts import (
     PromptBundle,
     build_generation_prompt,
     build_prompt,
+    check_template,
     map_spans_to_tokens,
 )
 from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
@@ -101,6 +102,7 @@ class RunConfig:
         number(self.top_k, "top_k", integer=True, low=0)
         number(self.parallelism, "parallelism", integer=True, low=1, high=MAX_PARALLELISM)
         number(self.t_max, "t_max", integer=True, low=1)
+        check_template(self.template)
         if self.score_target not in SCORE_TARGETS:
             raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
         if self.ge_sign not in GE_SIGNS:
@@ -161,7 +163,10 @@ def load_run_config(path: str | Path) -> RunConfig:
             kwargs[key] = raw[key]
     for backend_key in ("score_backend", "generate_backend"):
         cfg = kwargs.get(backend_key)
-        if isinstance(cfg, dict) and "corpus_path" in cfg:
+        # Only ngram takes ``corpus_path``; ``RunConfig`` rejects it elsewhere.
+        if isinstance(cfg, dict) and cfg.get("kind") == "ngram" and "corpus_path" in cfg:
+            if "corpus" in cfg:
+                raise FormatError(f"{path}: {backend_key} holds both 'corpus' and 'corpus_path'")
             cfg = dict(cfg)
             cfg["corpus"] = _read_text(resolve(cfg.pop("corpus_path")), "corpus")
             kwargs[backend_key] = cfg
@@ -239,14 +244,13 @@ def score_trajectory(
     guideline: Guideline,
     backend: Backend,
     config: RunConfig,
-    no_guideline_only: bool = False,
     cache: ResponseCache | None = None,
 ) -> ScoreRecord:
     """Score one trajectory under both prompt variants.
 
-    With ``no_guideline_only`` only the guideline-free prompt is scored; both
-    difficulty columns then carry the same values and ge is zero, which is
-    useful for cache warming and base-difficulty inspection.
+    The guideline-free prompt is scored at ``top_k`` 0, since only its
+    logprobs are used; ``mean_entropy`` comes from the guideline prompt,
+    scored at ``config.top_k``.
     """
 
     def render(g: Guideline | None) -> PromptBundle:
@@ -260,17 +264,11 @@ def score_trajectory(
             question_text=question.text,
         )
 
-    without_lists, entropy = _score_prompt(
-        render(None), backend, config.top_k if no_guideline_only else 0, cache
-    )
-    if no_guideline_only:
-        per_step, _ = aggregate_trajectory(without_lists, without_lists)
-        ge = 0.0
-    else:
-        with_lists, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
-        per_step, ge = aggregate_trajectory(with_lists, without_lists)
-        if config.ge_sign == GE_SIGN_EQ5:
-            ge = -ge
+    without_lists, _ = _score_prompt(render(None), backend, 0, cache)
+    with_lists, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
+    per_step, ge = aggregate_trajectory(with_lists, without_lists)
+    if config.ge_sign == GE_SIGN_EQ5:
+        ge = -ge
     return ScoreRecord(
         question_id=trajectory.question_id,
         guideline_version=guideline.version,
@@ -287,7 +285,6 @@ def score_pool(
     guideline: Guideline,
     backend: Backend,
     config: RunConfig,
-    no_guideline_only: bool = False,
     cache: ResponseCache | None = None,
 ) -> tuple[list[ScoreRecord], list[Diagnostic]]:
     """Score every question that has a trajectory; first trajectory wins.
@@ -312,9 +309,7 @@ def score_pool(
     def work(item: tuple[str, Trajectory]):
         qid, trajectory = item
         try:
-            return score_trajectory(
-                trajectory, by_id[qid], guideline, backend, config, no_guideline_only, cache
-            )
+            return score_trajectory(trajectory, by_id[qid], guideline, backend, config, cache)
         except (BackendError, FormatError) as exc:
             return Diagnostic(qid, "score", str(exc))
 

@@ -85,6 +85,14 @@ def render_steps(
         renderer.emit(f"Observation: {step.observation}\n")
 
 
+def check_template(template: str) -> None:
+    """Raise ``FormatError`` naming the first placeholder ``template`` lacks."""
+    names = {m.group(1) for m in _PLACEHOLDER_RE.finditer(template)}
+    for required in _PLACEHOLDERS:
+        if required not in names:
+            raise FormatError(f"template is missing the {{{{{required}}}}} placeholder")
+
+
 def _segments(
     template: str,
     instruction: str,
@@ -94,10 +102,7 @@ def _segments(
 ) -> Iterator[str | None]:
     """The template's rendered pieces in order, with None for each
     ``{{steps}}``. A template missing any placeholder raises ``FormatError``."""
-    names = {m.group(1) for m in _PLACEHOLDER_RE.finditer(template)}
-    for required in _PLACEHOLDERS:
-        if required not in names:
-            raise FormatError(f"template is missing the {{{{{required}}}}} placeholder")
+    check_template(template)
     values = {
         "instruction": instruction,
         "guideline": guideline.text if guideline is not None else "",

@@ -17,6 +17,8 @@ from ge_select.models import (
     load_trajectories,
     write_records,
 )
+from ge_select.pipeline import load_run_config
+from ge_select.prompts import DEFAULT_TEMPLATE
 
 from conftest import echo_response
 
@@ -69,7 +71,7 @@ def test_help_exits_zero_and_documents_flags(capsys):
     assert run(["--help"]) == 0
     for command, flags in {
         "score": ["--pool", "--trajectories", "--guideline", "--config", "--out",
-                  "--no-guideline-only", "--parallel", "--cache-dir"],
+                  "--parallel", "--cache-dir"],
         "select": ["--scores", "--strategy", "-k", "--seed", "--trajectories", "--embeddings", "--out"],
         "report": ["--scores", "--trajectories", "-m", "--out"],
         "annotate": ["--questions", "--guideline", "--config", "--env", "--env-url", "--tmax", "--out"],
@@ -82,10 +84,16 @@ def test_help_exits_zero_and_documents_flags(capsys):
             assert flag in help_text, (command, flag)
 
 
+def _readme_block(heading: str) -> str:
+    """The first fenced block under the README's ``## <heading>``, without
+    its info string."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {heading}\n", 1)[1].split("```")[1].split("\n", 1)[1]
+
+
 def _readme_synopsis() -> dict[str, str]:
     """Each subcommand's lines of the README's CLI synopsis."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    block = _readme_block("CLI")
     parts = re.split(r"^ge-select +(\w+)", block, flags=re.MULTILINE)
     return dict(zip(parts[1::2], parts[2::2]))
 
@@ -107,15 +115,29 @@ def test_readme_cli_synopsis_matches_the_parser():
                 assert listed == list(action.choices), (command, flag)
 
 
+def test_readme_example_config_loads_without_warning(tmp_path, capsys):
+    (tmp_path / "config.json").write_text(_readme_block("Config file"), encoding="utf-8")
+    (tmp_path / "instruction.txt").write_text("Shop.\n", encoding="utf-8")
+    (tmp_path / "exemplars.jsonl").write_text('{"text": "Task: x\\nAction: y\\n"}\n', encoding="utf-8")
+    (tmp_path / "template.txt").write_text(DEFAULT_TEMPLATE, encoding="utf-8")
+    (tmp_path / "corpus.txt").write_text("search[mug]\n", encoding="utf-8")
+    config = load_run_config(tmp_path / "config.json")
+    assert capsys.readouterr().err == ""
+    assert config.generate_backend["corpus"] == "search[mug]\n"
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
+        (["score", "--pool", "pool.jsonl", "--trajectories", "trajectories.jsonl",
+          "--guideline", "guideline.txt", "--config", "config.json", "--no-guideline-only",
+          "--out", "out.jsonl"], "--no-guideline-only"),
         (["annotate", "--questions", "pool.jsonl", "--guideline", "guideline.txt",
           "--config", "config.json", "--env", "replay", "--out", "out.jsonl"], "--env"),
         (["select", "--strategy", "highscore", "--trajectories", "trajectories.jsonl",
           "--reward-tolerance", "0.5", "--out", "out.jsonl"], "--reward-tolerance"),
     ],  # fmt: skip
-    ids=["annotate-env-replay", "select-reward-tolerance"],
+    ids=["score-no-guideline-only", "annotate-env-replay", "select-reward-tolerance"],
 )
 def test_removed_options_are_usage_errors(workspace, capsys, argv, needle):
     assert run(ws_args(workspace, *argv)) == 1
@@ -721,6 +743,10 @@ _CONFIG_CASES = {
     "kind-unknown": ("score_backend", {"kind": "quantum"}, "quantum"),
     "kind-hash_embed": ("score_backend", {"kind": "hash_embed"}, "'hash_embed'"),
     "http-no-endpoint": ("score_backend", {"kind": "http", "model": "m"}, "endpoint"),
+    "ngram-corpus-and-corpus_path": (
+        "score_backend", _ngram(corpus_path="guideline.txt"), "'corpus' and 'corpus_path'"
+    ),
+    "http-corpus_path": ("generate_backend", _http(corpus_path="guideline.txt"), "'corpus_path'"),
 }
 
 
@@ -739,6 +765,25 @@ def test_string_parallelism_in_config_exits_two(workspace, capsys, key, value, n
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, needle)
+
+
+@pytest.mark.parametrize("command", ["score", "annotate"])
+def test_template_without_a_placeholder_exits_two_at_load(workspace, capsys, command):
+    (workspace / "template.txt").write_text(
+        "{{instruction}}\n{{exemplars}}Task: {{question}}\n{{steps}}", encoding="utf-8"
+    )
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["template_path"] = "template.txt"
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = score_argv(workspace) if command == "score" else [
+        "annotate", "--questions", str(workspace / "pool.jsonl"),
+        "--guideline", str(workspace / "guideline.txt"),
+        "--config", str(workspace / "config.json"), "--env", "toyshop",
+        "--cache-dir", str(workspace / "cache"), "--out", str(workspace / "annotated.jsonl"),
+    ]  # fmt: skip
+    assert run(argv) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "{{guideline}}")
+    assert not (workspace / "cache").exists()
 
 
 @pytest.mark.parametrize("key", ["top-k", "topk", "score_backends", "instruction"])

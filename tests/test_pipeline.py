@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -277,11 +278,15 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
     assert warm == record
     assert counting.counts["echo"] == 2 and len(mapped) == 2  # a hit maps no spans
 
-    # top_k is part of the key: the guideline-free prompt at top_k=2 is a miss
-    base = score_trajectory(
-        trajectory, pool[0], guideline, counting, config, True, ResponseCache(cache_path)
-    )
-    assert counting.counts["echo"] == 3 and base.mean_entropy is not None
+    # top_k is part of the key: a rerun at top_k=3 echoes the guideline prompt only
+    rerun = score_trajectory(
+        trajectory, pool[0], guideline, counting, tiny_config(top_k=3),
+        cache=ResponseCache(cache_path),
+    )  # fmt: skip
+    assert counting.counts["echo"] == 3
+    added = json.loads(cache_path.read_text().splitlines()[-1])["response"]
+    assert added["logprobs"] == with_guideline["logprobs"] != without["logprobs"]
+    assert (rerun.per_step, rerun.ge) == (record.per_step, record.ge)
 
 
 def test_pre_v2_cache_entries_are_never_read(tmp_path):
@@ -354,42 +359,21 @@ def test_racing_scorers_agree_and_store_one_entry_per_prompt(tmp_path):
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
 
 
-def test_score_pool_no_guideline_only_mode():
-    pool = [Question(id="q1", text="find a mug")]
-    guideline = Guideline.from_text("Finish with click[buy].")
-    records, _ = score_pool(
-        pool,
-        [make_trajectory("q1")],
-        guideline,
-        NgramBackend("", order=3),
-        tiny_config(),
-        no_guideline_only=True,
-    )
-    record = records[0]
-    assert record.ge == 0.0
-    assert all(s.d_i == s.d_g for s in record.per_step)
-    assert record.mean_entropy is not None
-
-
-@pytest.mark.parametrize("top_k, echoes_per_question", [(0, 1), (2, 2)])
-def test_no_guideline_only_warms_the_full_pass_only_at_top_k_zero(
-    tmp_path, top_k, echoes_per_question
-):
-    """The warming pass keys its prompts with the config's top_k, but a full
-    pass reads the guideline-free prompt at top_k 0: only then does the full
-    pass echo nothing but the guideline prompts."""
-    pool = [Question(id=f"q{i}", text=f"find item {i}") for i in range(3)]
-    trajectories = [make_trajectory(f"q{i}", question=f"find item {i}") for i in range(3)]
-    guideline = Guideline.from_text("Act fast.")
-    cache = ResponseCache(tmp_path / "c.jsonl")
-    config = tiny_config(top_k=top_k)
-    counting = CountingBackend(NgramBackend("", order=2))
-    score_pool(pool, trajectories, guideline, counting, config, True, cache=cache)
-    assert counting.counts["echo"] == 3
-    counting.counts["echo"] = 0
-    records, _ = score_pool(pool, trajectories, guideline, counting, config, cache=cache)
-    assert counting.counts["echo"] == 3 * echoes_per_question
-    assert records == score_pool(pool, trajectories, guideline, counting, config)[0]
+@pytest.mark.parametrize("corpus", ["", toyshop_guideline()], ids=["empty", "guideline"])
+def test_only_mean_entropy_depends_on_top_k(corpus):
+    """Every run scores the guideline-free prompt at top_k 0, so a full run's
+    per-step d_i is the base difficulty whatever the config's top_k."""
+    env, pool, _ = toyshop_make(ToyShopConfig(seed=9, catalog_size=10), 4)
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
+    backend = NgramBackend(corpus, order=4)
+    at_zero, _ = score_pool(pool, trajectories, guideline, backend, tiny_config(top_k=0))
+    at_five, _ = score_pool(pool, trajectories, guideline, backend, tiny_config(top_k=5))
+    assert len(at_zero) == len(at_five) == len(pool)
+    for zero, five in zip(at_zero, at_five):
+        assert zero.mean_entropy is None and five.mean_entropy is not None
+        assert (zero.per_step, zero.ge) == (five.per_step, five.ge)
+        assert dataclasses.replace(five, mean_entropy=None) == zero
 
 
 def test_score_records_carry_backend_fingerprint_and_entropy():
