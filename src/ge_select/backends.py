@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .models import FormatError, keys, number, string
+from .models import FormatError, _read_text, keys, number, string
 from .scoring import TokenDistribution
 
 if TYPE_CHECKING:
@@ -580,25 +580,28 @@ class CachedBackend(Backend):
 
 # The keys a backend entry of each kind may hold.
 _BACKEND_KEYS = {
-    "ngram": ("kind", "model", "corpus", "order"),
+    "ngram": ("kind", "model", "corpus", "corpus_path", "order"),
     "http": ("kind", "model", "endpoint", "timeout", "max_retries", "backoff"),
 }
 
 
 def backend_kind(config: Any, where: str = "backend entry") -> str:
     """The ``kind`` of one backend config entry. An entry that is not an
-    object, lacks a known ``kind`` or holds a key its kind does not take
-    raises ``FormatError``."""
+    object, lacks a known ``kind``, holds a key its kind does not take, or
+    holds both ``corpus`` and ``corpus_path`` raises ``FormatError``."""
     kind = keys(config, None, where).get("kind")
     if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
         raise FormatError(f"{where} needs a 'kind' in {list(_BACKEND_KEYS)}, got {kind!r}")
     keys(config, _BACKEND_KEYS[kind], f"{kind} {where}")
+    if "corpus" in config and "corpus_path" in config:
+        raise FormatError(f"{where} holds both 'corpus' and 'corpus_path'")
     return kind
 
 
 def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry, checked as
-    ``backend_kind`` checks it. The http ``max_retries`` (at most 10) and
+    ``backend_kind`` checks it, with its values checked and its n-gram
+    ``corpus_path`` file read. The http ``max_retries`` (at most 10) and
     ``backoff`` (at most 60 s) are capped, so the longest retry sleep,
     ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours; ``timeout``
     is capped at one hour, far below what a socket timeout can hold."""
@@ -614,8 +617,11 @@ def build_backend(config: dict) -> Backend:
             ),
             backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0, high=60),
         )
+    corpus = string(config.get("corpus", ""), "backend 'corpus'", empty=True)
+    if "corpus_path" in config:  # ``backend_kind`` allows one of the two
+        corpus = _read_text(string(config["corpus_path"], "backend 'corpus_path'"), "corpus")
     return NgramBackend(
-        corpus=string(config.get("corpus", ""), "backend 'corpus'", empty=True),
+        corpus=corpus,
         order=number(
             config.get("order", 3), "backend 'order'", integer=True, low=1, high=MAX_NGRAM_ORDER
         ),

@@ -9,7 +9,6 @@ produce byte-identical outputs. Nonzero exits print a single machine-parsable
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ from .models import (
     Question,
     _load_jsonl,
     _read_text,
-    keys,
     load_pool,
     load_scores,
     load_selection,
@@ -271,9 +269,7 @@ def _cmd_annotate(args) -> int:
     if not config.generate_backend:
         raise FormatError("config has no generate_backend entry")
     if args.env == "toyshop":
-        allowed = [f.name for f in dataclasses.fields(ToyShopConfig)]
-        params = keys(config.env.get("toyshop", {}), allowed, "config env.toyshop")
-        env = ToyShopEnv(ToyShopConfig(**params))
+        env = ToyShopEnv(ToyShopConfig(**config.env.get("toyshop", {})))
     else:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")

@@ -454,18 +454,21 @@ def _load_jsonl(path: str | Path, kind: str) -> Iterable[tuple[int, dict]]:
         yield lineno, record
 
 
+def _check_unique(seen: dict[str, int], value: str, name: str, path: str | Path, lineno: int) -> None:
+    """Add ``value`` at ``lineno`` to ``seen``; a repeat raises ``FormatError`` naming both lines."""
+    if value in seen:
+        first = seen[value]
+        raise FormatError(f"{path}:{lineno}: duplicate {name} {value!r} (first seen on line {first})")
+    seen[value] = lineno
+
+
 def load_pool(path: str | Path) -> list[Question]:
     """Read a question pool, rejecting duplicate ids by line number."""
     questions: list[Question] = []
     seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "pool"):
         q = Question.from_record(record, ctx=f"{path}:{lineno}")
-        if q.id in seen:
-            raise FormatError(
-                f"{path}:{lineno}: duplicate question id {q.id!r} "
-                f"(first seen on line {seen[q.id]})"
-            )
-        seen[q.id] = lineno
+        _check_unique(seen, q.id, "question id", path, lineno)
         questions.append(q)
     return questions
 
@@ -478,12 +481,14 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
 
 
 def load_scores(path: str | Path) -> list[ScoreRecord]:
-    """Read a scores file. Its records must share one ``guideline_version``
-    and one ``backend_id``: ge values from different guidelines or models do
-    not rank against each other."""
+    """Read a scores file, rejecting duplicate ids by line number. Its records
+    must share one ``guideline_version`` and one ``backend_id``: ge values
+    from different guidelines or models do not rank against each other."""
     scores: list[ScoreRecord] = []
+    seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "score"):
         score = ScoreRecord.from_record(record, ctx=f"{path}:{lineno}")
+        _check_unique(seen, score.question_id, "question_id", path, lineno)
         if not scores:
             first, first_line = score, lineno
         for name in ("guideline_version", "backend_id"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -26,7 +26,7 @@ from .backends import (
     cache_key,
     canonical_request,
 )
-from .envs import EnvError
+from .envs import EnvError, ToyShopConfig
 from .models import (
     LEVELS,
     FormatError,
@@ -111,6 +111,8 @@ class RunConfig:
             if getattr(self, name) != {}:  # empty when the run needs no such backend
                 backend_kind(getattr(self, name), name)
         keys(self.env, ("toyshop",), "env")
+        # ``ToyShopConfig`` checks the values when ``annotate`` builds it.
+        keys(self.env.get("toyshop", {}), [f.name for f in fields(ToyShopConfig)], "env.toyshop")
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
@@ -162,14 +164,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         if key in raw:
             kwargs[key] = raw[key]
     for backend_key in ("score_backend", "generate_backend"):
-        cfg = kwargs.get(backend_key)
-        # Only ngram takes ``corpus_path``; ``RunConfig`` rejects it elsewhere.
-        if isinstance(cfg, dict) and cfg.get("kind") == "ngram" and "corpus_path" in cfg:
-            if "corpus" in cfg:
-                raise FormatError(f"{path}: {backend_key} holds both 'corpus' and 'corpus_path'")
-            cfg = dict(cfg)
-            cfg["corpus"] = _read_text(resolve(cfg.pop("corpus_path")), "corpus")
-            kwargs[backend_key] = cfg
+        cfg = kwargs.get(backend_key)  # ``build_backend`` checks and reads the corpus file
+        if isinstance(cfg, dict) and isinstance(cfg.get("corpus_path"), str) and cfg["corpus_path"]:
+            kwargs[backend_key] = {**cfg, "corpus_path": str(base / cfg["corpus_path"])}
     return RunConfig(**kwargs)
 
 

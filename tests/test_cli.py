@@ -4,10 +4,12 @@ import argparse
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from ge_select.backends import _BACKEND_KEYS
 from ge_select.cli import _build_parser, run
 from ge_select.envs import ToyShopConfig, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
@@ -67,6 +69,13 @@ def score_argv(workspace) -> list[str]:
             "--out", str(workspace / "scores.jsonl"), "--cache-dir", str(workspace / "cache")]
 
 
+def annotate_argv(workspace) -> list[str]:
+    return ["annotate", "--questions", str(workspace / "pool.jsonl"),
+            "--guideline", str(workspace / "guideline.txt"),
+            "--config", str(workspace / "config.json"), "--env", "toyshop", "--tmax", "3",
+            "--out", str(workspace / "annotated.jsonl"), "--cache-dir", str(workspace / "cache")]
+
+
 def test_help_exits_zero_and_documents_flags(capsys):
     assert run(["--help"]) == 0
     for command, flags in {
@@ -123,7 +132,23 @@ def test_readme_example_config_loads_without_warning(tmp_path, capsys):
     (tmp_path / "corpus.txt").write_text("search[mug]\n", encoding="utf-8")
     config = load_run_config(tmp_path / "config.json")
     assert capsys.readouterr().err == ""
-    assert config.generate_backend["corpus"] == "search[mug]\n"
+    assert config.generate_backend["corpus_path"] == str(tmp_path / "corpus.txt")
+
+
+def _readme_keys(section: str, entry: str) -> set[str]:
+    """The key names the README's ``## <section>`` lists in its sentence
+    "`<entry>` takes `a`, `b` ... and `z`."."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(rf"`{re.escape(entry)}` takes\s(.*?)[.;]\s", text, flags=re.DOTALL)
+    return set(re.findall(r"`(\w+)`", sentence.group(1)))
+
+
+def test_readme_config_entry_keys_match_the_code():
+    for kind, allowed in _BACKEND_KEYS.items():
+        assert _readme_keys("Config file", kind) == set(allowed), kind
+    assert _readme_keys("Config file", "env") == {"toyshop"}
+    assert _readme_keys("Config file", "env.toyshop") == {f.name for f in fields(ToyShopConfig)}
 
 
 @pytest.mark.parametrize(
@@ -578,6 +603,35 @@ def test_scores_file_mixing_guidelines_or_backends_exits_two(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["select", "--strategy", "ge", "-k", "1"], ["select", "--strategy", "entropy", "-k", "1"],
+     ["select", "--strategy", "random", "-k", "1"], ["report", "-m", "5"]],
+    ids=["select-ge", "select-entropy", "select-random", "report"],
+)  # fmt: skip
+def test_scores_file_repeating_a_question_id_exits_two(workspace, capsys, argv):
+    records = [
+        {
+            "question_id": f"q{i}",
+            "guideline_version": "0" * 12,
+            "backend_id": "b" * 12,
+            "per_step": [{"d_i": 1.0, "d_g": 1.0 + i, "n_tokens": 1}],
+            "ge": -math.log(1.0 + i),
+            "mean_entropy": 0.1 * i,
+        }
+        for i in range(5)
+    ]
+    records[3] = records[0]
+    path = workspace / "dup.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = workspace / "out"
+    if argv[0] == "report":
+        argv = argv + ["--trajectories", str(workspace / "trajectories.jsonl")]
+    assert run(argv + ["--scores", str(path), "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, f"{path}:4:", "'q0'", "line 1")
+    assert not out.exists()
+
+
 def test_report_on_difficulties_whose_quotient_underflows_exits_zero(workspace):
     # d_i / d_g underflows to 0.0, but the log of each is finite.
     ge = math.log(1e-200) - math.log(1e200)
@@ -720,6 +774,7 @@ _CONFIG_CASES = {
     "score_target-typo": ("score_target", "actoin", "score_target"),
     "env-list": ("env", [1], "env"),
     "env-typo": ("env", {"toyshp": {"seed": 41}}, "'toyshp'"),
+    "env-toyshop-unknown-key": ("env", {"toyshop": {"seeed": 1}}, "'seeed'"),
     "score_backend-str": ("score_backend", "ngram", "score_backend"),
     "generate_backend-list": ("generate_backend", [1], "generate_backend"),
     "instruction_path-int": ("instruction_path", 5, "paths"),
@@ -905,6 +960,40 @@ def test_non_utf8_input_file_exits_two(workspace, capsys, key):
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, "latin1.txt")
+    assert not (workspace / "cache").exists()
+
+
+@pytest.mark.parametrize("bad", ["missing.txt", "latin1.txt"])
+@pytest.mark.parametrize(
+    "command, unused", [("score", "generate_backend"), ("annotate", "score_backend")]
+)
+def test_a_command_never_reads_an_unused_entrys_corpus(workspace, command, unused, bad):
+    (workspace / "latin1.txt").write_bytes(b"caf\xe9\n")
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config[unused] = {"kind": "ngram", "order": 4, "corpus_path": bad}
+    (workspace / "unused.json").write_text(json.dumps(config), encoding="utf-8")
+    written = []
+    for name in ("config.json", "unused.json"):
+        argv = score_argv(workspace) if command == "score" else annotate_argv(workspace)
+        argv[argv.index("--config") + 1] = str(workspace / name)
+        argv[argv.index("--cache-dir") + 1] = str(workspace / f"{name}.cache")
+        assert run(argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        written.append((out.read_bytes(), (workspace / f"{name}.cache/cache.jsonl").read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][0]
+
+
+def test_annotate_with_its_own_corpus_missing_exits_two_without_a_cache_dir(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    for entry in ("score_backend", "generate_backend"):
+        config[entry] = {"kind": "ngram", "order": 3, "corpus_path": f"missing-{entry}.txt"}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(annotate_argv(workspace)) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err, 2, "cannot read corpus file", "missing-generate_backend.txt")
+    assert "missing-score_backend.txt" not in err
+    assert not (workspace / "cache").exists()
 
 
 def test_traced_benchmark_child_runs_score_and_select(workspace):

@@ -665,5 +665,5 @@ def test_load_run_config_resolves_paths(tmp_path):
     config = load_run_config(config_path)
     assert config.instruction == "Do the task."
     assert config.exemplars == ("Task: x\nAction: y\n",)
-    assert config.score_backend["corpus"] == "abcabc"
+    assert config.score_backend["corpus_path"] == str(tmp_path / "corpus.txt")
     assert config.parallelism == 2
