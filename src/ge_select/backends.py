@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .models import FormatError, _read_text, keys, number, string
+from .models import BackendError, FormatError, _read_text, keys, number, string
 from .scoring import TokenDistribution
 
 if TYPE_CHECKING:
@@ -37,10 +37,6 @@ if TYPE_CHECKING:
 
 API_KEY_ENV = "GE_API_KEY"
 MAX_NGRAM_ORDER = 5
-
-
-class BackendError(RuntimeError):
-    """Transport failure, unsupported capability, or malformed response."""
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,24 @@ One executable with score/select/report/annotate/export/stats subcommands.
 All behavior is reproducible: identical argv and inputs (plus a warm cache)
 produce byte-identical outputs. Nonzero exits print a single machine-parsable
 ``error:<code>:`` line on stderr.
+
+Importing this module loads only ``models``; each command loads the layers it
+runs (see ``_COMMANDS``), so ``select``, ``report``, ``export`` and ``stats``
+never load a backend, an environment or the scoring pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .backends import BackendError, CachedBackend, ResponseCache, build_backend
-from .envs import EnvError, HttpEnv, ToyShopConfig, ToyShopEnv
 from .models import (
+    BackendError,
+    EnvError,
     FormatError,
     Guideline,
     Question,
@@ -30,26 +35,6 @@ from .models import (
     string,
     write_records,
 )
-from .pipeline import (
-    MAX_PARALLELISM,
-    SCORE_SKIPS,
-    Diagnostic,
-    annotate,
-    dataset_stats,
-    difficulty_shift,
-    export_sft,
-    load_run_config,
-    review_report,
-    score_pool,
-)
-from .selectors import (
-    HashEmbedBackend,
-    select_facility_location,
-    select_ge,
-    select_high_score,
-    select_mean_entropy,
-    select_random,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +43,36 @@ EXIT_BACKEND = 3
 EXIT_ENV = 4
 
 DEFAULT_CACHE_DIR = ".ge-cache"
+
+# The names this module uses from each layer. ``run`` binds a command's layers
+# here before the command starts; reading a name off this module first, as a
+# tracer does before replacing it, binds its layer too. Binding never replaces
+# a name already set, so a replacement stays in place.
+_DEFERRED = {
+    "backends": ("CachedBackend", "ResponseCache", "build_backend"),
+    "envs": ("HttpEnv", "ToyShopConfig", "ToyShopEnv"),
+    "pipeline": ("MAX_PARALLELISM", "SCORE_SKIPS", "annotate", "load_run_config", "score_pool"),
+    "reports": ("dataset_stats", "difficulty_shift", "export_sft", "review_report"),
+    "selectors": (
+        "HashEmbedBackend", "select_facility_location", "select_ge", "select_high_score",
+        "select_mean_entropy", "select_random",
+    ),
+}  # fmt: skip
+
+
+def _load(*layers: str) -> None:
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _DEFERRED[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _DEFERRED.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -169,7 +184,7 @@ def _cmd_score(args) -> int:
     return _write_with_diagnostics(records, diagnostics, args.out)
 
 
-def _write_with_diagnostics(records: list, diagnostics: list[Diagnostic], out: str) -> int:
+def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
     """Write ``records`` to ``out``, and any diagnostics to the ``.diag.jsonl``
     sidecar with one warning line each on stderr."""
     write_records(records, out)
@@ -308,13 +323,14 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+# Each command's handler, and the layers it runs besides ``models``.
 _COMMANDS = {
-    "score": _cmd_score,
-    "select": _cmd_select,
-    "report": _cmd_report,
-    "annotate": _cmd_annotate,
-    "export": _cmd_export,
-    "stats": _cmd_stats,
+    "score": (_cmd_score, ("pipeline", "backends")),
+    "select": (_cmd_select, ("selectors",)),
+    "report": (_cmd_report, ("reports",)),
+    "annotate": (_cmd_annotate, ("pipeline", "backends", "envs")),
+    "export": (_cmd_export, ("reports",)),
+    "stats": (_cmd_stats, ("reports",)),
 }
 
 
@@ -324,7 +340,9 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
-        return _COMMANDS[args.command](args)
+        handler, layers = _COMMANDS[args.command]
+        _load(*layers)
+        return handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .models import FormatError, Question, Step, Trajectory, keys, number, string
+from .models import EnvError, FormatError, Question, Step, Trajectory, keys, number, string
 
 if TYPE_CHECKING:
     import requests
@@ -37,10 +37,6 @@ INVALID_ACTION = "Invalid action."
 
 _ACTION_RE = re.compile(r"^(search|click)\[(.*)\]$", re.DOTALL)
 _RESULT_ID_RE = re.compile(r"\[(P\d+)\]")
-
-
-class EnvError(RuntimeError):
-    """Environment protocol violation or transport failure."""
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,18 @@ STRATEGIES = ("ge", "random", "entropy", "highscore", "fl")
 LEVELS = ("easy", "medium", "hard")
 
 
+# The three errors the CLI maps to exit codes live here, with the types every
+# command loads, so it can catch them without loading a backend or environment.
 class FormatError(ValueError):
     """Malformed record, file, or field value."""
+
+
+class BackendError(RuntimeError):
+    """Transport failure, unsupported capability, or malformed response."""
+
+
+class EnvError(RuntimeError):
+    """Environment protocol violation or transport failure."""
 
 
 def _canonical_json(obj: Any) -> str:

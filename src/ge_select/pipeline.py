@@ -1,4 +1,4 @@
-"""End-to-end orchestration: pool scoring, review reports, annotation, export.
+"""End-to-end orchestration: run config, pool scoring and annotation.
 
 Scoring visits questions in id order. An http backend waits on the network,
 so its questions fan out across a bounded pool of worker threads; any other
@@ -12,28 +12,19 @@ instead of aborting the batch.
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .backends import (
-    Backend,
-    BackendError,
-    ResponseCache,
-    backend_kind,
-    cache_key,
-    canonical_request,
-)
-from .envs import EnvError, ToyShopConfig
+from .backends import Backend, ResponseCache, backend_kind, cache_key, canonical_request
 from .models import (
-    LEVELS,
+    BackendError,
+    EnvError,
     FormatError,
     Guideline,
     Question,
     ScoreRecord,
-    SelectionResult,
     Step,
     Trajectory,
     _load_jsonl,
@@ -52,6 +43,8 @@ from .prompts import (
     check_template,
     map_spans_to_tokens,
 )
+# Re-exported for callers that import them from here, as perfbench/run.py does.
+from .reports import dataset_stats, difficulty_shift, export_sft, review_report, validate_sft_record  # noqa: F401
 from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
 
 OBSERVATION_STOP = "\nObservation"
@@ -76,6 +69,10 @@ class Diagnostic:
 GE_SIGN_DEFAULT = "default"
 GE_SIGN_EQ5 = "eq5"
 GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
+
+# The fields of ``envs.ToyShopConfig``, named here so that loading a config
+# does not load the environments.
+TOYSHOP_KEYS = ("seed", "catalog_size", "hidden_attrs", "max_results", "turn_cap")
 
 # An http backend scores on one thread per worker, so the worker count stays
 # small; other backends start no threads and ignore it.
@@ -112,7 +109,7 @@ class RunConfig:
                 backend_kind(getattr(self, name), name)
         keys(self.env, ("toyshop",), "env")
         # ``ToyShopConfig`` checks the values when ``annotate`` builds it.
-        keys(self.env.get("toyshop", {}), [f.name for f in fields(ToyShopConfig)], "env.toyshop")
+        keys(self.env.get("toyshop", {}), TOYSHOP_KEYS, "env.toyshop")
 
 
 def load_exemplars(path: str | Path) -> tuple[str, ...]:
@@ -326,54 +323,6 @@ def score_pool(
     return records, diagnostics
 
 
-def review_report(
-    scores: Sequence[ScoreRecord],
-    trajectories: Sequence[Trajectory],
-    m: int,
-) -> str:
-    """Human-readable dossier of the m questions the guideline helps least,
-    ranked as ``select_ge`` ranks them."""
-    if m < 1:
-        raise FormatError("m must be >= 1")
-    by_id: dict[str, Trajectory] = {}
-    for t in trajectories:
-        by_id.setdefault(t.question_id, t)
-    ranked = sorted(scores, key=lambda s: (s.default_ge, s.question_id))[:m]
-    lines = ["# Guideline review report", ""]
-    lines.append(
-        f"Showing {len(ranked)} of {len(scores)} scored questions, "
-        "lowest guideline effectiveness first."
-    )
-    lines.append("")
-    for rank, record in enumerate(ranked, start=1):
-        lines.append(f"## {rank}. {record.question_id} (ge = {record.ge:+.6f})")
-        lines.append("")
-        ratios = [math.log(s.d_i) - math.log(s.d_g) for s in record.per_step]
-        worst = min(ratios)
-        lines.append("| step | tokens | d_i | d_g | log(d_i/d_g) | |")
-        lines.append("|---:|---:|---:|---:|---:|:---|")
-        for i, (step_score, ratio) in enumerate(zip(record.per_step, ratios), start=1):
-            flag = "guideline conflict" if ratio == worst else ""
-            lines.append(
-                f"| {i} | {step_score.n_tokens} | {step_score.d_i:.6f} "
-                f"| {step_score.d_g:.6f} | {ratio:+.6f} | {flag} |"
-            )
-        lines.append("")
-        trajectory = by_id.get(record.question_id)
-        if trajectory is not None:
-            lines.append(f"reward: {trajectory.reward:.4f}")
-            lines.append("")
-            if trajectory.question_text:
-                lines.append(f"Task: {trajectory.question_text}")
-            for step in trajectory.steps:
-                if step.thought:
-                    lines.append(f"Thought: {step.thought}")
-                lines.append(f"Action: {step.action}")
-                lines.append(f"Observation: {step.observation}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def parse_action(completion: str) -> str:
     """First non-empty line of a completion, minus any leading action marker."""
     for line in completion.splitlines():
@@ -451,107 +400,3 @@ def annotate(
             )
         )
     return trajectories, diagnostics
-
-
-def export_sft(
-    trajectories: Sequence[Trajectory],
-    instruction: str,
-    guideline: Guideline,
-) -> list[dict]:
-    """Convert trajectories into chat-style fine-tuning records.
-
-    Message layout: one system message (instruction plus guideline), one user
-    message framing the task, then strictly alternating assistant/user turns.
-    The final observation is dropped so every record ends on an assistant
-    action, giving 2T+1 messages for a T-step trajectory.
-    """
-    system = instruction.rstrip("\n") + "\n" + guideline.text.rstrip("\n")
-    records = []
-    for trajectory in trajectories:
-        framing_parts = [p for p in (trajectory.question_text, trajectory.initial_observation) if p]
-        framing = "\n".join(framing_parts) if framing_parts else trajectory.question_id
-        messages = [
-            {"role": "system", "content": system},
-            {"role": "user", "content": framing},
-        ]
-        for i, step in enumerate(trajectory.steps):
-            if not step.action.strip():
-                raise FormatError(
-                    f"trajectory {trajectory.question_id!r} step {i} has an empty action"
-                )
-            messages.append({"role": "assistant", "content": step.action})
-            if i < len(trajectory.steps) - 1:
-                messages.append({"role": "user", "content": step.observation})
-        records.append({"messages": messages})
-    return records
-
-
-def validate_sft_record(record: dict) -> int:
-    """Check role alternation of one exported record; returns message count."""
-    messages = record.get("messages")
-    if not isinstance(messages, list) or len(messages) < 3:
-        raise FormatError("sft record needs at least system, user, assistant messages")
-    roles = [m.get("role") for m in messages]
-    if roles[0] != "system":
-        raise FormatError("first message must be system")
-    expected = "user"
-    for role in roles[1:]:
-        if role != expected:
-            raise FormatError(f"expected {expected} message, got {role}")
-        expected = "assistant" if expected == "user" else "user"
-    if roles[-1] != "assistant":
-        raise FormatError("record must end on an assistant action")
-    for message in messages:
-        if not isinstance(message.get("content"), str):
-            raise FormatError("message content must be a string")
-    return len(messages)
-
-
-def dataset_stats(trajectories: Sequence[Trajectory]) -> dict[str, float]:
-    if not trajectories:
-        raise FormatError("dataset_stats needs at least one trajectory")
-    avg_turns = sum(len(t.steps) for t in trajectories) / len(trajectories)
-    avg_reward_pct = 100.0 * sum(t.reward for t in trajectories) / len(trajectories)
-    return {"avg_turns": avg_turns, "avg_reward_pct": avg_reward_pct}
-
-
-def difficulty_shift(
-    selected: SelectionResult,
-    pool: Sequence[Question],
-) -> dict[str, float]:
-    """Percentage-point change of each difficulty level vs the whole pool."""
-    by_id = {q.id: q for q in pool}
-
-    def level_of(question: Question, where: str) -> str:
-        level = question.metadata.get("level")
-        if level is None:
-            raise FormatError(f"{where} question {question.id!r} has no level metadata")
-        return level
-
-    pool_counts = {level: 0 for level in LEVELS}
-    for question in pool:
-        level = level_of(question, "pool")
-        pool_counts[level] = pool_counts.get(level, 0) + 1
-    selected_counts = {level: 0 for level in LEVELS}
-    for item in selected.items:
-        question = by_id.get(item.question_id)
-        if question is None:
-            raise FormatError(f"selected question {item.question_id!r} is not in the pool")
-        level = level_of(question, "selected")
-        selected_counts[level] = selected_counts.get(level, 0) + 1
-    n_pool = len(pool)
-    n_selected = len(selected.items)
-    shifts = {}
-    levels = sorted(set(pool_counts) | set(selected_counts), key=_level_order)
-    for level in levels:
-        pool_frac = pool_counts.get(level, 0) / n_pool if n_pool else 0.0
-        sel_frac = selected_counts.get(level, 0) / n_selected if n_selected else 0.0
-        shifts[level] = 100.0 * (sel_frac - pool_frac)
-    return shifts
-
-
-def _level_order(level: str) -> tuple[int, str]:
-    try:
-        return (LEVELS.index(level), level)
-    except ValueError:
-        return (len(LEVELS), level)

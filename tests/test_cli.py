@@ -1082,6 +1082,60 @@ def test_cli_loads_numpy_and_requests_only_where_used(workspace):
     assert len(load_selection(workspace / "sel_fl.jsonl").items) == 3
 
 
+_MODULES_CHILD = """
+import sys
+import ge_select.cli
+argv = sys.argv[1:]
+assert not argv or ge_select.cli.run(argv) == 0
+print(" ".join(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ge_select."))))
+"""
+
+# What each subcommand loads of ge_select, in a fresh process. ``scoring`` comes
+# with any scores file: ``load_scores`` re-derives each ge with ``ge_score``.
+# ``reports`` comes with ``pipeline``, which re-exports its functions.
+_SCORING_LAYERS = "backends cli models pipeline prompts reports scoring"
+_COMMAND_MODULES = {
+    "import": ((), "cli models"),
+    "score": (None, _SCORING_LAYERS),
+    "annotate": (None, _SCORING_LAYERS + " envs"),
+    "select ge": (("select", "--strategy", "ge", "--scores", "scores.jsonl", "-k", "3",
+                   "--out", "sel.jsonl"), "cli models scoring selectors"),
+    "select entropy": (("select", "--strategy", "entropy", "--scores", "scores.jsonl", "-k", "3",
+                        "--out", "sel.jsonl"), "cli models scoring selectors"),
+    "report": (("report", "--scores", "scores.jsonl", "--trajectories", "trajectories.jsonl",
+                "-m", "3", "--out", "report.md"), "cli models reports scoring"),
+    "export": (("export", "--trajectories", "trajectories.jsonl", "--instruction",
+                "instruction.txt", "--guideline", "guideline.txt", "--out", "sft.jsonl"),
+               "cli models reports"),
+    "stats": (("stats", "--trajectories", "trajectories.jsonl"), "cli models reports"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("command", _COMMAND_MODULES)
+def test_each_subcommand_loads_only_the_modules_it_runs(workspace, command):
+    import os
+    import subprocess
+    import sys
+
+    import ge_select
+
+    argv, expected = _COMMAND_MODULES[command]
+    if argv is None:
+        argv = score_argv(workspace) if command == "score" else annotate_argv(workspace)
+    else:
+        argv = ws_args(workspace, *argv)
+    if "--scores" in argv:
+        assert run(score_argv(workspace)) == 0
+    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == sorted(expected.split())  # after stats' line
+
+
 def _ranked_ids(report: str) -> list[str]:
     return [line.split()[2] for line in report.splitlines() if line.startswith("## ")]
 

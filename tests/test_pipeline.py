@@ -198,6 +198,40 @@ def test_score_pool_warm_cache_issues_zero_calls(tmp_path):
     assert first == second
 
 
+def test_guideline_edit_rescores_only_the_guideline_prompts(tmp_path):
+    """The paper's loop edits the guideline and scores again. The guideline-free
+    prompts do not change, so they stay cache hits and their d_i stay as they were."""
+    env, drawn, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=30), 40)
+    distinct = {}
+    for question in drawn:
+        distinct.setdefault(question.text, question)  # equal texts render equal prompts
+    pool = list(distinct.values())[:10]
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
+    config = tiny_config(top_k=5)
+    cache_path = tmp_path / "cache.jsonl"
+    first, _ = score_pool(
+        pool, trajectories, guideline, NgramBackend("", order=4), config,
+        cache=ResponseCache(cache_path),
+    )  # fmt: skip
+
+    edited = Guideline.from_text(guideline.text + "Before you click[buy], open the product page.\n")
+    counting = CountingBackend(NgramBackend("", order=4))
+    top_ks = []
+    echo = counting.echo_logprobs
+    counting.echo_logprobs = lambda text, want_top_k=0: top_ks.append(want_top_k) or echo(text, want_top_k)
+    second, diagnostics = score_pool(
+        pool, trajectories, edited, counting, config, cache=ResponseCache(cache_path)
+    )
+    assert not diagnostics and len(first) == len(second) == len(pool) == 10
+    assert counting.counts == {"echo": len(pool), "generate": 0}
+    assert top_ks == [config.top_k] * len(pool)
+    for before, after in zip(first, second):
+        assert after.guideline_version == edited.version != before.guideline_version
+        assert [s.d_i.hex() for s in after.per_step] == [s.d_i.hex() for s in before.per_step]
+    assert [r.ge for r in second] != [r.ge for r in first]
+
+
 class FailAfter(Backend):
     """Raises a transport-style failure after a budget of echo calls."""
 
