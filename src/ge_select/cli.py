@@ -25,6 +25,7 @@ from .models import (
     FormatError,
     Guideline,
     Question,
+    _check_unique,
     _load_jsonl,
     _read_text,
     load_pool,
@@ -135,7 +136,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--env", required=True, choices=["toyshop", "http"])
     p.add_argument("--env-url", help="base URL for --env http")
-    p.add_argument("--tmax", type=int, default=None, help="turn cap (default 15)")
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.add_argument("--out", required=True, help="output trajectory JSONL")
 
@@ -196,14 +196,23 @@ def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
 
 
 def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
+    """Read an embeddings file, rejecting a repeated id and a vector whose
+    length differs from the first record's, each by line number."""
     ids: list[str] = []
     vectors: list[list[float]] = []
+    seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "embedding"):
-        ids.append(string(record.get("question_id"), f"{path}:{lineno}: field 'question_id'"))
+        qid = string(record.get("question_id"), f"{path}:{lineno}: field 'question_id'")
+        _check_unique(seen, qid, "question_id", path, lineno)
         where = f"{path}:{lineno}: field 'embedding'"
         vector = record.get("embedding")
         if not isinstance(vector, list):
             raise FormatError(f"{where} must be a list of finite numbers")
+        if vectors and len(vector) != len(vectors[0]):
+            raise FormatError(
+                f"{where} has {len(vector)} numbers, but line {seen[ids[0]]} has {len(vectors[0])}"
+            )
+        ids.append(qid)
         vectors.append([number(v, where) for v in vector])
     return ids, vectors
 
@@ -275,10 +284,6 @@ def _load_questions(path: str, pool_path: str | None) -> list[Question]:
 
 def _cmd_annotate(args) -> int:
     config = load_run_config(args.config)
-    if args.tmax is not None:
-        if args.tmax < 1:
-            raise UsageError("--tmax must be >= 1")
-        config.t_max = args.tmax
     questions = _load_questions(args.questions, args.pool)
     guideline = Guideline.load(args.guideline)
     if not config.generate_backend:

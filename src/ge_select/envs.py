@@ -32,7 +32,6 @@ ATTRIBUTE_VALUES = {
 NOUNS = ("gadget", "widget", "bottle", "snack", "kit", "lamp", "mug", "poster")
 BRANDS = ("acme", "zenco", "orbit", "lumen", "nova", "crisp")
 
-DEFAULT_TURN_CAP = 15
 INVALID_ACTION = "Invalid action."
 
 _ACTION_RE = re.compile(r"^(search|click)\[(.*)\]$", re.DOTALL)
@@ -77,7 +76,6 @@ _TOYSHOP_BOUNDS = {
     "seed": (-math.inf, math.inf),
     "catalog_size": (1, MAX_CATALOG_SIZE),
     "max_results": (1, math.inf),
-    "turn_cap": (1, math.inf),
 }
 
 
@@ -91,7 +89,6 @@ class ToyShopConfig:
     catalog_size: int = 20
     hidden_attrs: frozenset[str] = frozenset({"flavor"})
     max_results: int = 5
-    turn_cap: int = DEFAULT_TURN_CAP
 
     def __post_init__(self) -> None:
         for name in _TOYSHOP_BOUNDS:
@@ -138,7 +135,8 @@ def parse_requirements(text: str) -> dict[str, str]:
 
 
 class ToyShopEnv:
-    """Seeded synthetic shop; one instance runs one episode at a time."""
+    """Seeded synthetic shop; one instance runs one episode at a time. An
+    episode ends only at a buy; the agent loop bounds its turns."""
 
     def __init__(self, config: ToyShopConfig) -> None:
         self.config = config
@@ -148,14 +146,12 @@ class ToyShopEnv:
         self._question: Question | None = None
         self._required: dict[str, str] = {}
         self._opened: Product | None = None
-        self._turns = 0
         self._done = True
 
     def reset(self, question: Question) -> str:
         self._question = question
         self._required = parse_requirements(question.text)
         self._opened = None
-        self._turns = 0
         self._done = False
         return (
             f"You are shopping. Task: {question.text}\n"
@@ -200,10 +196,7 @@ class ToyShopEnv:
     def step(self, action: str) -> EnvStep:
         if self._done:
             raise EnvError("step called after episode end; reset first")
-        self._turns += 1
         result = self._apply(action.strip())
-        if not result.done and self._turns >= self.config.turn_cap:
-            result = EnvStep(result.observation, 0.0, True)
         self._done = result.done
         return result
 

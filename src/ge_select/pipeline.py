@@ -12,7 +12,6 @@ instead of aborting the batch.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -72,7 +71,7 @@ GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
 
 # The fields of ``envs.ToyShopConfig``, named here so that loading a config
 # does not load the environments.
-TOYSHOP_KEYS = ("seed", "catalog_size", "hidden_attrs", "max_results", "turn_cap")
+TOYSHOP_KEYS = ("seed", "catalog_size", "hidden_attrs", "max_results")
 
 # An http backend scores on one thread per worker, so the worker count stays
 # small; other backends start no threads and ignore it.
@@ -90,7 +89,7 @@ class RunConfig:
     ge_sign: str = GE_SIGN_DEFAULT
     top_k: int = 5
     parallelism: int = 4
-    t_max: int = 15
+    t_max: int = 15  # the turns of one annotate episode, in any environment
     score_backend: dict = field(default_factory=dict)
     generate_backend: dict = field(default_factory=dict)
     env: dict = field(default_factory=dict)
@@ -120,30 +119,21 @@ def load_exemplars(path: str | Path) -> tuple[str, ...]:
 
 
 # The keys a run config may hold: files to read, and settings that go to
-# ``RunConfig`` as they are. Older configs still carry the retired keys, at
-# the top level or in ``env``, which load with a warning.
+# ``RunConfig`` as they are.
 _PATH_KEYS = ("instruction_path", "exemplars_path", "template_path")
 _CONFIG_KEYS = (
     "score_target", "ge_sign", "top_k", "parallelism", "t_max",
     "score_backend", "generate_backend", "env",
 )  # fmt: skip
-_RETIRED_CONFIG_KEYS = ("m", "k", "embed_backend")
-_RETIRED_ENV_KEY = "replay_trajectories"
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    text = _read_text(path, "config")
     try:
-        raw = json.loads(_read_text(path, "config"))
+        raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise FormatError(f"{path}: malformed config JSON: {exc}") from exc
-    keys(raw, (*_CONFIG_KEYS, *_PATH_KEYS, *_RETIRED_CONFIG_KEYS), str(path))
-    retired = [key for key in _RETIRED_CONFIG_KEYS if key in raw]
-    env = raw.get("env")
-    if isinstance(env, dict) and _RETIRED_ENV_KEY in env:
-        retired.append(f"env.{_RETIRED_ENV_KEY}")
-        raw["env"] = {k: v for k, v in env.items() if k != _RETIRED_ENV_KEY}
-    for key in retired:
-        print(f"warning: {path}: config key {key!r} is retired and ignored", file=sys.stderr)
+    keys(raw, (*_CONFIG_KEYS, *_PATH_KEYS), str(path))
     base = Path(path).parent
 
     def resolve(p: Any) -> Path:

@@ -12,7 +12,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .models import FormatError, Guideline, Trajectory
 
@@ -66,23 +66,26 @@ def render_exemplars(exemplars: Sequence[str]) -> str:
 
 def render_steps(
     renderer: _Renderer,
-    trajectory: Trajectory,
+    initial_observation: str,
+    steps: Iterable[tuple[str, str, str]],
     score_target: str,
 ) -> None:
-    if trajectory.initial_observation:
-        renderer.emit(trajectory.initial_observation)
+    """Write the initial observation, then one block per ``(thought, action,
+    observation)`` step, recording the span of each step's scored text."""
+    if initial_observation:
+        renderer.emit(initial_observation)
         renderer.emit("\n")
-    for step in trajectory.steps:
-        if score_target == SCORE_TARGET_EMISSION and step.thought:
+    for thought, action, observation in steps:
+        if score_target == SCORE_TARGET_EMISSION and thought:
             renderer.emit("Thought: ")
-            renderer.emit_target(f"{step.thought}\nAction: {step.action}")
+            renderer.emit_target(f"{thought}\nAction: {action}")
         else:
-            if step.thought:
-                renderer.emit(f"Thought: {step.thought}\n")
+            if thought:
+                renderer.emit(f"Thought: {thought}\n")
             renderer.emit("Action: ")
-            renderer.emit_target(step.action)
+            renderer.emit_target(action)
         renderer.emit("\n")
-        renderer.emit(f"Observation: {step.observation}\n")
+        renderer.emit(f"Observation: {observation}\n")
 
 
 def check_template(template: str) -> None:
@@ -138,7 +141,8 @@ def build_prompt(
     renderer = _Renderer()
     for segment in _segments(template, instruction, guideline, exemplars, question):
         if segment is None:
-            render_steps(renderer, trajectory, score_target)
+            steps = ((s.thought, s.action, s.observation) for s in trajectory.steps)
+            render_steps(renderer, trajectory.initial_observation, steps, score_target)
         else:
             renderer.emit(segment)
     return PromptBundle(renderer.rendered(), tuple(renderer.spans))
@@ -154,19 +158,17 @@ def build_generation_prompt(
     template: str = DEFAULT_TEMPLATE,
 ) -> str:
     """Render the prompt for the next action: the template up to its first
-    ``{{steps}}``, the opening of the steps up to the first "Action: " cue,
-    then the history so far, each turn ending on an open cue."""
-    parts = []
+    ``{{steps}}``, the steps of the history so far, as ``build_prompt``
+    renders them, then an open "Action: " cue."""
+    renderer = _Renderer()
     for segment in _segments(template, instruction, guideline, exemplars, question_text):
         if segment is None:
             break
-        parts.append(segment)
-    if initial_observation:
-        parts.append(f"{initial_observation}\n")
-    parts.append("Action: ")
-    for action, observation in history:
-        parts.append(f"{action}\nObservation: {observation}\nAction: ")
-    return "".join(parts)
+        renderer.emit(segment)
+    steps = (("", action, observation) for action, observation in history)
+    render_steps(renderer, initial_observation, steps, SCORE_TARGET_ACTION)
+    renderer.emit("Action: ")
+    return renderer.rendered()
 
 
 _START, _END = itemgetter(1), itemgetter(2)

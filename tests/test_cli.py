@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from ge_select.models import (
     load_trajectories,
     write_records,
 )
-from ge_select.pipeline import load_run_config
+from ge_select.pipeline import _CONFIG_KEYS, _PATH_KEYS, load_run_config
 from ge_select.prompts import DEFAULT_TEMPLATE
 
 from conftest import echo_response
@@ -49,6 +50,7 @@ def workspace(tmp_path):
                 "generate_backend": {"kind": "ngram", "order": 4, "corpus": ""},
                 "top_k": 2,
                 "parallelism": 2,
+                "t_max": 3,
                 "env": {"toyshop": {"seed": 41, "catalog_size": 12}},
             }
         ),
@@ -72,7 +74,7 @@ def score_argv(workspace) -> list[str]:
 def annotate_argv(workspace) -> list[str]:
     return ["annotate", "--questions", str(workspace / "pool.jsonl"),
             "--guideline", str(workspace / "guideline.txt"),
-            "--config", str(workspace / "config.json"), "--env", "toyshop", "--tmax", "3",
+            "--config", str(workspace / "config.json"), "--env", "toyshop",
             "--out", str(workspace / "annotated.jsonl"), "--cache-dir", str(workspace / "cache")]
 
 
@@ -83,7 +85,7 @@ def test_help_exits_zero_and_documents_flags(capsys):
                   "--parallel", "--cache-dir"],
         "select": ["--scores", "--strategy", "-k", "--seed", "--trajectories", "--embeddings", "--out"],
         "report": ["--scores", "--trajectories", "-m", "--out"],
-        "annotate": ["--questions", "--guideline", "--config", "--env", "--env-url", "--tmax", "--out"],
+        "annotate": ["--questions", "--guideline", "--config", "--env", "--env-url", "--out"],
         "export": ["--trajectories", "--instruction", "--guideline", "--out"],
         "stats": ["--trajectories", "--selected", "--pool"],
     }.items():
@@ -135,20 +137,21 @@ def test_readme_example_config_loads_without_warning(tmp_path, capsys):
     assert config.generate_backend["corpus_path"] == str(tmp_path / "corpus.txt")
 
 
-def _readme_keys(section: str, entry: str) -> set[str]:
+def _readme_keys(section: str, subject: str) -> set[str]:
     """The key names the README's ``## <section>`` lists in its sentence
-    "`<entry>` takes `a`, `b` ... and `z`."."""
+    "<subject> takes `a`, `b` ... and `z`."."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     text = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    sentence = re.search(rf"`{re.escape(entry)}` takes\s(.*?)[.;]\s", text, flags=re.DOTALL)
+    sentence = re.search(rf"{re.escape(subject)} takes\s(.*?)[.;]\s", text, flags=re.DOTALL)
     return set(re.findall(r"`(\w+)`", sentence.group(1)))
 
 
 def test_readme_config_entry_keys_match_the_code():
+    assert _readme_keys("Config file", "The top level") == {*_CONFIG_KEYS, *_PATH_KEYS}
     for kind, allowed in _BACKEND_KEYS.items():
-        assert _readme_keys("Config file", kind) == set(allowed), kind
-    assert _readme_keys("Config file", "env") == {"toyshop"}
-    assert _readme_keys("Config file", "env.toyshop") == {f.name for f in fields(ToyShopConfig)}
+        assert _readme_keys("Config file", f"`{kind}`") == set(allowed), kind
+    assert _readme_keys("Config file", "`env`") == {"toyshop"}
+    assert _readme_keys("Config file", "`env.toyshop`") == {f.name for f in fields(ToyShopConfig)}
 
 
 @pytest.mark.parametrize(
@@ -161,8 +164,11 @@ def test_readme_config_entry_keys_match_the_code():
           "--config", "config.json", "--env", "replay", "--out", "out.jsonl"], "--env"),
         (["select", "--strategy", "highscore", "--trajectories", "trajectories.jsonl",
           "--reward-tolerance", "0.5", "--out", "out.jsonl"], "--reward-tolerance"),
+        (["annotate", "--questions", "pool.jsonl", "--guideline", "guideline.txt",
+          "--config", "config.json", "--env", "toyshop", "--tmax", "3", "--out", "out.jsonl"],
+         "--tmax"),
     ],  # fmt: skip
-    ids=["score-no-guideline-only", "annotate-env-replay", "select-reward-tolerance"],
+    ids=["score-no-guideline-only", "annotate-env-replay", "select-reward-tolerance", "annotate-tmax"],
 )
 def test_removed_options_are_usage_errors(workspace, capsys, argv, needle):
     assert run(ws_args(workspace, *argv)) == 1
@@ -193,6 +199,16 @@ def test_missing_file_exits_two(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:2:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["score", "annotate"])
+def test_missing_config_is_not_reported_as_malformed(workspace, capsys, command):
+    argv = score_argv(workspace) if command == "score" else annotate_argv(workspace)
+    argv[argv.index("--config") + 1] = str(workspace / "nope.json")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err, 2, "cannot read config file", "nope.json")
+    assert "malformed" not in err
 
 
 def test_score_select_report_export_stats_flow(workspace, capsys):
@@ -359,6 +375,7 @@ def test_select_missing_inputs_usage_error(workspace, capsys):
         ['{"question_id":"a\\ud800","embedding":[1.0]}'],
         ["[" * 100_000],
         ['{"question_id":"a","embedding":[1.0]}', '{"question_id":"b","embedding":[1.0,2.0]}'],
+        ['{"question_id":"a","embedding":[1.0,2.0]}', '{"question_id":"b","embedding":[]}'],
     ],
 )
 def test_select_fl_malformed_embeddings_exit_two(tmp_path, capsys, lines):
@@ -368,11 +385,8 @@ def test_select_fl_malformed_embeddings_exit_two(tmp_path, capsys, lines):
         ["select", "--strategy", "fl", "-k", "1", "--embeddings", str(path),
          "--out", str(tmp_path / "sel.jsonl")]
     )
-    err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:2:")
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    assert_one_error_line(capsys.readouterr().err, 2, f"{path}:{len(lines)}:")
 
 
 def test_backend_unreachable_exits_three(workspace, capsys):
@@ -408,14 +422,14 @@ def test_annotate_toyshop_and_selection_resolution(workspace):
         ["annotate", "--questions", str(workspace / "pool.jsonl"),
          "--guideline", str(workspace / "guideline.txt"),
          "--config", str(workspace / "config.json"),
-         "--env", "toyshop", "--tmax", "4",
+         "--env", "toyshop",
          "--cache-dir", str(workspace / "cache"),
          "--out", str(out)]
     )
     assert code == 0
     annotated = load_trajectories(out)
     assert annotated and all(t.source == "annotated" for t in annotated)
-    assert all(len(t.steps) <= 4 for t in annotated)
+    assert all(len(t.steps) <= 3 for t in annotated)
 
     # selection file + --pool resolves question texts
     run(
@@ -429,12 +443,24 @@ def test_annotate_toyshop_and_selection_resolution(workspace):
          "--pool", str(workspace / "pool.jsonl"),
          "--guideline", str(workspace / "guideline.txt"),
          "--config", str(workspace / "config.json"),
-         "--env", "toyshop", "--tmax", "3",
+         "--env", "toyshop",
          "--cache-dir", str(workspace / "cache"),
          "--out", str(out2)]
     )
     assert code == 0
     assert len(load_trajectories(out2)) == 3
+
+
+def test_annotate_toyshop_episodes_run_to_the_config_t_max(workspace):
+    """The shop ends an episode only at a buy, so a generator that never buys
+    runs every episode to ``t_max``, whatever the shop's settings."""
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["t_max"] = 20
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(annotate_argv(workspace)) == 0
+    annotated = load_trajectories(workspace / "annotated.jsonl")
+    assert len(annotated) == 12
+    assert all(len(t.steps) == 20 and t.reward == 0.0 for t in annotated)
 
 
 @pytest.mark.parametrize("first_line", ["5", "true", "null", '"strategy"'])
@@ -456,20 +482,6 @@ def test_annotate_questions_file_whose_first_record_is_not_an_object_exits_two(
     assert_one_error_line(capsys.readouterr().err, 2, f"{questions}:1:")
 
 
-def test_annotate_tmax_below_one_is_usage_error(workspace, capsys):
-    code = run(
-        ["annotate", "--questions", str(workspace / "pool.jsonl"),
-         "--guideline", str(workspace / "guideline.txt"),
-         "--config", str(workspace / "config.json"),
-         "--env", "toyshop", "--tmax", "0",
-         "--cache-dir", str(workspace / "cache"),
-         "--out", str(workspace / "annotated.jsonl")]
-    )
-    assert code == 1
-    assert_one_error_line(capsys.readouterr().err, 1, "--tmax")
-    assert not (workspace / "annotated.jsonl").exists()
-
-
 def test_annotate_http_env(workspace, local_server):
     def handler(path, body):
         if path == "/reset":
@@ -483,7 +495,6 @@ def test_annotate_http_env(workspace, local_server):
          "--guideline", str(workspace / "guideline.txt"),
          "--config", str(workspace / "config.json"),
          "--env", "http", "--env-url", local_server.url,
-         "--tmax", "3",
          "--cache-dir", str(workspace / "cache"),
          "--out", str(out)]
     )
@@ -606,8 +617,9 @@ def test_scores_file_mixing_guidelines_or_backends_exits_two(tmp_path, capsys, f
 @pytest.mark.parametrize(
     "argv",
     [["select", "--strategy", "ge", "-k", "1"], ["select", "--strategy", "entropy", "-k", "1"],
-     ["select", "--strategy", "random", "-k", "1"], ["report", "-m", "5"]],
-    ids=["select-ge", "select-entropy", "select-random", "report"],
+     ["select", "--strategy", "random", "-k", "1"], ["report", "-m", "5"],
+     ["select", "--strategy", "fl", "-k", "1"]],
+    ids=["select-ge", "select-entropy", "select-random", "report", "select-fl"],
 )  # fmt: skip
 def test_scores_file_repeating_a_question_id_exits_two(workspace, capsys, argv):
     records = [
@@ -621,13 +633,17 @@ def test_scores_file_repeating_a_question_id_exits_two(workspace, capsys, argv):
         }
         for i in range(5)
     ]
+    flag = "--scores"
+    if "fl" in argv:  # an embeddings file
+        records = [{"question_id": f"q{i}", "embedding": [1.0, float(i)]} for i in range(5)]
+        flag = "--embeddings"
     records[3] = records[0]
     path = workspace / "dup.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     out = workspace / "out"
     if argv[0] == "report":
         argv = argv + ["--trajectories", str(workspace / "trajectories.jsonl")]
-    assert run(argv + ["--scores", str(path), "--out", str(out)]) == 2
+    assert run(argv + [flag, str(path), "--out", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err, 2, f"{path}:4:", "'q0'", "line 1")
     assert not out.exists()
 
@@ -775,6 +791,11 @@ _CONFIG_CASES = {
     "env-list": ("env", [1], "env"),
     "env-typo": ("env", {"toyshp": {"seed": 41}}, "'toyshp'"),
     "env-toyshop-unknown-key": ("env", {"toyshop": {"seeed": 1}}, "'seeed'"),
+    "env-toyshop-turn_cap": ("env", {"toyshop": {"turn_cap": 15}}, "'turn_cap'"),
+    "m": ("m", 30, "'m'"),
+    "k": ("k", 800, "'k'"),
+    "embed_backend": ("embed_backend", {"kind": "hash_embed"}, "'embed_backend'"),
+    "env-replay_trajectories": ("env", {"replay_trajectories": "t.jsonl"}, "'replay_trajectories'"),
     "score_backend-str": ("score_backend", "ngram", "score_backend"),
     "generate_backend-list": ("generate_backend", [1], "generate_backend"),
     "instruction_path-int": ("instruction_path", 5, "paths"),
@@ -820,6 +841,7 @@ def test_string_parallelism_in_config_exits_two(workspace, capsys, key, value, n
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, needle)
+    assert not (workspace / "cache").exists()
 
 
 @pytest.mark.parametrize("command", ["score", "annotate"])
@@ -851,20 +873,23 @@ def test_unknown_run_config_key_exits_two(workspace, capsys, key):
     assert not (workspace / "scores.jsonl").exists()
 
 
-def test_retired_run_config_keys_load_with_one_warning_each(workspace, capsys):
-    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
-    assert run(score_argv(workspace)) == 0
-    scores = (workspace / "scores.jsonl").read_bytes()
-    capsys.readouterr()
-    config.update({"m": 5, "k": 9, "embed_backend": {"kind": "hash_embed"}})
-    config["env"]["replay_trajectories"] = "recorded.jsonl"
-    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    assert run(score_argv(workspace)) == 0
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 4
-    for key, line in zip(["m", "k", "embed_backend", "env.replay_trajectories"], warnings):
-        assert line.startswith("warning: ") and f"config key {key!r} is retired" in line
-    assert (workspace / "scores.jsonl").read_bytes() == scores
+def test_removed_run_config_keys_exit_two_at_annotate_load(workspace, capsys):
+    """``score`` meets these keys in ``_CONFIG_CASES``."""
+    removed = {
+        ("m",): 5, ("k",): 9, ("embed_backend",): {"kind": "hash_embed"},
+        ("env", "replay_trajectories"): "recorded.jsonl", ("env", "toyshop", "turn_cap"): 15,
+    }  # fmt: skip
+    original = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    for (*parents, key), value in removed.items():
+        config = copy.deepcopy(original)
+        entry = config
+        for name in parents:
+            entry = entry[name]
+        entry[key] = value
+        (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(annotate_argv(workspace)) == 2
+        assert_one_error_line(capsys.readouterr().err, 2, "unknown config key", repr(key))
+        assert not (workspace / "cache").exists()
 
 
 @pytest.mark.parametrize(
@@ -916,7 +941,7 @@ def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys, key, value):
     assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", key)
 
 
-@pytest.mark.parametrize("field", ["catalog_size", "max_results", "turn_cap"])
+@pytest.mark.parametrize("field", ["catalog_size", "max_results"])
 def test_toyshop_range_below_one_exits_four(workspace, capsys, field):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
     config["env"]["toyshop"][field] = 0 if field == "catalog_size" else -1
@@ -1201,13 +1226,6 @@ def test_score_with_every_question_failing_exits_three(workspace, capsys):
     assert run(score_argv(workspace)) == 3
     assert_one_error_line(capsys.readouterr().err, 3, "all 12 scoring attempts failed")
     assert not (workspace / "scores.jsonl").exists()
-
-
-def annotate_argv(workspace) -> list[str]:
-    return ["annotate", "--questions", str(workspace / "pool.jsonl"),
-            "--guideline", str(workspace / "guideline.txt"),
-            "--config", str(workspace / "config.json"), "--env", "toyshop", "--tmax", "3",
-            "--out", str(workspace / "annotated.jsonl"), "--cache-dir", str(workspace / "cache")]
 
 
 def rewrite_cache_entry(workspace, kind: type, change) -> None:

@@ -40,8 +40,7 @@ CONFIG = {
     "parallelism": 1,
     "t_max": 2,
     "env": {
-        "toyshop": {"seed": 3, "catalog_size": 8, "hidden_attrs": ["flavor"],
-                    "max_results": 3, "turn_cap": 4},
+        "toyshop": {"seed": 3, "catalog_size": 8, "hidden_attrs": ["flavor"], "max_results": 3},
     },
 }  # fmt: skip
 

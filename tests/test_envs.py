@@ -128,15 +128,12 @@ def test_malformed_action_is_invalid():
     assert not result.done
 
 
-def test_turn_cap_forces_done():
-    env = make_env(seed=9, turn_cap=4)
+def test_only_a_buy_ends_an_episode():
+    env = make_env(seed=9)
     env.reset(Question(id="q1", text="find things"))
-    for i in range(3):
-        result = env.step("search[things]")
-        assert not result.done
-    result = env.step("search[things]")
-    assert result.done
-    assert result.reward == 0.0
+    for _ in range(50):
+        assert not env.step("search[things]").done
+    assert env.step("click[buy]").done
 
 
 def test_step_after_done_is_error():

@@ -564,7 +564,7 @@ def test_annotate_backend_failure_skips_question():
 
 
 def test_annotate_invalid_actions_continue_episode():
-    config = ToyShopConfig(seed=26, catalog_size=10, turn_cap=3)
+    config = ToyShopConfig(seed=26, catalog_size=10)
     env, pool, _ = toyshop_make(config, 1)
     backend = ScriptedBackend(["do something weird", "also weird", "click[buy]"])
     trajectories, _ = annotate(pool, Guideline.from_text("g"), backend, env, tiny_config(t_max=5))
@@ -689,9 +689,7 @@ def test_load_run_config_resolves_paths(tmp_path):
           "instruction_path": "instr.txt",
           "exemplars_path": "ex.jsonl",
           "score_backend": {"kind": "ngram", "order": 2, "corpus_path": "corpus.txt"},
-          "parallelism": 2,
-          "m": 5,
-          "k": 9
+          "parallelism": 2
         }
         """,
         encoding="utf-8",

@@ -283,6 +283,32 @@ def test_generation_prompt_matches_the_stub_rendering(
     assert build_generation_prompt(*args) == stub_generation_prompt(*args)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    instruction=_text,
+    guideline=st.none() | _text.map(Guideline.from_text),
+    exemplars=st.lists(_text, max_size=2),
+    question=_text.filter(bool),
+    initial=_text,
+    history=st.lists(st.tuples(_text.filter(str.strip), _text), min_size=1, max_size=4),
+)
+def test_generation_prompt_is_the_scored_prompt_of_its_history_and_a_cue(
+    instruction, guideline, exemplars, question, initial, history
+):
+    trajectory = Trajectory(
+        question_id="q1",
+        guideline_version="0" * 12,
+        steps=tuple(Step(action=a, observation=o) for a, o in history),
+        reward=0.0,
+        source="annotated",
+        question_text=question,
+        initial_observation=initial,
+    )
+    scored = build_prompt(instruction, guideline, exemplars, trajectory, question_text=question)
+    prompt = build_generation_prompt(instruction, guideline, exemplars, question, initial, history)
+    assert prompt == scored.rendered + "Action: "
+
+
 def test_generation_prompt_keeps_the_missing_placeholder_check():
     with pytest.raises(FormatError, match="steps"):
         build_generation_prompt(
