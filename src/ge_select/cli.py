@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -239,6 +240,9 @@ def _cmd_select(args) -> int:
             raise UsageError("--trajectories is required for --strategy highscore")
         result = select_high_score(load_trajectories(args.trajectories), args.k, args.seed)
     else:  # fl
+        # One BLAS thread, set before numpy loads: the gains' bytes then do not
+        # depend on the core count (README, "select --strategy fl").
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         if args.embeddings:
             ids, vectors = _load_embeddings_file(args.embeddings)
         elif args.pool:

@@ -180,6 +180,8 @@ def select_facility_location(
     "first in id order with a strictly larger gain" tie-break, also for
     duplicate ids. The full n×n similarity matrix stays: rows built on
     demand from mat-vec products could round differently and change gains.
+    The gains' low bits depend on numpy's BLAS build and on its thread count,
+    which the CLI fixes at one; a direct caller keeps its own setting.
     """
     import numpy as np
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
 import threading
@@ -29,6 +30,19 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     if _hypothesis_home:
         shutil.rmtree(_hypothesis_home, ignore_errors=True)
+
+
+@pytest.fixture(autouse=True)
+def _restore_openblas_threads():
+    """``select --strategy fl`` sets ``OPENBLAS_NUM_THREADS`` in ``os.environ``.
+    An in-process run must not pass it on to every later test's child
+    processes, or the tests of that pin would check nothing."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before
 
 
 class LocalServer:

@@ -1161,6 +1161,63 @@ def test_each_subcommand_loads_only_the_modules_it_runs(workspace, command):
     assert proc.stdout.splitlines()[-1].split() == sorted(expected.split())  # after stats' line
 
 
+_THREADS_CHILD = """
+import os
+import sys
+import ge_select.cli
+code = ge_select.cli.run(sys.argv[1:])
+print(len(os.listdir("/proc/self/task")))
+sys.exit(code)
+"""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _select_fl_child(pool: Path, out: Path, k: int, openblas_threads: str | None) -> int:
+    """Run ``select --strategy fl`` in a fresh process with no BLAS thread
+    variable set except ``OPENBLAS_NUM_THREADS=openblas_threads``; return the
+    child's thread count after the command."""
+    import os
+    import subprocess
+    import sys
+
+    import ge_select
+
+    env = {name: value for name, value in os.environ.items() if name not in _BLAS_THREAD_VARS}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    argv = ["select", "--strategy", "fl", "--pool", str(pool), "-k", str(k), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+def test_select_fl_runs_blas_on_one_thread_unless_the_user_sets_it(workspace):
+    import os
+
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task to count threads")
+    pool, out = workspace / "pool.jsonl", workspace / "sel_fl.jsonl"
+    assert _select_fl_child(pool, out, 3, None) == 1
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    assert _select_fl_child(pool, out, 3, "2") == 2
+
+
+def test_select_fl_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # On this pool two OpenBLAS threads round some similarity products
+    # differently from one, and the gains of three picks change.
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=100), 1500)
+    write_records(pool, tmp_path / "pool.jsonl")
+    outs = [tmp_path / "default.jsonl", tmp_path / "one.jsonl"]
+    for out, threads in zip(outs, (None, "1")):
+        _select_fl_child(tmp_path / "pool.jsonl", out, 50, threads)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def _ranked_ids(report: str) -> list[str]:
     return [line.split()[2] for line in report.splitlines() if line.startswith("## ")]
 

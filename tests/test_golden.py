@@ -11,8 +11,11 @@ A change that means to alter an output byte regenerates the file and says why:
     PYTHONPATH=src python tests/test_golden.py --write
 
 Facility-location selections hold BLAS dot products, so their bytes depend
-on numpy's build. The file records numpy's version and BLAS; when a digest
-differs under another build, the failure names both builds.
+on numpy's build and on the BLAS thread count. The CLI fixes the count at
+one in a fresh process; these chains run in the test process, whose numpy
+is already loaded, and the pools here give the same bytes at one and two
+threads. The file records numpy's version and BLAS; when a digest differs
+under another build, the failure names both builds.
 """
 
 from __future__ import annotations
