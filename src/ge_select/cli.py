@@ -249,7 +249,9 @@ def _cmd_select(args) -> int:
             embedder = HashEmbedBackend()
             pool = load_pool(args.pool)
             ids = [q.id for q in pool]
-            vectors = [embedder.embed(q.text) for q in pool]
+            distinct = dict.fromkeys(q.text for q in pool)
+            embedded = {text: embedder.embed(text) for text in distinct}
+            vectors = [embedded[q.text] for q in pool]
         else:
             raise UsageError("--embeddings or --pool is required for --strategy fl")
         result = select_facility_location(ids, vectors, args.k)

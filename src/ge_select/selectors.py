@@ -15,6 +15,7 @@ import heapq
 import math
 import random
 import re
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from .models import (
@@ -156,6 +157,19 @@ def fl_objective(selected: Sequence[int], sim: np.ndarray) -> float:
     return float(np.maximum(coverage, 0.0).sum())
 
 
+def _equal_row_groups(sim: np.ndarray, first: Sequence[float]) -> list[int]:
+    """Number the rows of ``sim`` so that two rows share a number exactly
+    when their bytes are equal. ``first`` holds each row's first gain; equal
+    rows have equal first gains, so only rows whose first gain repeats are
+    keyed on their bytes, and grouping costs at most one pass over ``sim``."""
+    repeats = Counter(first)
+    groups: dict[bytes | int, int] = {}
+    return [
+        groups.setdefault(sim[i].tobytes() if repeats[first[i]] > 1 else i, len(groups))
+        for i in range(len(first))
+    ]
+
+
 def select_facility_location(
     ids: Sequence[str],
     embeddings: Sequence[Sequence[float]],
@@ -180,6 +194,19 @@ def select_facility_location(
     "first in id order with a strictly larger gain" tie-break, also for
     duplicate ids. The full n×n similarity matrix stays: rows built on
     demand from mat-vec products could round differently and change gains.
+
+    A gain is a pure function of the bytes of its row and of the coverage,
+    so candidates whose rows are bitwise equal have bitwise-equal gains at
+    every step (``_equal_row_groups`` numbers these groups). Of a group, the
+    tie-break can pick only the member first in id order, so only that
+    member holds a heap entry; when it is picked, the next member takes over
+    the entry and its stale gain. Each group's gain is then computed once
+    per step, and a pool with no repeated rows runs the plain lazy greedy.
+    Grouping by equal texts or embeddings would not be exact: the product
+    rounds equal vectors differently in different parts of the matrix, so a
+    1500-question toyshop pool has more distinct rows than texts, and
+    grouping it by text changes its picks.
+
     The gains' low bits depend on numpy's BLAS build and on its thread count,
     which the CLI fixes at one; a direct caller keeps its own setting.
     """
@@ -198,16 +225,29 @@ def select_facility_location(
         def gain(i: int) -> float:
             return float(np.maximum(sim[i] - coverage, 0.0).sum())
 
+        first = [gain(i) for i in range(n)]
+        group = _equal_row_groups(sim, first)
         order = sorted(range(n), key=lambda i: ids[i])
-        heap = [(-gain(i), rank, 0) for rank, i in enumerate(order)]
+        # Each group's first member in id order stands in the heap for the
+        # rest, and ``following[rank]`` is the next member of its group.
+        following: list[int | None] = [None] * n
+        head: dict[int, int] = {}
+        for rank in reversed(range(n)):
+            following[rank] = head.get(group[order[rank]])
+            head[group[order[rank]]] = rank
+        heap = [(-first[order[rank]], rank, 0) for rank in head.values()]
         heapq.heapify(heap)
         while len(items) < budget:
             neg_gain, rank, step = heap[0]
             i = order[rank]
             if step == len(items):
-                heapq.heappop(heap)
                 coverage = np.maximum(coverage, sim[i])
                 items.append(SelectionItem(ids[i], -neg_gain))
+                if following[rank] is None:
+                    heapq.heappop(heap)
+                else:
+                    # The stale gain stays an upper bound for the next member.
+                    heapq.heapreplace(heap, (neg_gain, following[rank], step))
             else:
                 heapq.heapreplace(heap, (-gain(i), rank, len(items)))
     return SelectionResult(strategy="fl", params={"k": k}, items=tuple(items))

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -43,6 +46,26 @@ def _restore_openblas_threads():
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
     else:
         os.environ["OPENBLAS_NUM_THREADS"] = before
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python_child(args: list[str], openblas_threads: str | None = None) -> str:
+    """Run ``python *args`` in a fresh process that imports this checkout's
+    ``ge_select`` and sees no BLAS thread variable except
+    ``OPENBLAS_NUM_THREADS=openblas_threads``; assert it exits 0 and return
+    its stdout."""
+    import ge_select
+
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, f"{args} exited {proc.returncode}: {proc.stderr}"
+    return proc.stdout
 
 
 class LocalServer:

@@ -23,7 +23,7 @@ from ge_select.models import (
 from ge_select.pipeline import _CONFIG_KEYS, _PATH_KEYS, load_run_config
 from ge_select.prompts import DEFAULT_TEMPLATE
 
-from conftest import echo_response
+from conftest import echo_response, run_python_child
 
 
 @pytest.fixture
@@ -1169,30 +1169,13 @@ code = ge_select.cli.run(sys.argv[1:])
 print(len(os.listdir("/proc/self/task")))
 sys.exit(code)
 """
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _select_fl_child(pool: Path, out: Path, k: int, openblas_threads: str | None) -> int:
-    """Run ``select --strategy fl`` in a fresh process with no BLAS thread
-    variable set except ``OPENBLAS_NUM_THREADS=openblas_threads``; return the
+    """Run ``select --strategy fl`` in a ``run_python_child``; return the
     child's thread count after the command."""
-    import os
-    import subprocess
-    import sys
-
-    import ge_select
-
-    env = {name: value for name, value in os.environ.items() if name not in _BLAS_THREAD_VARS}
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     argv = ["select", "--strategy", "fl", "--pool", str(pool), "-k", str(k), "--out", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREADS_CHILD, *argv], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1])
+    return int(run_python_child(["-c", _THREADS_CHILD, *argv], openblas_threads).split()[-1])
 
 
 def test_select_fl_runs_blas_on_one_thread_unless_the_user_sets_it(workspace):
@@ -1216,6 +1199,62 @@ def test_select_fl_bytes_do_not_depend_on_the_core_count(tmp_path):
     for out, threads in zip(outs, (None, "1")):
         _select_fl_child(tmp_path / "pool.jsonl", out, 50, threads)
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+_REFERENCE_FL_CHILD = """
+import json
+import sys
+from ge_select.models import load_pool
+from ge_select.selectors import HashEmbedBackend
+tests_dir, pool_path, k = sys.argv[1:]
+sys.path.insert(0, tests_dir)
+from test_selectors import reference_facility_location
+pool = load_pool(pool_path)
+embedder = HashEmbedBackend()
+items = reference_facility_location(
+    [q.id for q in pool], [embedder.embed(q.text) for q in pool], int(k)
+)
+print(json.dumps([[qid, gain.hex()] for qid, gain in items]))
+"""
+
+
+def test_select_fl_equals_the_plain_greedy_where_equal_texts_give_unequal_rows(tmp_path):
+    # At one thread this pool has 238 distinct texts but 255 distinct
+    # similarity rows, and lazy greedy grouped by text changes its picks.
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=100), 1500)
+    pool_path, out = tmp_path / "pool.jsonl", tmp_path / "sel_fl.jsonl"
+    write_records(pool, pool_path)
+    _select_fl_child(pool_path, out, 50, "1")
+    got = [[item.question_id, item.score.hex()] for item in load_selection(out).items]
+    tests_dir = str(Path(__file__).resolve().parent)
+    expected = run_python_child(["-c", _REFERENCE_FL_CHILD, tests_dir, str(pool_path), "50"], "1")
+    assert got == json.loads(expected.splitlines()[-1])
+
+
+def test_select_fl_embeds_each_distinct_text_once(tmp_path, monkeypatch):
+    from ge_select.selectors import HashEmbedBackend, select_facility_location
+
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=5, catalog_size=30), 300)
+    distinct = {q.text for q in pool}
+    assert len(distinct) < len(pool)
+    write_records(pool, tmp_path / "pool.jsonl")
+    embedder = HashEmbedBackend()
+    vectors = [embedder.embed(q.text) for q in pool]
+    every = select_facility_location([q.id for q in pool], vectors, 20)
+    write_records([every], tmp_path / "every.jsonl")
+
+    embedded: list[str] = []
+    embed = HashEmbedBackend.embed
+
+    def counting_embed(self, text: str) -> list[float]:
+        embedded.append(text)
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbedBackend, "embed", counting_embed)
+    assert run(["select", "--strategy", "fl", "--pool", str(tmp_path / "pool.jsonl"), "-k", "20",
+                "--out", str(tmp_path / "sel_fl.jsonl")]) == 0  # fmt: skip
+    assert sorted(embedded) == sorted(distinct)
+    assert (tmp_path / "sel_fl.jsonl").read_bytes() == (tmp_path / "every.jsonl").read_bytes()
 
 
 def _ranked_ids(report: str) -> list[str]:

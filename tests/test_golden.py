@@ -12,10 +12,11 @@ A change that means to alter an output byte regenerates the file and says why:
 
 Facility-location selections hold BLAS dot products, so their bytes depend
 on numpy's build and on the BLAS thread count. The CLI fixes the count at
-one in a fresh process; these chains run in the test process, whose numpy
-is already loaded, and the pools here give the same bytes at one and two
-threads. The file records numpy's version and BLAS; when a digest differs
-under another build, the failure names both builds.
+one in a fresh process, so each ``select --strategy fl`` step runs in a child
+process with no BLAS thread variable set, here and under ``--write``: the
+digests are the bytes a user's run writes on any core count. The file records
+numpy's version and BLAS; when a digest differs under another build, the
+failure names both builds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+from conftest import run_python_child
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
 
@@ -136,7 +139,8 @@ def _fl_chain(root: Path, seed: int, n: int, k: int) -> dict[str, bytes]:
     out = root / "out"
     out.mkdir()
     sel, annotated = str(out / "sel_fl.jsonl"), str(out / "annotated.jsonl")
-    _run(["select", "--pool", inp["pool.jsonl"], "--strategy", "fl", "-k", str(k), "--out", sel])
+    run_python_child(["-m", "ge_select", "select", "--pool", inp["pool.jsonl"], "--strategy",
+                      "fl", "-k", str(k), "--out", sel])  # fmt: skip
     _run(["annotate", "--questions", sel, "--pool", inp["pool.jsonl"], "--guideline",
           inp["guideline.txt"], "--config", inp["config.json"], "--env", "toyshop",
           "--cache-dir", str(out / "cache"), "--out", annotated])  # fmt: skip

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ge_select.envs import ToyShopConfig, toyshop_make
@@ -21,6 +21,7 @@ from ge_select.models import (
 from ge_select.scoring import ge_score
 from ge_select.selectors import (
     HashEmbedBackend,
+    _equal_row_groups,
     cosine_similarity_matrix,
     fl_objective,
     select_facility_location,
@@ -310,7 +311,9 @@ def assert_same_as_reference(ids, vectors, k):
 
 @st.composite
 def fl_instances(draw):
-    """Small pools rich in exact ties: repeated and all-zero vectors, repeated ids."""
+    """Small pools rich in exact ties: repeated and all-zero vectors, repeated
+    ids, and vectors one ulp apart, whose rows differ only in their low bits
+    and whose first gains may tie."""
     n = draw(st.integers(0, 12))
     dim = draw(st.integers(1, 4))
     value = st.one_of(
@@ -318,12 +321,22 @@ def fl_instances(draw):
         st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
     )
     distinct = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    nudges = st.tuples(
+        st.sampled_from(distinct), st.integers(0, dim - 1), st.sampled_from([-1.0, 1.0])
+    )
+    for vector, j, direction in draw(st.lists(nudges, max_size=3)):
+        near = list(vector)
+        near[j] = math.nextafter(near[j], direction * math.inf)
+        distinct.append(near)
     vectors = [draw(st.sampled_from(distinct)) for _ in range(n)]
     ids = draw(st.lists(st.sampled_from(["qa", "qb", "qc", "qd", "qe"]), min_size=n, max_size=n))
     k = draw(st.integers(0, n + 2))
     return ids, vectors, k
 
 
+# Rows one ulp apart whose first gains tie at 3.0: after qa's pick, qb's
+# gain is 0 and qc's is one ulp of 1.
+@example((["qa", "qb", "qc"], [[2.0, -1.0], [2.0, -1.0], [math.nextafter(2.0, 0.0), -1.0]], 2))
 @given(fl_instances())
 def test_fl_lazy_greedy_equals_full_rescan(instance):
     assert_same_as_reference(*instance)
@@ -336,6 +349,34 @@ def test_fl_lazy_greedy_equals_full_rescan_on_hash_embeddings():
     ids = [q.id for q in pool]
     vectors = [embedder.embed(q.text) for q in pool]
     assert_same_as_reference(ids, vectors, 300)
+
+
+class _CountingRows(np.ndarray):
+    """A similarity matrix that counts how often its rows are read."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingRows.reads += 1
+        return super().__getitem__(key)
+
+
+def test_fl_row_grouping_reads_each_row_once_when_distinct_rows_share_a_first_gain():
+    # One-hot rows are pairwise distinct, but every first gain is 1.0: the
+    # case where comparing each row with every earlier group of its first
+    # gain costs O(n²) row comparisons.
+    n, distinct = 400, 300
+    sim = np.eye(distinct)[[i % distinct for i in range(n)]]
+    _CountingRows.reads = 0
+    groups = _equal_row_groups(sim.view(_CountingRows), [1.0] * n)
+    assert groups == [i % distinct for i in range(n)]
+    assert _CountingRows.reads <= n
+
+
+def test_fl_lazy_greedy_equals_full_rescan_on_orthogonal_vectors():
+    n = 40
+    vectors = np.eye(n)[[i % 30 for i in range(n)]].tolist()
+    assert_same_as_reference([f"q{i:02d}" for i in range(n)], vectors, 35)
 
 
 def test_fl_dimension_mismatch():
