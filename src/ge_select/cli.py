@@ -56,8 +56,8 @@ _DEFERRED = {
     "pipeline": ("MAX_PARALLELISM", "SCORE_SKIPS", "annotate", "load_run_config", "score_pool"),
     "reports": ("dataset_stats", "difficulty_shift", "export_sft", "review_report"),
     "selectors": (
-        "HashEmbedBackend", "select_facility_location", "select_ge", "select_high_score",
-        "select_mean_entropy", "select_random",
+        "EmbeddingNormError", "HashEmbedBackend", "select_facility_location", "select_ge",
+        "select_high_score", "select_mean_entropy", "select_random",
     ),
 }  # fmt: skip
 
@@ -196,11 +196,13 @@ def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
     return EXIT_OK
 
 
-def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
+def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]], list[int]]:
     """Read an embeddings file, rejecting a repeated id and a vector whose
-    length differs from the first record's, each by line number."""
+    length differs from the first record's, each by line number. Returns
+    the ids, the vectors and each record's line number."""
     ids: list[str] = []
     vectors: list[list[float]] = []
+    lines: list[int] = []
     seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "embedding"):
         qid = string(record.get("question_id"), f"{path}:{lineno}: field 'question_id'")
@@ -211,11 +213,22 @@ def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]]]:
             raise FormatError(f"{where} must be a list of finite numbers")
         if vectors and len(vector) != len(vectors[0]):
             raise FormatError(
-                f"{where} has {len(vector)} numbers, but line {seen[ids[0]]} has {len(vectors[0])}"
+                f"{where} has {len(vector)} numbers, but line {lines[0]} has {len(vectors[0])}"
             )
         ids.append(qid)
         vectors.append([number(v, where) for v in vector])
-    return ids, vectors
+        lines.append(lineno)
+    return ids, vectors, lines
+
+
+def _embed_pool(path: str) -> tuple[list[str], list[list[float]]]:
+    """Hash-embed a pool: its ids, and one vector per question, shared by the
+    questions of one text, so each distinct text is embedded once. The
+    pool's records are not kept."""
+    embedder = HashEmbedBackend()
+    pool = load_pool(path)
+    embedded = {text: embedder.embed(text) for text in dict.fromkeys(q.text for q in pool)}
+    return [q.id for q in pool], [embedded[q.text] for q in pool]
 
 
 def _cmd_select(args) -> int:
@@ -243,18 +256,18 @@ def _cmd_select(args) -> int:
         # One BLAS thread, set before numpy loads: the gains' bytes then do not
         # depend on the core count (README, "select --strategy fl").
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        lines: list[int] = []
         if args.embeddings:
-            ids, vectors = _load_embeddings_file(args.embeddings)
+            ids, vectors, lines = _load_embeddings_file(args.embeddings)
         elif args.pool:
-            embedder = HashEmbedBackend()
-            pool = load_pool(args.pool)
-            ids = [q.id for q in pool]
-            distinct = dict.fromkeys(q.text for q in pool)
-            embedded = {text: embedder.embed(text) for text in distinct}
-            vectors = [embedded[q.text] for q in pool]
+            ids, vectors = _embed_pool(args.pool)
         else:
             raise UsageError("--embeddings or --pool is required for --strategy fl")
-        result = select_facility_location(ids, vectors, args.k)
+        try:
+            result = select_facility_location(ids, vectors, args.k)
+        except EmbeddingNormError as exc:  # hash embeddings are unit or zero vectors
+            where = f"{args.embeddings}:{lines[exc.index]}: field 'embedding'"
+            raise FormatError(f"{where} {exc.reason}") from None
     write_records([result], args.out)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)

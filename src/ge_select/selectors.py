@@ -125,22 +125,53 @@ class HashEmbedBackend:
         return vec
 
 
-def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
-    """Pairwise cosine similarity; all-zero vectors are similar to nothing."""
+class EmbeddingNormError(FormatError):
+    """A nonzero embedding whose norm cannot be computed in float64: the sum
+    of its squares overflows or underflows to 0 (or it holds a number that
+    is not finite). ``index`` is its place in the caller's sequence."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        self.index = index
+        self.reason = reason
+        super().__init__(f"embedding {index} {reason}")
+
+
+def _similarity(vectors: Sequence[Sequence[float]], order: Sequence[int]) -> np.ndarray:
+    """The cosine similarity of the rows ``vectors[i] for i in order``. The
+    rows are normalized in place, so only the n×d unit matrix and the
+    product are alive while it runs."""
     import numpy as np
 
     try:
-        matrix = np.asarray(vectors, dtype=float)
+        unit = np.asarray([vectors[i] for i in order], dtype=float)
     except ValueError as exc:  # ragged rows
         raise FormatError("embeddings must all have the same dimension") from exc
-    if matrix.ndim != 2:
+    if unit.ndim != 2:
         raise FormatError("embeddings must all have the same dimension")
-    norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = matrix / safe[:, None]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(unit, axis=1)  # unscaled: sqrt of the sum of squares
+    faulty = np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & unit.any(axis=1)))
+    if len(faulty):
+        row = min(faulty, key=lambda r: order[r])
+        if norms[row] == 0.0:
+            reason = "is nonzero but the sum of its squares underflows to 0 in float64"
+        elif np.isfinite(unit[row]).all():
+            reason = "has a sum of squares that overflows float64"
+        else:
+            reason = "must be a list of finite numbers"
+        raise EmbeddingNormError(order[row], reason)
+    norms[norms == 0.0] = 1.0  # all-zero vectors are similar to nothing
+    unit /= norms[:, None]
     sim = unit @ unit.T
     np.clip(sim, -1.0, 1.0, out=sim)
     return sim
+
+
+def cosine_similarity_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
+    """Pairwise cosine similarity; all-zero vectors are similar to nothing,
+    and a nonzero vector whose sum of squares overflows or underflows to 0
+    in float64 raises ``EmbeddingNormError``."""
+    return _similarity(vectors, range(len(vectors)))
 
 
 def fl_objective(selected: Sequence[int], sim: np.ndarray) -> float:
@@ -161,7 +192,8 @@ def _equal_row_groups(sim: np.ndarray, first: Sequence[float]) -> list[int]:
     """Number the rows of ``sim`` so that two rows share a number exactly
     when their bytes are equal. ``first`` holds each row's first gain; equal
     rows have equal first gains, so only rows whose first gain repeats are
-    keyed on their bytes, and grouping costs at most one pass over ``sim``."""
+    keyed on their bytes, and grouping costs at most one pass over ``sim``.
+    Only equal bytes count: ``-0.0`` is not ``0.0``."""
     repeats = Counter(first)
     groups: dict[bytes | int, int] = {}
     return [
@@ -178,22 +210,25 @@ def select_facility_location(
     """Greedy facility-location maximization under cosine similarity.
 
     Item scores are the marginal objective gain at insertion; ties break by
-    ascending id. With k=1 this picks the medoid.
+    ascending id. With k=1 this picks the medoid. The similarity rows are
+    built in stable id order, so the result does not depend on the order of
+    ``ids`` and ``embeddings``.
 
     The greedy is Minoux's exact lazy variant: a heap holds one
-    ``(-gain, id_rank, step)`` entry per candidate, where ``id_rank`` is the
-    candidate's place in the stable id sort and ``gain`` was evaluated
-    against the coverage of pick ``step``. A popped entry from an earlier
-    step is re-evaluated and pushed back; one from the current step is the
-    pick. A stale gain stays an upper bound in floating point too: each
-    term ``max(s - c, 0)`` cannot grow as the coverage ``c`` grows, IEEE
-    addition is monotone and numpy's pairwise sum is a fixed tree of
-    additions. Every gain is computed by the same expression as a full
-    rescan would use, so the picks, their order and their score bytes
-    equal the plain greedy's, and the ``(-gain, id_rank)`` key keeps its
-    "first in id order with a strictly larger gain" tie-break, also for
-    duplicate ids. The full n×n similarity matrix stays: rows built on
-    demand from mat-vec products could round differently and change gains.
+    ``(-gain, row, step)`` entry per candidate, where ``row`` is the
+    candidate's place in the id order and ``gain`` was evaluated against
+    the coverage of pick ``step``. A popped entry from an earlier step is
+    re-evaluated and pushed back; one from the current step is the pick. A
+    stale gain stays an upper bound in floating point too: each term
+    ``max(s - c, 0)`` cannot grow as the coverage ``c`` grows, IEEE addition
+    is monotone and numpy's pairwise sum is a fixed tree of additions. Every
+    gain is computed by the same expression as a full rescan would use (the
+    first gains as one row sum of the clamped matrix, which sums each row
+    by the same tree), so the picks, their order and their score bytes
+    equal the plain greedy's, and the ``(-gain, row)`` key keeps its "first
+    in id order with a strictly larger gain" tie-break, also for duplicate
+    ids. The full n×n similarity matrix stays: rows built on demand from
+    mat-vec products could round differently and change gains.
 
     A gain is a pure function of the bytes of its row and of the coverage,
     so candidates whose rows are bitwise equal have bitwise-equal gains at
@@ -207,8 +242,10 @@ def select_facility_location(
     1500-question toyshop pool has more distinct rows than texts, and
     grouping it by text changes its picks.
 
-    The gains' low bits depend on numpy's BLAS build and on its thread count,
-    which the CLI fixes at one; a direct caller keeps its own setting.
+    A nonzero embedding whose sum of squares overflows or underflows to 0
+    in float64 raises ``EmbeddingNormError``. The gains' low bits depend on
+    numpy's BLAS build and on its thread count, which the CLI fixes at one;
+    a direct caller keeps its own setting.
     """
     import numpy as np
 
@@ -218,36 +255,39 @@ def select_facility_location(
     budget = min(max(k, 0), n)
     items: list[SelectionItem] = []
     if budget:
-        sim = cosine_similarity_matrix(embeddings)
+        order = sorted(range(n), key=lambda i: ids[i])
+        ids = [ids[i] for i in order]
+        sim = _similarity(embeddings, order)
         np.maximum(sim, 0.0, out=sim)
+        first = sim.sum(axis=1).tolist()
+        group = _equal_row_groups(sim, first)
         coverage = np.zeros(n)
+        scratch = np.empty(n)
 
         def gain(i: int) -> float:
-            return float(np.maximum(sim[i] - coverage, 0.0).sum())
+            np.subtract(sim[i], coverage, out=scratch)
+            np.maximum(scratch, 0.0, out=scratch)
+            return float(scratch.sum())
 
-        first = [gain(i) for i in range(n)]
-        group = _equal_row_groups(sim, first)
-        order = sorted(range(n), key=lambda i: ids[i])
-        # Each group's first member in id order stands in the heap for the
-        # rest, and ``following[rank]`` is the next member of its group.
+        # Each group's first member stands in the heap for the rest, and
+        # ``following[i]`` is the next member of its group.
         following: list[int | None] = [None] * n
         head: dict[int, int] = {}
-        for rank in reversed(range(n)):
-            following[rank] = head.get(group[order[rank]])
-            head[group[order[rank]]] = rank
-        heap = [(-first[order[rank]], rank, 0) for rank in head.values()]
+        for i in reversed(range(n)):
+            following[i] = head.get(group[i])
+            head[group[i]] = i
+        heap = [(-first[i], i, 0) for i in head.values()]
         heapq.heapify(heap)
         while len(items) < budget:
-            neg_gain, rank, step = heap[0]
-            i = order[rank]
+            neg_gain, i, step = heap[0]
             if step == len(items):
-                coverage = np.maximum(coverage, sim[i])
+                np.maximum(coverage, sim[i], out=coverage)
                 items.append(SelectionItem(ids[i], -neg_gain))
-                if following[rank] is None:
+                if following[i] is None:
                     heapq.heappop(heap)
                 else:
                     # The stale gain stays an upper bound for the next member.
-                    heapq.heapreplace(heap, (neg_gain, following[rank], step))
+                    heapq.heapreplace(heap, (neg_gain, following[i], step))
             else:
-                heapq.heapreplace(heap, (-gain(i), rank, len(items)))
+                heapq.heapreplace(heap, (-gain(i), i, len(items)))
     return SelectionResult(strategy="fl", params={"k": k}, items=tuple(items))

@@ -4,7 +4,9 @@ import argparse
 import copy
 import json
 import math
+import random
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -376,15 +378,21 @@ def test_select_missing_inputs_usage_error(workspace, capsys):
         ["[" * 100_000],
         ['{"question_id":"a","embedding":[1.0]}', '{"question_id":"b","embedding":[1.0,2.0]}'],
         ['{"question_id":"a","embedding":[1.0,2.0]}', '{"question_id":"b","embedding":[]}'],
+        # Nonzero vectors whose sum of squares overflows or underflows to 0.
+        ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e308,1e308]}'],
+        ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e200,0.0]}'],
+        ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e-320,0.0]}'],
     ],
 )
 def test_select_fl_malformed_embeddings_exit_two(tmp_path, capsys, lines):
     path = tmp_path / "embeddings.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    code = run(
-        ["select", "--strategy", "fl", "-k", "1", "--embeddings", str(path),
-         "--out", str(tmp_path / "sel.jsonl")]
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning escapes as an exception
+        code = run(
+            ["select", "--strategy", "fl", "-k", "1", "--embeddings", str(path),
+             "--out", str(tmp_path / "sel.jsonl")]
+        )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, f"{path}:{len(lines)}:")
 
@@ -1198,6 +1206,20 @@ def test_select_fl_bytes_do_not_depend_on_the_core_count(tmp_path):
     outs = [tmp_path / "default.jsonl", tmp_path / "one.jsonl"]
     for out, threads in zip(outs, (None, "1")):
         _select_fl_child(tmp_path / "pool.jsonl", out, 50, threads)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_select_fl_bytes_do_not_depend_on_the_order_of_the_pool(tmp_path):
+    # Built in pool order, this pool's 50 picks and its shuffled copy's
+    # differ in 4 places and in 20 more gains: near-tied sums round differently.
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=100), 1500)
+    shuffled = list(pool)
+    random.Random(0).shuffle(shuffled)
+    outs = []
+    for name, questions in (("sorted", pool), ("shuffled", shuffled)):
+        write_records(questions, tmp_path / f"{name}.jsonl")
+        outs.append(tmp_path / f"sel_{name}.jsonl")
+        _select_fl_child(tmp_path / f"{name}.jsonl", outs[-1], 50, "1")
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

@@ -38,7 +38,7 @@ NGRAM_ORDER = 4
 TOP_K = 5
 SEEDS = (1, 2, 3)
 SCORE_QUESTIONS, SELECT_K, REPORT_M = 12, 4, 3
-SMALL_FL, FULL_FL = (80, 4), (3000, 50)  # (pool size, k)
+SMALL_FL, MID_FL, FULL_FL = (80, 4), (1500, 50), (3000, 50)  # (pool size, k)
 
 
 def numpy_build() -> dict:
@@ -133,14 +133,22 @@ def _score_chains(root: Path, seed: int) -> dict[str, bytes]:
     return files
 
 
+def _fl_select(root: Path, seed: int, n: int, k: int) -> tuple[dict[str, str], Path]:
+    """Write a toyshop pool of ``n`` questions and run ``select --strategy fl``
+    on it in a child; return the inputs and the selection's path."""
+    inp = _make_inputs(root / "inputs", seed, n, distinct=False)
+    sel = root / "out" / "sel_fl.jsonl"
+    sel.parent.mkdir()
+    run_python_child(["-m", "ge_select", "select", "--pool", inp["pool.jsonl"], "--strategy",
+                      "fl", "-k", str(k), "--out", str(sel)])  # fmt: skip
+    return inp, sel
+
+
 def _fl_chain(root: Path, seed: int, n: int, k: int) -> dict[str, bytes]:
     """annotate-fl: select fl, annotate the selection in toyshop, export, stats."""
-    inp = _make_inputs(root / "inputs", seed, n, distinct=False)
-    out = root / "out"
-    out.mkdir()
-    sel, annotated = str(out / "sel_fl.jsonl"), str(out / "annotated.jsonl")
-    run_python_child(["-m", "ge_select", "select", "--pool", inp["pool.jsonl"], "--strategy",
-                      "fl", "-k", str(k), "--out", sel])  # fmt: skip
+    inp, sel_path = _fl_select(root, seed, n, k)
+    out, sel = sel_path.parent, str(sel_path)
+    annotated = str(out / "annotated.jsonl")
     _run(["annotate", "--questions", sel, "--pool", inp["pool.jsonl"], "--guideline",
           inp["guideline.txt"], "--config", inp["config.json"], "--env", "toyshop",
           "--cache-dir", str(out / "cache"), "--out", annotated])  # fmt: skip
@@ -159,6 +167,8 @@ def chain_digests(root: Path) -> dict[str, str]:
     for seed in SEEDS:
         runs.append((f"score-cold/seed{seed}", _score_chains(root / f"score{seed}", seed)))
         runs.append((f"annotate-fl/seed{seed}", _fl_chain(root / f"fl{seed}", seed, *SMALL_FL)))
+    _, sel = _fl_select(root / "fl-mid", 3, *MID_FL)
+    runs.append((f"select-fl-{MID_FL[0]}/seed3", {"sel_fl.jsonl": sel.read_bytes()}))
     runs.append((f"annotate-fl-{FULL_FL[0]}/seed1", _fl_chain(root / "fl-full", 1, *FULL_FL)))
     return {
         f"{prefix}/{name}": hashlib.sha256(data).hexdigest()

@@ -20,6 +20,7 @@ from ge_select.models import (
 )
 from ge_select.scoring import ge_score
 from ge_select.selectors import (
+    EmbeddingNormError,
     HashEmbedBackend,
     _equal_row_groups,
     cosine_similarity_matrix,
@@ -272,19 +273,21 @@ def test_fl_objective_nondecreasing_in_k():
 
 
 def reference_facility_location(ids, embeddings, k):
-    """The plain greedy: rescans every remaining candidate at every pick."""
+    """The plain greedy: builds the similarity rows in stable id order and
+    rescans every remaining candidate at every pick."""
     n = len(ids)
     budget = min(max(k, 0), n)
     items = []
     if budget:
-        sim = np.maximum(cosine_similarity_matrix(embeddings), 0.0)
+        order = sorted(range(n), key=lambda i: ids[i])
+        ids = [ids[i] for i in order]
+        sim = np.maximum(cosine_similarity_matrix([embeddings[i] for i in order]), 0.0)
         coverage = np.zeros(n)
         remaining = set(range(n))
-        order = sorted(range(n), key=lambda i: ids[i])
         for _ in range(budget):
             best_index = -1
             best_gain = -1.0
-            for i in order:
+            for i in range(n):
                 if i not in remaining:
                     continue
                 gain = float(np.maximum(sim[i] - coverage, 0.0).sum())
@@ -298,7 +301,12 @@ def reference_facility_location(ids, embeddings, k):
 
 
 def assert_same_as_reference(ids, vectors, k):
-    expected = reference_facility_location(ids, vectors, k)
+    try:
+        expected = reference_facility_location(ids, vectors, k)
+    except EmbeddingNormError:  # a subnormal vector whose norm underflows
+        with pytest.raises(EmbeddingNormError):
+            select_facility_location(ids, vectors, k)
+        return
     picked = [qid for qid, _ in expected]
     if len(set(picked)) < len(picked):  # both copies of a repeated id picked
         with pytest.raises(FormatError, match="duplicate question_id"):
@@ -371,6 +379,55 @@ def test_fl_row_grouping_reads_each_row_once_when_distinct_rows_share_a_first_ga
     groups = _equal_row_groups(sim.view(_CountingRows), [1.0] * n)
     assert groups == [i % distinct for i in range(n)]
     assert _CountingRows.reads <= n
+
+
+@pytest.mark.parametrize(
+    "other", [math.nextafter(2.0**-60, 1.0), -0.0], ids=["one-ulp", "negative-zero"]
+)
+def test_fl_row_grouping_splits_rows_whose_bits_differ(other):
+    # Every row sums to the same first gain, and the rows compare equal as
+    # floats, but only rows with equal bytes may share a group.
+    base = 2.0**-60 if other > 0 else 0.0
+    sim = np.array([[1.0, base], [1.0, other], [1.0, base], [1.0, other]])
+    first = sim.sum(axis=1).tolist()
+    assert len(set(first)) == 1
+    assert _equal_row_groups(sim, first) == [0, 1, 0, 1]
+
+
+def test_cosine_similarity_is_the_same_for_shared_and_copied_vectors():
+    # At n=1500 numpy builds the product from one triangle, so rows of one
+    # vector differ in their low bits; whether equal vectors are one list or
+    # copies must not change any of them.
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=100), 1500)
+    embedder = HashEmbedBackend()
+    embedded = {q.text: embedder.embed(q.text) for q in pool}
+    shared = [embedded[q.text] for q in pool]
+    copies = [list(vector) for vector in shared]
+    matrix = np.asarray(copies)
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    expected = np.clip(unit @ unit.T, -1.0, 1.0)
+    for vectors in (shared, copies):
+        assert cosine_similarity_matrix(vectors).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "vector, reason",
+    [
+        ([1e308, 1e308], "has a sum of squares that overflows float64"),
+        ([1e200, 0.0], "has a sum of squares that overflows float64"),  # its norm is 1e200
+        ([1e-320, 0.0], "is nonzero but the sum of its squares underflows to 0 in float64"),
+        ([1e-170, 0.0], "is nonzero but the sum of its squares underflows to 0 in float64"),
+        ([math.nan, 0.0], "must be a list of finite numbers"),
+    ],
+    ids=["overflow", "overflow-finite-norm", "underflow", "underflow-normal", "nan"],
+)
+def test_fl_rejects_a_nonzero_vector_whose_sum_of_squares_is_not_a_positive_float(vector, reason):
+    vectors = [[1.0, 0.0], [0.0, -0.0], vector, list(vector)]
+    with pytest.raises(FormatError, match=f"^embedding 2 {reason}$"):
+        select_facility_location(["qd", "qc", "qb", "qa"], vectors, 1)
+    with pytest.raises(EmbeddingNormError) as raised:
+        cosine_similarity_matrix(vectors)
+    assert raised.value.index == 2
 
 
 def test_fl_lazy_greedy_equals_full_rescan_on_orthogonal_vectors():
