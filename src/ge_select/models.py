@@ -281,8 +281,10 @@ class StepScore:
     n_tokens: int
 
     def __post_init__(self) -> None:
-        if self.d_i <= 0 or self.d_g <= 0:
-            raise FormatError("step difficulties must be > 0")
+        if not (0 < self.d_i < math.inf and 0 < self.d_g < math.inf):
+            raise FormatError(
+                f"step difficulties must be > 0 and finite, got ({self.d_i}, {self.d_g})"
+            )
         if self.n_tokens < 1:
             raise FormatError("n_tokens must be >= 1")
 

@@ -158,17 +158,18 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def _check_scored(scored: Any, spans: int, where: str) -> None:
-    """Raise ``FormatError`` unless a cached scoring entry holds exactly
-    ``logprobs``, one non-empty list of finite numbers <= 0 per span, and
+    """Raise ``FormatError`` unless a cached scoring entry holds exactly what
+    a miss stores: ``steps``, one ``[total, count]`` pair per span, with
+    ``total`` a finite number <= 0 and ``count`` an integer >= 1, and
     ``mean_entropy``, null or a finite number >= 0."""
-    lists = keys(scored, ("logprobs", "mean_entropy"), where).get("logprobs")
-    if "mean_entropy" not in scored or not isinstance(lists, list) or len(lists) != spans:
-        raise FormatError(f"{where} needs 'mean_entropy' and one 'logprobs' list per span")
-    for logprobs in lists:
-        if not isinstance(logprobs, list) or not logprobs:
-            raise FormatError(f"{where}: each span's logprobs must be a non-empty list")
-        for logprob in logprobs:
-            number(logprob, f"{where} logprob", high=0)
+    steps = keys(scored, ("steps", "mean_entropy"), where).get("steps")
+    if "mean_entropy" not in scored or not isinstance(steps, list) or len(steps) != spans:
+        raise FormatError(f"{where} needs 'mean_entropy' and one 'steps' pair per span")
+    for step in steps:
+        if not isinstance(step, list) or len(step) != 2:
+            raise FormatError(f"{where}: each span's step must be a [total, count] pair")
+        number(step[0], f"{where} logprob total", high=0)
+        number(step[1], f"{where} token count", integer=True, low=1)
     if scored["mean_entropy"] is not None:
         number(scored["mean_entropy"], f"{where} mean_entropy", low=0)
 
@@ -178,22 +179,25 @@ def _score_prompt(
     backend: Backend,
     top_k: int,
     cache: ResponseCache | None = None,
-) -> tuple[list[list[float]], float | None]:
-    """Token logprobs of each scored action, plus the mean entropy of the
+) -> tuple[list[list], float | None]:
+    """One ``[total, count]`` pair per scored action, the sum of its token
+    logprobs in token order and their number, plus the mean entropy of the
     top-k distributions at those tokens (None when there are none).
 
-    Only these are cached, keyed by schema version, prompt, spans and top_k,
-    so a hit needs neither the backend, span mapping nor any distribution.
-    A miss stores them and returns what the cache holds, so racing writers
-    agree; JSON floats round-trip exactly, so a hit returns the same bytes.
-    A hit of any other shape raises ``FormatError`` naming the cache.
+    Only these are cached (schema 3), keyed by schema version, prompt, spans
+    and top_k, so a hit needs neither the backend, span mapping nor any
+    distribution. A miss stores them and returns what the cache holds, so
+    racing writers agree; JSON floats round-trip exactly, so a hit returns
+    the same bytes. A hit of any other shape raises ``FormatError`` naming
+    the cache. A miss whose sum overflows raises ``FormatError`` and stores
+    nothing.
     """
     key = cache_key(
         backend.id,
         canonical_request(
             {
                 "op": "score_spans",
-                "v": 2,
+                "v": 3,
                 "text": bundle.rendered,
                 "spans": bundle.action_spans,
                 "top_k": top_k,
@@ -205,7 +209,7 @@ def _score_prompt(
         _check_scored(scored, len(bundle.action_spans), f"cache {cache.path}: scoring entry")
     else:
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
-        logprobs: list[list[float]] = []
+        steps: list[list] = []
         dists: list[TokenDistribution] = []
         for index, (first, last) in enumerate(map_spans_to_tokens(bundle, echo)):
             tokens = echo[first:last]
@@ -214,12 +218,14 @@ def _score_prompt(
                     f"scored span for step {index} covers a token "
                     "without a logprob (prompt must not begin with an action)"
                 )
-            logprobs.append([token.logprob for token in tokens])
+            total = sum(token.logprob for token in tokens)
+            number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
+            steps.append([total, len(tokens)])
             dists.extend(token.top for token in tokens if token.top)
-        scored = {"logprobs": logprobs, "mean_entropy": mean_entropy(dists) if dists else None}
+        scored = {"steps": steps, "mean_entropy": mean_entropy(dists) if dists else None}
         if cache is not None:
             scored = cache.put(key, scored)
-    return scored["logprobs"], scored["mean_entropy"]
+    return scored["steps"], scored["mean_entropy"]
 
 
 def score_trajectory(
@@ -248,9 +254,9 @@ def score_trajectory(
             question_text=question.text,
         )
 
-    without_lists, _ = _score_prompt(render(None), backend, 0, cache)
-    with_lists, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
-    per_step, ge = aggregate_trajectory(with_lists, without_lists)
+    without_steps, _ = _score_prompt(render(None), backend, 0, cache)
+    with_steps, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
+    per_step, ge = aggregate_trajectory(with_steps, without_steps)
     if config.ge_sign == GE_SIGN_EQ5:
         ge = -ge
     return ScoreRecord(

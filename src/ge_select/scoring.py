@@ -1,8 +1,8 @@
 """Difficulty and guideline-effectiveness arithmetic.
 
-Pure functions over logprob lists; no I/O and no model access. All logs are
-natural, so difficulties are nats/token and score checks against ln 2 stay
-exact.
+Pure functions over logprob lists and their per-step sums; no I/O and no
+model access. All logs are natural, so difficulties are nats/token and score
+checks against ln 2 stay exact.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ class TokenDistribution:
         object.__setattr__(self, "top", tuple(self.top))
 
 
+def _difficulty(total: float, count: int) -> float:
+    return max(DIFFICULTY_FLOOR, -total / count)
+
+
 def step_difficulty(logprobs: Sequence[float]) -> float:
     """Average negated token logprob, floored at DIFFICULTY_FLOOR."""
     if not logprobs:
@@ -44,7 +48,7 @@ def step_difficulty(logprobs: Sequence[float]) -> float:
     for lp in logprobs:
         if lp > 0:
             raise ValueError(f"token logprob {lp} must be <= 0")
-    return max(DIFFICULTY_FLOOR, -sum(logprobs) / len(logprobs))
+    return _difficulty(sum(logprobs), len(logprobs))
 
 
 def ge_score(per_step: Iterable[tuple[float, float]]) -> float:
@@ -84,14 +88,17 @@ def mean_entropy(dists: Sequence[TokenDistribution]) -> float:
 
 
 def aggregate_trajectory(
-    with_g: Sequence[Sequence[float]],
-    without_g: Sequence[Sequence[float]],
+    with_g: Sequence[tuple[float, int]],
+    without_g: Sequence[tuple[float, int]],
 ) -> tuple[list[StepScore], float]:
-    """Combine per-step logprob lists from both prompt variants.
+    """Combine both prompt variants' per-step ``(total, count)`` pairs: the
+    sum of a step's token logprobs, in token order, and their number.
 
-    Token counts may differ between variants (the tokenizer sees different
-    contexts); only the step count must match. Returns the per-step scores
-    and the default-convention ge value.
+    A step's difficulty is ``-total / count``, floored, which is
+    ``step_difficulty`` of its logprobs bit for bit. Token counts may differ
+    between variants (the tokenizer sees different contexts); only the step
+    count must match. Returns the per-step scores, whose ``n_tokens`` is the
+    guideline prompt's count, and the default-convention ge value.
     """
     if len(with_g) != len(without_g):
         raise FormatError(
@@ -101,11 +108,7 @@ def aggregate_trajectory(
     if not with_g:
         raise FormatError("trajectory has no steps to aggregate")
     per_step = [
-        StepScore(
-            d_i=step_difficulty(wo),
-            d_g=step_difficulty(wi),
-            n_tokens=len(wi),
-        )
+        StepScore(d_i=_difficulty(*wo), d_g=_difficulty(*wi), n_tokens=wi[1])
         for wi, wo in zip(with_g, without_g)
     ]
     return per_step, ge_score([(s.d_i, s.d_g) for s in per_step])

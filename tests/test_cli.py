@@ -17,6 +17,7 @@ from ge_select.cli import _build_parser, run
 from ge_select.envs import ToyShopConfig, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
     Guideline,
+    load_pool,
     load_scores,
     load_selection,
     load_trajectories,
@@ -737,6 +738,43 @@ def test_http_echo_reply_that_does_not_tile_exits_three(workspace, capsys, local
     assert not (workspace / "scores.jsonl").exists()
 
 
+@pytest.mark.parametrize("overflowing", [3, 12])
+def test_http_logprobs_whose_span_sum_overflows_fail_their_question(
+    workspace, capsys, local_server, overflowing
+):
+    # Each logprob is finite, but any span of two or more tokens sums to -inf.
+    # Only the prompts of the first ``overflowing`` questions get such replies.
+    texts = [q.text for q in load_pool(workspace / "pool.jsonl")[:overflowing]]
+
+    def huge(path, body):
+        reply = echo_response(body["prompt"], body["logprobs"])
+        logprobs = reply["choices"][0]["logprobs"]
+        if any(text in body["prompt"] for text in texts):
+            logprobs["token_logprobs"] = [None] + [-1e308] * (len(logprobs["tokens"]) - 1)
+        return 200, reply
+
+    local_server.handler = huge
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    config["top_k"] = 0
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run(score_argv(workspace))
+    err = capsys.readouterr().err
+    cache = workspace / "cache" / "cache.jsonl"
+    assert not cache.exists() or "Infinity" not in cache.read_text(encoding="utf-8")
+    needle = "the sum of its token logprobs must be a finite number"
+    if overflowing == 12:
+        assert code == 3
+        assert_one_error_line(err, 3, "all 12 scoring attempts failed", needle)
+        assert not (workspace / "scores.jsonl").exists()
+        return
+    assert code == 0 and "Traceback" not in err
+    diagnostics = (workspace / "scores.jsonl.diag.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [f"warning: {d['question_id']}: {d['error']}" for d in map(json.loads, diagnostics)] == err.splitlines()
+    assert len(diagnostics) >= overflowing and all(needle in line for line in diagnostics)
+    assert len(load_scores(workspace / "scores.jsonl")) == 12 - len(diagnostics)
+
+
 def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_server):
     import threading
     import time
@@ -1377,14 +1415,14 @@ def test_null_cache_entry_is_a_skipped_line_and_is_stored_again(workspace, capsy
 def test_cached_string_logprobs_are_a_diagnostic_naming_the_cache(workspace, capsys):
     assert run(score_argv(workspace)) == 0
     rewrite_cache_entry(
-        workspace, dict, lambda r: {**r, "logprobs": [[str(lp) for lp in s] for s in r["logprobs"]]}
+        workspace, dict, lambda r: {**r, "steps": [[str(total), count] for total, count in r["steps"]]}
     )
     capsys.readouterr()
     assert run(score_argv(workspace)) == 0
     cache_path = workspace / "cache" / "cache.jsonl"
     # Questions whose prompts render alike share the entry, so it fails each of them.
     warnings = capsys.readouterr().err.splitlines()
-    assert warnings and all(f"cache {cache_path}: scoring entry logprob" in w for w in warnings)
+    assert warnings and all(f"cache {cache_path}: scoring entry logprob total" in w for w in warnings)
     diagnostics = (workspace / "scores.jsonl.diag.jsonl").read_text(encoding="utf-8").splitlines()
     assert [f"warning: {d['question_id']}: {d['error']}" for d in map(json.loads, diagnostics)] == warnings
     assert len(load_scores(workspace / "scores.jsonl")) == 12 - len(warnings)

@@ -211,15 +211,15 @@ def test_mutated_input_exits_zero_or_with_one_error_line(workspace, name, data):
     _assert_zero_or_one_error_line(code, err)
 
 
-def _strings(logprobs):
-    return [[str(lp) for lp in span] for span in logprobs]
+def _strings(steps):
+    return [[str(total), count] for total, count in steps]
 
 
 @pytest.mark.parametrize(
     "command, kind, change",
     [
         (0, dict, lambda response: None),
-        (0, dict, lambda response: {**response, "logprobs": _strings(response["logprobs"])}),
+        (0, dict, lambda response: {**response, "steps": _strings(response["steps"])}),
         (1, str, lambda response: None),
         (1, str, lambda response: 5),
         (1, str, lambda response: ["x"]),

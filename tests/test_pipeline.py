@@ -44,6 +44,7 @@ from ge_select.pipeline import (
     validate_sft_record,
 )
 from ge_select.prompts import build_prompt
+from ge_select.scoring import DIFFICULTY_FLOOR
 
 from conftest import CountingBackend, oracle_conditional
 
@@ -299,9 +300,13 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
     assert len(entries) == 2
     n_tokens = [s.n_tokens for s in record.per_step]
     for entry in entries:
-        assert [len(logprobs) for logprobs in entry["logprobs"]] == n_tokens
+        assert sorted(entry) == ["mean_entropy", "steps"]
+        assert all(len(step) == 2 and step[0] <= 0 for step in entry["steps"])
     without, with_guideline = entries
-    assert all("top" not in entry for entry in entries)
+    assert [count for _, count in with_guideline["steps"]] == n_tokens
+    assert [max(DIFFICULTY_FLOOR, -total / count) for total, count in with_guideline["steps"]] == [
+        s.d_g for s in record.per_step
+    ]
     assert without["mean_entropy"] is None  # the guideline-free prompt is scored at top_k=0
     assert with_guideline["mean_entropy"] == record.mean_entropy
     assert counting.counts["echo"] == 2 and len(mapped) == 2
@@ -319,7 +324,7 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
     )  # fmt: skip
     assert counting.counts["echo"] == 3
     added = json.loads(cache_path.read_text().splitlines()[-1])["response"]
-    assert added["logprobs"] == with_guideline["logprobs"] != without["logprobs"]
+    assert added["steps"] == with_guideline["steps"] != without["steps"]
     assert (rerun.per_step, rerun.ge) == (record.per_step, record.ge)
 
 
@@ -331,8 +336,9 @@ def test_pre_v2_cache_entries_are_never_read(tmp_path):
     config = tiny_config(top_k=2)
     cold = score_trajectory(trajectory, pool[0], guideline, backend, config)
 
-    # A pre-v2 entry for each prompt, under the key its body had without "v",
-    # holding values no scorer would compute.
+    # For each prompt, a pre-v2 entry under the key its body had without "v"
+    # and a v2 entry (token logprob lists) under its "v": 2 key, each holding
+    # values no scorer would compute.
     cache_path = tmp_path / "cache.jsonl"
     cache = ResponseCache(cache_path)
     for g in (None, guideline):
@@ -340,19 +346,18 @@ def test_pre_v2_cache_entries_are_never_read(tmp_path):
             config.instruction, g, config.exemplars, trajectory, config.template,
             config.score_target, question_text=pool[0].text,
         )
-        old_body = canonical_request(
-            {
-                "op": "score_spans",
-                "text": bundle.rendered,
-                "spans": [[start, end] for start, end in bundle.action_spans],
-                "top_k": 0 if g is None else config.top_k,
-            }
-        )
-        stale = {
-            "logprobs": [[-9.0] * (end - start) for start, end in bundle.action_spans],
-            "top": [],
+        body = {
+            "op": "score_spans",
+            "text": bundle.rendered,
+            "spans": [[start, end] for start, end in bundle.action_spans],
+            "top_k": 0 if g is None else config.top_k,
         }
-        cache.put(cache_key(backend.id, old_body), stale)
+        logprobs = [[-9.0] * (end - start) for start, end in bundle.action_spans]
+        cache.put(cache_key(backend.id, canonical_request(body)), {"logprobs": logprobs, "top": []})
+        cache.put(
+            cache_key(backend.id, canonical_request({**body, "v": 2})),
+            {"logprobs": logprobs, "mean_entropy": 9.0},
+        )
 
     counting = CountingBackend(backend)
     record = score_trajectory(
@@ -361,8 +366,63 @@ def test_pre_v2_cache_entries_are_never_read(tmp_path):
     assert record == cold
     assert counting.counts["echo"] == 2
     entries = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
-    assert len(entries) == 4
-    assert all("mean_entropy" in entry for entry in entries[2:])
+    assert len(entries) == 6
+    assert all(sorted(entry) == ["mean_entropy", "steps"] for entry in entries[4:])
+
+
+def _with_steps(change):
+    return lambda entry: {**entry, "steps": [change(total, count) for total, count in entry["steps"]]}
+
+
+_MALFORMED_HITS = {
+    "bool-count": _with_steps(lambda total, count: [total, True]),
+    "zero-count": _with_steps(lambda total, count: [total, 0]),
+    "float-count": _with_steps(lambda total, count: [total, float(count)]),
+    "positive-total": _with_steps(lambda total, count: [0.5, count]),
+    "nan-total": _with_steps(lambda total, count: [math.nan, count]),
+    "inf-total": _with_steps(lambda total, count: [math.inf, count]),
+    "minus-inf-total": _with_steps(lambda total, count: [-math.inf, count]),
+    "three-elements": _with_steps(lambda total, count: [total, count, count]),
+    "no-steps": lambda entry: {"mean_entropy": entry["mean_entropy"]},
+}
+
+
+@pytest.mark.parametrize("change", _MALFORMED_HITS.values(), ids=list(_MALFORMED_HITS))
+def test_malformed_scoring_hit_is_an_error_naming_the_cache(tmp_path, change):
+    question = Question(id="q1", text="find a mug")
+    trajectory = make_trajectory("q1", actions=("search[mug]", "click[buy]"))
+    guideline = Guideline.from_text("Buy the first mug.")
+    backend = NgramBackend("", order=3)
+    cache_path = tmp_path / "cache.jsonl"
+    score_trajectory(trajectory, question, guideline, backend, tiny_config(), ResponseCache(cache_path))
+    entries = [json.loads(line) for line in cache_path.read_text().splitlines()]
+    cache_path.write_text(
+        "".join(json.dumps({**e, "response": change(e["response"])}) + "\n" for e in entries)
+    )
+    counting = CountingBackend(backend)
+    with pytest.raises(FormatError, match=f"cache {cache_path}: scoring entry"):
+        score_trajectory(
+            trajectory, question, guideline, counting, tiny_config(), ResponseCache(cache_path)
+        )
+    assert counting.total_calls == 0
+
+
+def test_scoring_entry_size_does_not_grow_with_the_action_text(tmp_path):
+    question = Question(id="q1", text="find a mug")
+    guideline = Guideline.from_text("Buy the first mug.")
+    sizes = []
+    for action in ("click[buy]", "search[" + "red mug " * 500 + "]"):
+        cache_path = tmp_path / f"{len(action)}.jsonl"
+        trajectory = make_trajectory("q1", actions=(action,))
+        record = score_trajectory(
+            trajectory, question, guideline, NgramBackend("", order=3), tiny_config(),
+            ResponseCache(cache_path),
+        )  # fmt: skip
+        assert record.per_step[0].n_tokens >= len(action)  # byte tokens
+        responses = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+        sizes += [len(json.dumps(response)) for response in responses]
+    # Two floats, an integer and the keys: no more than this for any action.
+    assert max(sizes) <= 90, sizes
 
 
 def test_racing_scorers_agree_and_store_one_entry_per_prompt(tmp_path):

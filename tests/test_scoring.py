@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ge_select.scoring import (
     DIFFICULTY_FLOOR,
@@ -178,7 +181,7 @@ def test_token_distribution_validates_mass():
 
 
 def test_aggregate_trajectory_composition():
-    per_step, ge = aggregate_trajectory(with_g=[[-0.5]], without_g=[[-1.0]])
+    per_step, ge = aggregate_trajectory(with_g=[(-0.5, 1)], without_g=[(-1.0, 1)])
     assert per_step[0].d_i == pytest.approx(1.0)
     assert per_step[0].d_g == pytest.approx(0.5)
     assert per_step[0].n_tokens == 1
@@ -189,17 +192,49 @@ def test_aggregate_trajectory_length_mismatch():
     from ge_select.models import FormatError
 
     with pytest.raises(FormatError, match="step counts differ"):
-        aggregate_trajectory([[-1.0], [-1.0]], [[-1.0], [-1.0], [-1.0]])
+        aggregate_trajectory([(-1.0, 1)] * 2, [(-1.0, 1)] * 3)
 
 
 def test_aggregate_trajectory_identical_inputs_zero_ge():
-    lists = [[-0.3, -0.8], [-1.2]]
-    _, ge = aggregate_trajectory(lists, lists)
+    pairs = [(-1.1, 2), (-1.2, 1)]
+    _, ge = aggregate_trajectory(pairs, pairs)
     assert ge == 0.0
 
 
 def test_aggregate_allows_different_token_counts():
-    per_step, _ = aggregate_trajectory([[-1.0, -1.0, -1.0]], [[-2.0]])
+    per_step, _ = aggregate_trajectory([(-3.0, 3)], [(-2.0, 1)])
     assert per_step[0].n_tokens == 3
     assert per_step[0].d_i == pytest.approx(2.0)
     assert per_step[0].d_g == pytest.approx(1.0)
+
+
+def test_aggregate_rejects_a_difficulty_beyond_float_range():
+    from ge_select.models import FormatError
+
+    with pytest.raises(FormatError, match="finite"):
+        aggregate_trajectory([(-math.inf, 2)], [(-1.0, 1)])
+
+
+_LOGPROBS = st.lists(
+    st.one_of(
+        st.floats(max_value=0.0, allow_nan=False),
+        st.sampled_from([-0.0, -5e-324, -2.2250738585072014e-308, -1e308]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_LOGPROBS)
+@example([-0.0])
+@example([-5e-324, -5e-324])
+@example([-1e308, -7e307])
+def test_a_cached_sum_and_count_give_the_difficulty_of_the_logprobs_bit_for_bit(logprobs):
+    total = sum(logprobs)  # as a cache miss sums a span, in token order
+    if not math.isfinite(total):
+        return  # a miss stores no overflowing sum
+    pair = json.loads(json.dumps([total, len(logprobs)]))
+    per_step, _ = aggregate_trajectory([pair], [pair])
+    expected = step_difficulty(logprobs)
+    assert per_step[0].d_g.hex() == per_step[0].d_i.hex() == expected.hex()
+    assert per_step[0].n_tokens == len(logprobs)
