@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .models import BackendError, FormatError, _read_text, keys, number, string
+from .models import BackendError, FormatError, _read_text, keys, number, string, sum_floats
 from .scoring import TokenDistribution
 
 if TYPE_CHECKING:
@@ -140,10 +140,11 @@ class NgramBackend(Backend):
 
     ``order`` is the context length in bytes. Counts are the training-corpus
     counts plus the counts of the already-processed prefix of the current
-    call, so the model is deterministic but prompt-sensitive. Each table of
-    text counts is counted over the tables beneath it, so a lookup reads the
-    first table that holds its context. Text tables hold full-order contexts
-    only: shorter ones are looked up only before the text has counted any.
+    call, so the model is deterministic but prompt-sensitive. There are two
+    tables: the corpus table, and one table per echoed text or generation
+    prompt, counted over the corpus table, so a lookup reads the text's table
+    and then the corpus. Text tables hold full-order contexts only: shorter
+    ones are looked up only before the text has counted any.
     """
 
     def __init__(self, corpus: str, order: int, model: str = "") -> None:
@@ -250,7 +251,9 @@ class NgramBackend(Backend):
         top_p: float = 0.95,
     ) -> str:
         # Greedy and deterministic; temperature/top_p are accepted for
-        # interface parity and ignored.
+        # interface parity and ignored. The completion's own bytes are not
+        # counted: each pick is the top byte of its context, and counting it
+        # only widens its lead, so no later pick could change.
         if max_tokens < 1:
             raise BackendError("max_tokens must be >= 1")
         order = self.order
@@ -264,15 +267,12 @@ class NgramBackend(Backend):
         for i in range(max(order, len(counted)), len(data)):
             _count(prompt_counts, data[i - order : i], data[i], corpus)
         self._prompt.table = (data, prompt_counts)
-        grown: dict[bytes, list] = {}  # prompt counts plus the completion's own
         ctx = data[-order:]
         stop_bytes = tuple(s.encode("utf-8") for s in stop if s)
         generated = bytearray()
         for _ in range(max_tokens):
-            _, following = grown.get(ctx) or prompt_counts.get(ctx) or corpus.get(ctx, _EMPTY_BUCKET)
+            _, following = prompt_counts.get(ctx) or corpus.get(ctx, _EMPTY_BUCKET)
             best = min(following, key=lambda b: (-following[b], b), default=0)
-            if len(ctx) == order:
-                _count(grown, ctx, best, prompt_counts if ctx in prompt_counts else corpus)
             ctx = (ctx + bytes((best,)))[-order:]
             generated.append(best)
             if generated.endswith(stop_bytes):
@@ -418,7 +418,7 @@ class HttpBackend(Backend):
                 ]
                 ranked = sorted(alternatives, key=lambda kv: (-kv[1], kv[0]))[:want_top_k]
                 entries = tuple((t, min(0.0, p)) for t, p in ranked)
-                mass = sum(math.exp(p) for _, p in entries)
+                mass = sum_floats(math.exp(p) for _, p in entries)
                 try:
                     top = TokenDistribution(top=entries, residual_mass=max(0.0, 1.0 - mass))
                 except ValueError as exc:  # the alternatives hold more than all the mass

@@ -187,12 +187,16 @@ def _cmd_score(args) -> int:
 
 def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
     """Write ``records`` to ``out``, and any diagnostics to the ``.diag.jsonl``
-    sidecar with one warning line each on stderr."""
+    sidecar with one warning line each on stderr. A run without diagnostics
+    removes the sidecar, so none is left from an earlier run."""
     write_records(records, out)
+    sidecar = Path(out + ".diag.jsonl")
     if diagnostics:
-        write_records(diagnostics, out + ".diag.jsonl")
+        write_records(diagnostics, sidecar)
         for diag in diagnostics:
             print(f"warning: {diag.question_id}: {diag.error}", file=sys.stderr)
+    else:
+        sidecar.unlink(missing_ok=True)
     return EXIT_OK
 
 

@@ -39,6 +39,16 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
+def sum_floats(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right from 0.0, as ``sum`` adds
+    floats up to Python 3.11. Python 3.12's ``sum`` compensates rounding, so
+    it would change output bytes, and cached scores, between versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # The input checker: every value read from a file, config or reply passes one
 # of these. Each raises ``error`` naming ``where`` the value came from; the
 # error class picks the exit code (``FormatError`` exits 2).
@@ -77,7 +87,7 @@ def keys(
         raise error(f"{where} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj).difference(allowed)) if allowed is not None else []
     if unknown:
-        raise error(f"{where}: unknown config key(s): {', '.join(map(repr, unknown))}")
+        raise error(f"{where}: unknown key(s): {', '.join(map(repr, unknown))}")
     return obj
 
 

@@ -31,6 +31,7 @@ from .models import (
     keys,
     number,
     string,
+    sum_floats,
 )
 from .prompts import (
     DEFAULT_TEMPLATE,
@@ -42,7 +43,9 @@ from .prompts import (
     check_template,
     map_spans_to_tokens,
 )
-# Re-exported for callers that import them from here, as perfbench/run.py does.
+# Re-exported for callers that import them from here: perfbench/run.py
+# (``validate_sft_record``), tests/test_acceptance.py (all but
+# ``review_report``) and tests/test_pipeline.py (all five).
 from .reports import dataset_stats, difficulty_shift, export_sft, review_report, validate_sft_record  # noqa: F401
 from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
 
@@ -218,7 +221,7 @@ def _score_prompt(
                     f"scored span for step {index} covers a token "
                     "without a logprob (prompt must not begin with an action)"
                 )
-            total = sum(token.logprob for token in tokens)
+            total = sum_floats(token.logprob for token in tokens)
             number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
             steps.append([total, len(tokens)])
             dists.extend(token.top for token in tokens if token.top)

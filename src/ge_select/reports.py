@@ -16,6 +16,7 @@ from .models import (
     ScoreRecord,
     SelectionResult,
     Trajectory,
+    sum_floats,
 )
 
 
@@ -125,7 +126,7 @@ def dataset_stats(trajectories: Sequence[Trajectory]) -> dict[str, float]:
     if not trajectories:
         raise FormatError("dataset_stats needs at least one trajectory")
     avg_turns = sum(len(t.steps) for t in trajectories) / len(trajectories)
-    avg_reward_pct = 100.0 * sum(t.reward for t in trajectories) / len(trajectories)
+    avg_reward_pct = 100.0 * sum_floats(t.reward for t in trajectories) / len(trajectories)
     return {"avg_turns": avg_turns, "avg_reward_pct": avg_reward_pct}
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .models import FormatError, StepScore
+from .models import FormatError, StepScore, sum_floats
 
 # Difficulty floor: keeps log-ratios finite on perfectly predicted actions.
 DIFFICULTY_FLOOR = 1e-6
@@ -48,7 +48,7 @@ def step_difficulty(logprobs: Sequence[float]) -> float:
     for lp in logprobs:
         if lp > 0:
             raise ValueError(f"token logprob {lp} must be <= 0")
-    return _difficulty(sum(logprobs), len(logprobs))
+    return _difficulty(sum_floats(logprobs), len(logprobs))
 
 
 def ge_score(per_step: Iterable[tuple[float, float]]) -> float:

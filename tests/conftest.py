@@ -179,6 +179,24 @@ def echo_response(prompt: str, top_k: int = 0) -> dict:
     }
 
 
+def backend_echo_response(backend, prompt: str, top_k: int) -> dict:
+    """``backend``'s echo of ``prompt`` as an OpenAI-completions echo payload."""
+    tokens = backend.echo_logprobs(prompt, want_top_k=top_k)
+    return {
+        "choices": [
+            {
+                "text": prompt,
+                "logprobs": {
+                    "tokens": [t.text for t in tokens],
+                    "token_logprobs": [t.logprob for t in tokens],
+                    "text_offset": [t.char_start for t in tokens],
+                    "top_logprobs": [dict(t.top.top) if t.top else None for t in tokens],
+                },
+            }
+        ]
+    }
+
+
 def oracle_conditional(corpus: bytes, prefix: bytes, ctx: bytes, b: int) -> float:
     """Brute-force add-one conditional over corpus plus already-seen prefix."""
 

@@ -188,12 +188,19 @@ _NGRAM_TEXT = st.text(alphabet="ab \n[é€𝄞", max_size=16)
     k=st.integers(0, 4),
     stop=st.lists(st.text(alphabet="ab\né", min_size=1, max_size=2), max_size=2),
 )
-# Contexts that occur in the corpus, earlier in the echoed text, and in both
-# the prompt and its completion, so every lookup reads a table that is
-# counted over the ones beneath it.
+# Contexts that occur in the corpus and earlier in the echoed text or the
+# prompt, so a lookup reads the text's table, which is counted over the
+# corpus table, before the corpus.
 @example(corpus="ab ab", text="ab ab ab", prompt="ab ab", order=2, k=2, stop=[])
 @example(corpus="ab é ab", text="é ab é ab", prompt="ab é", order=3, k=3, stop=["\n"])
 @example(corpus="a[a[", text="a[a[a[", prompt="[a[a", order=1, k=1, stop=[])
+@example(corpus="ab", text="a", prompt="acaca", order=1, k=0, stop=[])
+# A completion that revisits a context whose counts tie, in the corpus and in
+# the prompt: the oracle counts the completion's own bytes, which only widen
+# the lead of the byte picked there.
+@example(corpus="abac", text="b", prompt="a", order=1, k=0, stop=[])
+@example(corpus="", text="a", prompt="abaca", order=1, k=0, stop=[])
+@example(corpus="xab xac x", text="é", prompt=" xa", order=2, k=0, stop=["\n"])
 # A character's first byte follows a context that no table holds while its
 # continuation byte follows a counted one: in the corpus, then earlier in the text.
 @example(corpus="é", text="aé", prompt="", order=1, k=2, stop=[])

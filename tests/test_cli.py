@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ge_select.backends import _BACKEND_KEYS
+from ge_select.backends import _BACKEND_KEYS, build_backend
 from ge_select.cli import _build_parser, run
 from ge_select.envs import ToyShopConfig, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
@@ -26,7 +26,7 @@ from ge_select.models import (
 from ge_select.pipeline import _CONFIG_KEYS, _PATH_KEYS, load_run_config
 from ge_select.prompts import DEFAULT_TEMPLATE
 
-from conftest import echo_response, run_python_child
+from conftest import backend_echo_response, echo_response, run_python_child
 
 
 @pytest.fixture
@@ -775,6 +775,43 @@ def test_http_logprobs_whose_span_sum_overflows_fail_their_question(
     assert len(load_scores(workspace / "scores.jsonl")) == 12 - len(diagnostics)
 
 
+def test_http_scoring_in_front_of_an_ngram_model_matches_the_direct_run(workspace, local_server):
+    config_path = workspace / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "ngram", "order": 3, "corpus": toyshop_guideline()}
+    config["top_k"] = 3
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 0
+    direct = load_scores(workspace / "scores.jsonl")
+    ngram = build_backend(config["score_backend"])
+    local_server.handler = lambda path, body: (
+        200,
+        backend_echo_response(ngram, body["prompt"], body["logprobs"]),
+    )
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    written = []
+    for parallel in ("1", "4"):
+        out = workspace / f"http-{parallel}.jsonl"
+        argv = score_argv(workspace)
+        argv[argv.index("--out") + 1] = str(out)
+        argv[argv.index("--cache-dir") + 1] = str(workspace / f"cache-{parallel}")
+        assert run([*argv, "--parallel", parallel]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    via_http = load_scores(workspace / "http-1.jsonl")
+    assert len(via_http) == len(direct) == 12
+    for http_record, ngram_record in zip(via_http, direct):
+        assert http_record.question_id == ngram_record.question_id
+        assert [(s.d_i.hex(), s.d_g.hex(), s.n_tokens) for s in http_record.per_step] == [
+            (s.d_i.hex(), s.d_g.hex(), s.n_tokens) for s in ngram_record.per_step
+        ]
+        assert http_record.ge.hex() == ngram_record.ge.hex()
+        # The client rebuilds each top-k residual from exp(logprob), not the
+        # model's probabilities, so the entropy may differ in its last bits.
+        assert math.isclose(http_record.mean_entropy, ngram_record.mean_entropy, rel_tol=1e-15)
+
+
 def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_server):
     import threading
     import time
@@ -915,7 +952,7 @@ def test_unknown_run_config_key_exits_two(workspace, capsys, key):
     config[key] = 3
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert run(score_argv(workspace)) == 2
-    assert_one_error_line(capsys.readouterr().err, 2, "unknown config key", repr(key))
+    assert_one_error_line(capsys.readouterr().err, 2, "unknown key(s)", repr(key))
     assert not (workspace / "scores.jsonl").exists()
 
 
@@ -934,7 +971,7 @@ def test_removed_run_config_keys_exit_two_at_annotate_load(workspace, capsys):
         entry[key] = value
         (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert run(annotate_argv(workspace)) == 2
-        assert_one_error_line(capsys.readouterr().err, 2, "unknown config key", repr(key))
+        assert_one_error_line(capsys.readouterr().err, 2, "unknown key(s)", repr(key))
         assert not (workspace / "cache").exists()
 
 
@@ -1373,6 +1410,43 @@ def test_score_with_every_question_skipped_writes_empty_scores(workspace, capsys
     warnings = capsys.readouterr().err.splitlines()
     assert len(warnings) == 12
     assert all(w.endswith(": no trajectory for question; skipped") for w in warnings)
+
+
+def test_a_clean_score_rerun_removes_the_diagnostics_sidecar(workspace, capsys):
+    trajectories = workspace / "trajectories.jsonl"
+    lines = trajectories.read_text(encoding="utf-8").splitlines(keepends=True)
+    trajectories.write_text("".join(lines[:-2]), encoding="utf-8")
+    assert run(score_argv(workspace)) == 0
+    sidecar = workspace / "scores.jsonl.diag.jsonl"
+    assert len(sidecar.read_text(encoding="utf-8").splitlines()) == 2
+    trajectories.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(score_argv(workspace)) == 0
+    assert capsys.readouterr().err == ""
+    assert len(load_scores(workspace / "scores.jsonl")) == 12
+    assert not sidecar.exists()
+
+
+def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(workspace, capsys, local_server):
+    failing = {"q0000", "q0001"}
+
+    def handler(path, body):
+        if path == "/reset":
+            return (500 if body["question_id"] in failing else 200), {"observation": "ready"}
+        return 200, {"observation": "done", "reward": 1.0, "done": True}
+
+    local_server.handler = handler
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 0
+    sidecar = workspace / "annotated.jsonl.diag.jsonl"
+    diagnostics = map(json.loads, sidecar.read_text(encoding="utf-8").splitlines())
+    assert {d["question_id"] for d in diagnostics} == failing
+    failing.clear()
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(load_trajectories(workspace / "annotated.jsonl")) == 12
+    assert not sidecar.exists()
 
 
 def test_score_with_every_question_failing_exits_three(workspace, capsys):

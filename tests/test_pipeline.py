@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 
@@ -374,21 +375,38 @@ def _with_steps(change):
     return lambda entry: {**entry, "steps": [change(total, count) for total, count in entry["steps"]]}
 
 
+# Each malformed hit, and what its error says after the entry's name.
 _MALFORMED_HITS = {
-    "bool-count": _with_steps(lambda total, count: [total, True]),
-    "zero-count": _with_steps(lambda total, count: [total, 0]),
-    "float-count": _with_steps(lambda total, count: [total, float(count)]),
-    "positive-total": _with_steps(lambda total, count: [0.5, count]),
-    "nan-total": _with_steps(lambda total, count: [math.nan, count]),
-    "inf-total": _with_steps(lambda total, count: [math.inf, count]),
-    "minus-inf-total": _with_steps(lambda total, count: [-math.inf, count]),
-    "three-elements": _with_steps(lambda total, count: [total, count, count]),
-    "no-steps": lambda entry: {"mean_entropy": entry["mean_entropy"]},
+    "bool-count": (_with_steps(lambda total, count: [total, True]), " token count must be an integer"),
+    "zero-count": (_with_steps(lambda total, count: [total, 0]), " token count must be an integer in [1"),
+    "float-count": (
+        _with_steps(lambda total, count: [total, float(count)]),
+        " token count must be an integer",
+    ),
+    "positive-total": (
+        _with_steps(lambda total, count: [0.5, count]),
+        " logprob total must be a finite number in [-inf, 0]",
+    ),
+    "nan-total": (_with_steps(lambda total, count: [math.nan, count]), " logprob total must be a finite"),
+    "inf-total": (_with_steps(lambda total, count: [math.inf, count]), " logprob total must be a finite"),
+    "minus-inf-total": (
+        _with_steps(lambda total, count: [-math.inf, count]),
+        " logprob total must be a finite",
+    ),
+    "three-elements": (
+        _with_steps(lambda total, count: [total, count, count]),
+        ": each span's step must be a [total, count] pair",
+    ),
+    "no-steps": (
+        lambda entry: {"mean_entropy": entry["mean_entropy"]},
+        " needs 'mean_entropy' and one 'steps' pair per span",
+    ),
+    "extra-key": (lambda entry: {**entry, "extra": 1}, ": unknown key(s): 'extra'"),
 }
 
 
-@pytest.mark.parametrize("change", _MALFORMED_HITS.values(), ids=list(_MALFORMED_HITS))
-def test_malformed_scoring_hit_is_an_error_naming_the_cache(tmp_path, change):
+@pytest.mark.parametrize("change, needle", _MALFORMED_HITS.values(), ids=list(_MALFORMED_HITS))
+def test_malformed_scoring_hit_is_an_error_naming_the_cache(tmp_path, change, needle):
     question = Question(id="q1", text="find a mug")
     trajectory = make_trajectory("q1", actions=("search[mug]", "click[buy]"))
     guideline = Guideline.from_text("Buy the first mug.")
@@ -400,7 +418,7 @@ def test_malformed_scoring_hit_is_an_error_naming_the_cache(tmp_path, change):
         "".join(json.dumps({**e, "response": change(e["response"])}) + "\n" for e in entries)
     )
     counting = CountingBackend(backend)
-    with pytest.raises(FormatError, match=f"cache {cache_path}: scoring entry"):
+    with pytest.raises(FormatError, match=re.escape(f"cache {cache_path}: scoring entry{needle}")):
         score_trajectory(
             trajectory, question, guideline, counting, tiny_config(), ResponseCache(cache_path)
         )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ge_select.models import sum_floats
 from ge_select.scoring import (
     DIFFICULTY_FLOOR,
     TokenDistribution,
@@ -57,6 +58,12 @@ def test_step_difficulty_floor():
 
 def test_step_difficulty_single_element():
     assert step_difficulty([-2.0]) == 2.0
+
+
+def test_step_difficulty_adds_left_to_right():
+    # Compensated summation, as Python 3.12's ``sum`` does for floats, gives
+    # -1.0000000000000002 here, and a difficulty one ulp above 1/3.
+    assert step_difficulty([-1.0, -1e-16, -1e-16]) == 1.0 / 3
 
 
 def test_step_difficulty_rejects_bad_input():
@@ -230,7 +237,7 @@ _LOGPROBS = st.lists(
 @example([-5e-324, -5e-324])
 @example([-1e308, -7e307])
 def test_a_cached_sum_and_count_give_the_difficulty_of_the_logprobs_bit_for_bit(logprobs):
-    total = sum(logprobs)  # as a cache miss sums a span, in token order
+    total = sum_floats(logprobs)  # as a cache miss sums a span, in token order
     if not math.isfinite(total):
         return  # a miss stores no overflowing sum
     pair = json.loads(json.dumps([total, len(logprobs)]))
