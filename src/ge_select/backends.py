@@ -25,11 +25,10 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .models import BackendError, FormatError, _read_text, keys, number, string, sum_floats
+from .models import BackendError, FormatError, Record, _read_text, keys, number, string, sum_floats
 from .scoring import TokenDistribution
 
 if TYPE_CHECKING:
@@ -39,16 +38,18 @@ API_KEY_ENV = "GE_API_KEY"
 MAX_NGRAM_ORDER = 5
 
 
-@dataclass(frozen=True)
-class BackendId:
+class BackendId(Record):
+    __slots__ = ("kind", "model", "endpoint", "fingerprint")
     kind: str
     model: str
-    endpoint: str = ""
-    fingerprint: str = ""
+    endpoint: str
+    fingerprint: str
 
-    def __post_init__(self) -> None:
-        if not self.fingerprint:
-            object.__setattr__(self, "fingerprint", _fingerprint(self.kind, self.model, self.endpoint))
+    def __init__(self, kind: str, model: str, endpoint: str = "", fingerprint: str = "") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "endpoint", endpoint)
+        object.__setattr__(self, "fingerprint", fingerprint or _fingerprint(kind, model, endpoint))
 
 
 def _fingerprint(kind: str, model: str, endpoint: str, extra: str = "") -> str:

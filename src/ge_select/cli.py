@@ -201,9 +201,9 @@ def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
 
 
 def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]], list[int]]:
-    """Read an embeddings file, rejecting a repeated id and a vector whose
-    length differs from the first record's, each by line number. Returns
-    the ids, the vectors and each record's line number."""
+    """Read an embeddings file, rejecting a repeated id, an empty vector and
+    a vector whose length differs from the first record's, each by line
+    number. Returns the ids, the vectors and each record's line number."""
     ids: list[str] = []
     vectors: list[list[float]] = []
     lines: list[int] = []
@@ -213,8 +213,8 @@ def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]], list
         _check_unique(seen, qid, "question_id", path, lineno)
         where = f"{path}:{lineno}: field 'embedding'"
         vector = record.get("embedding")
-        if not isinstance(vector, list):
-            raise FormatError(f"{where} must be a list of finite numbers")
+        if not isinstance(vector, list) or not vector:
+            raise FormatError(f"{where} must be a non-empty list of finite numbers")
         if vectors and len(vector) != len(vectors[0]):
             raise FormatError(
                 f"{where} has {len(vector)} numbers, but line {lines[0]} has {len(vectors[0])}"

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
-from .models import EnvError, FormatError, Question, Step, Trajectory, keys, number, string
+from .models import EnvError, FormatError, Question, Record, Step, Trajectory, keys, number, string
 
 if TYPE_CHECKING:
     import requests
@@ -38,25 +37,34 @@ _ACTION_RE = re.compile(r"^(search|click)\[(.*)\]$", re.DOTALL)
 _RESULT_ID_RE = re.compile(r"\[(P\d+)\]")
 
 
-@dataclass(frozen=True)
-class EnvStep:
+class EnvStep(Record):
+    __slots__ = ("observation", "reward", "done")
     observation: str
     reward: float
     done: bool
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.reward <= 1.0:
-            raise EnvError(f"reward {self.reward} outside [0,1]")
-        if self.reward > 0.0 and not self.done:
+    def __init__(self, observation: str, reward: float, done: bool) -> None:
+        object.__setattr__(self, "observation", observation)
+        object.__setattr__(self, "reward", reward)
+        object.__setattr__(self, "done", done)
+        if not 0.0 <= reward <= 1.0:
+            raise EnvError(f"reward {reward} outside [0,1]")
+        if reward > 0.0 and not done:
             raise EnvError("nonzero reward requires done=true")
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
+    __slots__ = ("id", "noun", "brand", "attributes")
     id: str
     noun: str
     brand: str
     attributes: dict[str, str]
+
+    def __init__(self, id: str, noun: str, brand: str, attributes: dict[str, str]) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "noun", noun)
+        object.__setattr__(self, "brand", brand)
+        object.__setattr__(self, "attributes", attributes)
 
     def title(self, hidden_attrs: frozenset[str]) -> str:
         words = [self.brand]
@@ -79,21 +87,30 @@ _TOYSHOP_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class ToyShopConfig:
+class ToyShopConfig(Record):
     """The ``env.toyshop`` settings. A value of the wrong type raises
     ``FormatError``; one out of range, or an unknown hidden attribute kind,
     raises ``EnvError``."""
 
-    seed: int = 0
-    catalog_size: int = 20
-    hidden_attrs: frozenset[str] = frozenset({"flavor"})
-    max_results: int = 5
+    __slots__ = ("seed", "catalog_size", "hidden_attrs", "max_results")
+    seed: int
+    catalog_size: int
+    hidden_attrs: frozenset[str]
+    max_results: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        seed: int = 0,
+        catalog_size: int = 20,
+        hidden_attrs: Iterable[str] = frozenset({"flavor"}),
+        max_results: int = 5,
+    ) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "catalog_size", catalog_size)
+        object.__setattr__(self, "max_results", max_results)
         for name in _TOYSHOP_BOUNDS:
             number(getattr(self, name), f"env.toyshop.{name}", integer=True)
-        hidden = self.hidden_attrs
+        hidden = hidden_attrs
         if not isinstance(hidden, (list, tuple, set, frozenset)) or not all(
             isinstance(kind, str) for kind in hidden
         ):
@@ -363,13 +380,13 @@ class HttpEnv:
                 f"{self.base_url}{path}", json=body, timeout=self.timeout
             )
         except requests.RequestException as exc:
-            raise EnvError(f"environment transport failure: {exc}") from exc
+            raise EnvError(f"environment {path} transport failure: {exc}") from exc
         if response.status_code >= 400:
-            raise EnvError(f"environment returned HTTP {response.status_code}")
+            raise EnvError(f"environment {path} returned HTTP {response.status_code}")
         try:
             data = response.json()
         except ValueError as exc:
-            raise EnvError(f"environment returned non-JSON body: {exc}") from exc
+            raise EnvError(f"environment {path} returned non-JSON body: {exc}") from exc
         return keys(data, None, f"environment {path} reply", EnvError)
 
     def reset(self, question: Question) -> str:

@@ -4,15 +4,20 @@ Every type serializes to a single JSON object with a fixed key order and no
 insignificant whitespace, so files written from equal values are byte-equal
 across runs and platforms. Optional fields are emitted only when set, which
 keeps the canonical form a pure function of the value.
+
+Every record type of the package derives from ``Record``: a plain class whose
+``__slots__`` name its fields, with an explicit ``__init__`` that sets them
+and runs its checks. ``Record`` makes the fields read-only and compares,
+hashes and prints a record by them, as a frozen dataclass would. Unlike the
+dataclass decorator it generates no code per class and imports neither its
+module nor ``inspect``, a cost every CLI process would pay at start-up.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -107,9 +112,55 @@ def string(
     raise error(f"{where} must be a {'' if empty else 'non-empty '}string, got {value!r}")
 
 
+class Record:
+    """Base of the record types. A subclass lists its fields in ``__slots__``
+    and sets each in ``__init__`` with ``object.__setattr__``; assigning or
+    deleting one afterwards raises ``AttributeError``. Equality, hashing and
+    ``repr`` go over the fields in slot order. A slot whose name starts with
+    ``_`` holds state computed from the fields and takes part in none of them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    # ``copy`` and ``pickle`` restore every slot without the checks, which
+    # the original already passed.
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
 def _located(cls: type, ctx: str) -> Any:
-    """``cls`` as a constructor whose ``__post_init__`` checks name ``ctx``,
-    the record's position, when they fail, as every field check does."""
+    """``cls`` as a constructor whose checks name ``ctx``, the record's
+    position, when they fail, as every field check does."""
 
     def construct(**fields: Any) -> Any:
         try:
@@ -120,22 +171,27 @@ def _located(cls: type, ctx: str) -> Any:
     return construct
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(Record):
     """One pool item: a task instruction plus optional string metadata."""
 
+    __slots__ = ("id", "text", "metadata")
     id: str
     text: str
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, text: str, metadata: dict[str, str] | None = None) -> None:
+        if metadata is None:
+            metadata = {}
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "metadata", metadata)
+        if not id:
             raise FormatError("question id must be non-empty")
-        if not self.text:
-            raise FormatError(f"question {self.id!r}: text must be non-empty")
-        for k, v in self.metadata.items():
-            string(k, f"question {self.id!r}: metadata key", empty=True)
-            string(v, f"question {self.id!r}: metadata value", empty=True)
+        if not text:
+            raise FormatError(f"question {id!r}: text must be non-empty")
+        for k, v in metadata.items():
+            string(k, f"question {id!r}: metadata key", empty=True)
+            string(v, f"question {id!r}: metadata value", empty=True)
 
     def to_record(self) -> dict:
         rec: dict[str, Any] = {"id": self.id, "text": self.text}
@@ -152,16 +208,19 @@ class Question:
         )
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One interaction turn: optional thought, the emitted action, env feedback."""
 
+    __slots__ = ("action", "observation", "thought")
     action: str
-    observation: str = ""
-    thought: str = ""
+    observation: str
+    thought: str
 
-    def __post_init__(self) -> None:
-        if not self.action.strip():
+    def __init__(self, action: str, observation: str = "", thought: str = "") -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "observation", observation)
+        object.__setattr__(self, "thought", thought)
+        if not action.strip():
             raise FormatError("step action must be non-empty after trimming")
 
     def to_record(self) -> dict:
@@ -184,8 +243,7 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """A question's recorded episode: ordered steps plus a scalar reward.
 
     `question_text` and `initial_observation` are optional carriers for the
@@ -193,28 +251,43 @@ class Trajectory:
     trajectory file is self-contained.
     """
 
+    __slots__ = (
+        "question_id", "guideline_version", "steps", "reward", "source",
+        "question_text", "initial_observation",
+    )  # fmt: skip
     question_id: str
     guideline_version: str
     steps: tuple[Step, ...]
     reward: float
     source: str
-    question_text: str = ""
-    initial_observation: str = ""
+    question_text: str
+    initial_observation: str
 
-    def __post_init__(self) -> None:
-        if not self.question_id:
+    def __init__(
+        self,
+        question_id: str,
+        guideline_version: str,
+        steps: Sequence[Step],
+        reward: float,
+        source: str,
+        question_text: str = "",
+        initial_observation: str = "",
+    ) -> None:
+        object.__setattr__(self, "question_id", question_id)
+        object.__setattr__(self, "guideline_version", guideline_version)
+        object.__setattr__(self, "reward", reward)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "question_text", question_text)
+        object.__setattr__(self, "initial_observation", initial_observation)
+        if not question_id:
             raise FormatError("trajectory question_id must be non-empty")
-        if not self.steps:
-            raise FormatError(f"trajectory {self.question_id!r}: steps must be non-empty")
-        if not 0.0 <= self.reward <= 1.0:
-            raise FormatError(
-                f"trajectory {self.question_id!r}: reward {self.reward} outside [0,1]"
-            )
-        if self.source not in SOURCES:
-            raise FormatError(
-                f"trajectory {self.question_id!r}: source must be one of {SOURCES}"
-            )
-        object.__setattr__(self, "steps", tuple(self.steps))
+        if not steps:
+            raise FormatError(f"trajectory {question_id!r}: steps must be non-empty")
+        if not 0.0 <= reward <= 1.0:
+            raise FormatError(f"trajectory {question_id!r}: reward {reward} outside [0,1]")
+        if source not in SOURCES:
+            raise FormatError(f"trajectory {question_id!r}: source must be one of {SOURCES}")
+        object.__setattr__(self, "steps", tuple(steps))
 
     def to_record(self) -> dict:
         rec: dict[str, Any] = {
@@ -256,19 +329,23 @@ def normalize_guideline_text(text: str) -> str:
     return body + "\n"
 
 
-@dataclass(frozen=True)
-class Guideline:
+class Guideline(Record):
     """Versioned expert text inserted into prompts.
 
     The version is the first 12 hex chars of SHA-256 over the normalized
     text, so any silent edit invalidates previously computed scores.
     """
 
+    __slots__ = ("text", "version")
     text: str
-    version: str = field(default="", init=False)
+    version: str
 
-    def __post_init__(self) -> None:
-        normalized = normalize_guideline_text(self.text)
+    def __init__(self, text: str) -> None:
+        # Imported here: of the commands, only those that read a guideline
+        # take a digest, and OpenSSL is a noticeable share of a CLI start-up.
+        import hashlib
+
+        normalized = normalize_guideline_text(text)
         digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:12]
         object.__setattr__(self, "text", normalized)
         object.__setattr__(self, "version", digest)
@@ -282,20 +359,21 @@ class Guideline:
         return cls.from_text(_read_text(path, "guideline"))
 
 
-@dataclass(frozen=True)
-class StepScore:
+class StepScore(Record):
     """Per-step difficulty pair: d_i without guideline, d_g with guideline."""
 
+    __slots__ = ("d_i", "d_g", "n_tokens")
     d_i: float
     d_g: float
     n_tokens: int
 
-    def __post_init__(self) -> None:
-        if not (0 < self.d_i < math.inf and 0 < self.d_g < math.inf):
-            raise FormatError(
-                f"step difficulties must be > 0 and finite, got ({self.d_i}, {self.d_g})"
-            )
-        if self.n_tokens < 1:
+    def __init__(self, d_i: float, d_g: float, n_tokens: int) -> None:
+        object.__setattr__(self, "d_i", d_i)
+        object.__setattr__(self, "d_g", d_g)
+        object.__setattr__(self, "n_tokens", n_tokens)
+        if not (0 < d_i < math.inf and 0 < d_g < math.inf):
+            raise FormatError(f"step difficulties must be > 0 and finite, got ({d_i}, {d_g})")
+        if n_tokens < 1:
             raise FormatError("n_tokens must be >= 1")
 
     def to_record(self) -> dict:
@@ -313,34 +391,52 @@ class StepScore:
         )
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(Record):
     """Scoring result for one question under one guideline and backend."""
 
+    # ``_eq5``: whether ``ge`` follows the eq5 convention (negated); set from
+    # per_step.
+    __slots__ = (
+        "question_id", "guideline_version", "backend_id", "per_step", "ge", "mean_entropy",
+        "_eq5",
+    )  # fmt: skip
     question_id: str
     guideline_version: str
     backend_id: str
     per_step: tuple[StepScore, ...]
     ge: float
-    mean_entropy: float | None = None
-    # Whether ``ge`` follows the eq5 convention (negated); set from per_step.
-    _eq5: bool = field(default=False, init=False, repr=False, compare=False)
+    mean_entropy: float | None
+    _eq5: bool
 
-    def __post_init__(self) -> None:
-        if not self.per_step:
-            raise FormatError(f"score {self.question_id!r}: per_step must be non-empty")
-        object.__setattr__(self, "per_step", tuple(self.per_step))
-        if self.mean_entropy is not None and self.mean_entropy < 0:
-            raise FormatError(f"score {self.question_id!r}: mean_entropy must be >= 0")
+    def __init__(
+        self,
+        question_id: str,
+        guideline_version: str,
+        backend_id: str,
+        per_step: Sequence[StepScore],
+        ge: float,
+        mean_entropy: float | None = None,
+    ) -> None:
+        object.__setattr__(self, "question_id", question_id)
+        object.__setattr__(self, "guideline_version", guideline_version)
+        object.__setattr__(self, "backend_id", backend_id)
+        object.__setattr__(self, "ge", ge)
+        object.__setattr__(self, "mean_entropy", mean_entropy)
+        if not per_step:
+            raise FormatError(f"score {question_id!r}: per_step must be non-empty")
+        per_step = tuple(per_step)
+        object.__setattr__(self, "per_step", per_step)
+        if mean_entropy is not None and mean_entropy < 0:
+            raise FormatError(f"score {question_id!r}: mean_entropy must be >= 0")
         # ge must be recomputable from per_step under the default sign
         # convention or under eq5; a value matching both counts as default.
         from .scoring import ge_score
 
-        recomputed = ge_score([(s.d_i, s.d_g) for s in self.per_step])
-        eq5 = abs(self.ge - recomputed) > 1e-9
-        if eq5 and abs(self.ge + recomputed) > 1e-9:
+        recomputed = ge_score([(s.d_i, s.d_g) for s in per_step])
+        eq5 = abs(ge - recomputed) > 1e-9
+        if eq5 and abs(ge + recomputed) > 1e-9:
             raise FormatError(
-                f"score {self.question_id!r}: ge {self.ge} does not match per_step "
+                f"score {question_id!r}: ge {ge} does not match per_step "
                 f"aggregation {recomputed}"
             )
         object.__setattr__(self, "_eq5", eq5)
@@ -384,10 +480,14 @@ class ScoreRecord:
         )
 
 
-@dataclass(frozen=True)
-class SelectionItem:
+class SelectionItem(Record):
+    __slots__ = ("question_id", "score")
     question_id: str
     score: float
+
+    def __init__(self, question_id: str, score: float) -> None:
+        object.__setattr__(self, "question_id", question_id)
+        object.__setattr__(self, "score", score)
 
     def to_record(self) -> dict:
         return {"question_id": self.question_id, "score": self.score}
@@ -401,21 +501,31 @@ class SelectionItem:
         )
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(Record):
     """Ordered subset chosen by one strategy, with per-item scores."""
 
+    __slots__ = ("strategy", "params", "items", "warning")
     strategy: str
     params: dict[str, Any]
     items: tuple[SelectionItem, ...]
-    warning: str = ""
+    warning: str
 
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
+    def __init__(
+        self,
+        strategy: str,
+        params: dict[str, Any],
+        items: Sequence[SelectionItem],
+        warning: str = "",
+    ) -> None:
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "warning", warning)
+        if strategy not in STRATEGIES:
             raise FormatError(f"selection strategy must be one of {STRATEGIES}")
-        object.__setattr__(self, "items", tuple(self.items))
+        items = tuple(items)
+        object.__setattr__(self, "items", items)
         seen: set[str] = set()
-        for item in self.items:
+        for item in items:
             if item.question_id in seen:
                 raise FormatError(f"selection has duplicate question_id {item.question_id!r}")
             seen.add(item.question_id)

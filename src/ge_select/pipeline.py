@@ -12,7 +12,6 @@ instead of aborting the batch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,6 +22,7 @@ from .models import (
     FormatError,
     Guideline,
     Question,
+    Record,
     ScoreRecord,
     Step,
     Trajectory,
@@ -57,11 +57,16 @@ NO_TRAJECTORY = "no trajectory for question; skipped"
 SCORE_SKIPS = (DUPLICATE_TRAJECTORY, NO_TRAJECTORY)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
+    __slots__ = ("question_id", "stage", "error")
     question_id: str
     stage: str
     error: str
+
+    def __init__(self, question_id: str, stage: str, error: str) -> None:
+        object.__setattr__(self, "question_id", question_id)
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "error", error)
 
     def to_record(self) -> dict:
         return {"question_id": self.question_id, "stage": self.stage, "error": self.error}
@@ -81,30 +86,62 @@ TOYSHOP_KEYS = ("seed", "catalog_size", "hidden_attrs", "max_results")
 MAX_PARALLELISM = 256
 
 
-@dataclass
-class RunConfig:
-    """Pipeline settings, usually loaded from one JSON config document."""
+class RunConfig(Record):
+    """Pipeline settings, usually loaded from one JSON config document. Unlike
+    the other records it is mutable, and so unhashable: the CLI overrides
+    ``parallelism`` after loading it."""
 
-    instruction: str = "Interact with the environment to complete the task."
-    exemplars: tuple[str, ...] = ()
-    template: str = DEFAULT_TEMPLATE
-    score_target: str = SCORE_TARGET_ACTION
-    ge_sign: str = GE_SIGN_DEFAULT
-    top_k: int = 5
-    parallelism: int = 4
-    t_max: int = 15  # the turns of one annotate episode, in any environment
-    score_backend: dict = field(default_factory=dict)
-    generate_backend: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)
+    __slots__ = (
+        "instruction", "exemplars", "template", "score_target", "ge_sign", "top_k",
+        "parallelism", "t_max", "score_backend", "generate_backend", "env",
+    )  # fmt: skip
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    instruction: str
+    exemplars: tuple[str, ...]
+    template: str
+    score_target: str
+    ge_sign: str
+    top_k: int
+    parallelism: int
+    t_max: int  # the turns of one annotate episode, in any environment
+    score_backend: dict
+    generate_backend: dict
+    env: dict
 
-    def __post_init__(self) -> None:
-        number(self.top_k, "top_k", integer=True, low=0)
-        number(self.parallelism, "parallelism", integer=True, low=1, high=MAX_PARALLELISM)
-        number(self.t_max, "t_max", integer=True, low=1)
-        check_template(self.template)
-        if self.score_target not in SCORE_TARGETS:
+    def __init__(
+        self,
+        instruction: str = "Interact with the environment to complete the task.",
+        exemplars: tuple[str, ...] = (),
+        template: str = DEFAULT_TEMPLATE,
+        score_target: str = SCORE_TARGET_ACTION,
+        ge_sign: str = GE_SIGN_DEFAULT,
+        top_k: int = 5,
+        parallelism: int = 4,
+        t_max: int = 15,
+        score_backend: dict | None = None,
+        generate_backend: dict | None = None,
+        env: dict | None = None,
+    ) -> None:
+        self.instruction = instruction
+        self.exemplars = exemplars
+        self.template = template
+        self.score_target = score_target
+        self.ge_sign = ge_sign
+        self.top_k = top_k
+        self.parallelism = parallelism
+        self.t_max = t_max
+        self.score_backend = {} if score_backend is None else score_backend
+        self.generate_backend = {} if generate_backend is None else generate_backend
+        self.env = {} if env is None else env
+        number(top_k, "top_k", integer=True, low=0)
+        number(parallelism, "parallelism", integer=True, low=1, high=MAX_PARALLELISM)
+        number(t_max, "t_max", integer=True, low=1)
+        check_template(template)
+        if score_target not in SCORE_TARGETS:
             raise FormatError(f"score_target must be one of {SCORE_TARGETS}")
-        if self.ge_sign not in GE_SIGNS:
+        if ge_sign not in GE_SIGNS:
             raise FormatError(f"ge_sign must be one of {GE_SIGNS}")
         for name in ("score_backend", "generate_backend"):
             if getattr(self, name) != {}:  # empty when the run needs no such backend

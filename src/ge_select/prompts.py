@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .models import FormatError, Guideline, Trajectory
+from .models import FormatError, Guideline, Record, Trajectory
 
 SCORE_TARGET_ACTION = "action"
 SCORE_TARGET_EMISSION = "emission"
@@ -26,13 +25,17 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(" + "|".join(_PLACEHOLDERS) + r")\}\}")
 DEFAULT_TEMPLATE = "{{instruction}}\n{{guideline}}{{exemplars}}Task: {{question}}\n{{steps}}"
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(Record):
     """A rendered prompt plus the ``(start, end)`` character offsets of each
     step's scored text, one pair per step in step order."""
 
+    __slots__ = ("rendered", "action_spans")
     rendered: str
     action_spans: tuple[tuple[int, int], ...]
+
+    def __init__(self, rendered: str, action_spans: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "rendered", rendered)
+        object.__setattr__(self, "action_spans", action_spans)
 
 
 class _Renderer:

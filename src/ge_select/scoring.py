@@ -8,33 +8,33 @@ checks against ln 2 stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .models import FormatError, StepScore, sum_floats
+from .models import FormatError, Record, StepScore, sum_floats
 
 # Difficulty floor: keeps log-ratios finite on perfectly predicted actions.
 DIFFICULTY_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class TokenDistribution:
+class TokenDistribution(Record):
     """Top-k alternatives at one position plus the unreported residual mass."""
 
+    __slots__ = ("top", "residual_mass")
     top: tuple[tuple[str, float], ...]
     residual_mass: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, top: Sequence[tuple[str, float]], residual_mass: float) -> None:
+        object.__setattr__(self, "residual_mass", residual_mass)
         total = 0.0
-        for token, logprob in self.top:
+        for token, logprob in top:
             if logprob > 0:
                 raise ValueError(f"logprob for {token!r} must be <= 0")
             total += math.exp(logprob)
         if total > 1.0 + 1e-9:
             raise ValueError(f"top probabilities sum to {total} > 1")
-        if not 0.0 <= self.residual_mass <= 1.0:
+        if not 0.0 <= residual_mass <= 1.0:
             raise ValueError("residual_mass must be in [0,1]")
-        object.__setattr__(self, "top", tuple(self.top))
+        object.__setattr__(self, "top", tuple(top))
 
 
 def _difficulty(total: float, count: int) -> float:

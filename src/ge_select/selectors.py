@@ -10,7 +10,6 @@ start without it.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import random
@@ -95,12 +94,17 @@ class HashEmbedBackend:
     ``EMBED_DIMENSIONS`` buckets, L2-normalized. It calls no model."""
 
     def __init__(self) -> None:
+        # Imported here, not with the module: the other selectors take no
+        # digest, and OpenSSL is a noticeable share of a CLI start-up.
+        import hashlib
+
+        self._sha256 = hashlib.sha256
         # Word -> bucket_and_sign(word). Pool texts repeat their words, so
         # each distinct word is hashed once; racing threads store equal values.
         self._hashed: dict[str, tuple[int, float]] = {}
 
     def bucket_and_sign(self, token: str) -> tuple[int, float]:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        digest = self._sha256(token.encode("utf-8")).digest()
         index = int.from_bytes(digest[:4], "big") % EMBED_DIMENSIONS
         sign = 1.0 if digest[4] & 1 else -1.0
         return index, sign

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import random
 import re
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -154,7 +154,7 @@ def test_readme_config_entry_keys_match_the_code():
     for kind, allowed in _BACKEND_KEYS.items():
         assert _readme_keys("Config file", f"`{kind}`") == set(allowed), kind
     assert _readme_keys("Config file", "`env`") == {"toyshop"}
-    assert _readme_keys("Config file", "`env.toyshop`") == {f.name for f in fields(ToyShopConfig)}
+    assert _readme_keys("Config file", "`env.toyshop`") == set(inspect.signature(ToyShopConfig).parameters)
 
 
 @pytest.mark.parametrize(
@@ -383,6 +383,8 @@ def test_select_missing_inputs_usage_error(workspace, capsys):
         ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e308,1e308]}'],
         ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e200,0.0]}'],
         ['{"question_id":"b","embedding":[1.0,0.0]}', "", '{"question_id":"a","embedding":[1e-320,0.0]}'],
+        # No dimensions: every gain would be 0.
+        ['{"question_id":"a","embedding":[]}'],
     ],
 )
 def test_select_fl_malformed_embeddings_exit_two(tmp_path, capsys, lines):
@@ -1196,11 +1198,17 @@ import ge_select.cli
 argv = sys.argv[1:]
 assert not argv or ge_select.cli.run(argv) == 0
 print(" ".join(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ge_select."))))
+print(" ".join(sys.modules))
 """
+# What a bare interpreter loads, ``site`` included: the modules a child
+# loads beyond these are the command's.
+_BARE_CHILD = 'import sys; print(" ".join(sys.modules))'
 
 # What each subcommand loads of ge_select, in a fresh process. ``scoring`` comes
 # with any scores file: ``load_scores`` re-derives each ge with ``ge_score``.
-# ``reports`` comes with ``pipeline``, which re-exports its functions.
+# ``reports`` comes with ``pipeline``, which re-exports its functions. No
+# command loads ``dataclasses`` or ``inspect``, and only those that take a
+# digest load ``hashlib``: cache keys, fingerprints and guideline versions.
 _SCORING_LAYERS = "backends cli models pipeline prompts reports scoring"
 _COMMAND_MODULES = {
     "import": ((), "cli models"),
@@ -1217,6 +1225,7 @@ _COMMAND_MODULES = {
                "cli models reports"),
     "stats": (("stats", "--trajectories", "trajectories.jsonl"), "cli models reports"),
 }  # fmt: skip
+_DIGESTING = {"score", "annotate", "export"}
 
 
 @pytest.mark.parametrize("command", _COMMAND_MODULES)
@@ -1241,7 +1250,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs(workspace, command):
         [sys.executable, "-c", _MODULES_CHILD, *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == sorted(expected.split())  # after stats' line
+    package, loaded = proc.stdout.splitlines()[-2:]  # after stats' line
+    assert package.split() == sorted(expected.split())
+    bare = subprocess.run(
+        [sys.executable, "-c", _BARE_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(loaded.split()) - set(bare.stdout.split())
+    assert not added & {"dataclasses", "inspect"}
+    assert ("hashlib" in added) == (command in _DIGESTING)
 
 
 _THREADS_CHILD = """
@@ -1439,8 +1455,9 @@ def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(workspace, capsy
     argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
     assert run(argv) == 0
     sidecar = workspace / "annotated.jsonl.diag.jsonl"
-    diagnostics = map(json.loads, sidecar.read_text(encoding="utf-8").splitlines())
+    diagnostics = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]
     assert {d["question_id"] for d in diagnostics} == failing
+    assert all("environment /reset returned HTTP 500" in d["error"] for d in diagnostics)
     failing.clear()
     capsys.readouterr()
     assert run(argv) == 0

@@ -243,10 +243,38 @@ def test_http_env_round_trip(local_server):
 
 
 def test_http_env_error_status(local_server):
-    local_server.handler = lambda path, body: (500, {})
+    failing = {"/reset"}
+    local_server.handler = lambda path, body: (500 if path in failing else 200, {"observation": "ready"})
     env = HttpEnv(local_server.url)
-    with pytest.raises(EnvError, match="HTTP 500"):
+    with pytest.raises(EnvError, match="^environment /reset returned HTTP 500$"):
         env.reset(Question(id="q1", text="x"))
+    failing.clear()
+    failing.add("/step")
+    assert env.reset(Question(id="q1", text="x")) == "ready"
+    with pytest.raises(EnvError, match="^environment /step returned HTTP 500$"):
+        env.step("click[buy]")
+
+
+def test_http_env_transport_and_body_errors_name_the_call():
+    import requests
+
+    class NotJson:
+        status_code = 200
+
+        def json(self):
+            raise ValueError("Expecting value")
+
+    class Session:
+        def post(self, url, json, timeout):
+            if url.endswith("/step"):
+                raise requests.ConnectionError("connection refused")
+            return NotJson()
+
+    env = HttpEnv("http://env.invalid", session=Session())
+    with pytest.raises(EnvError, match="^environment /reset returned non-JSON body: Expecting value$"):
+        env.reset(Question(id="q1", text="x"))
+    with pytest.raises(EnvError, match="^environment /step transport failure: connection refused$"):
+        env.step("click[buy]")
 
 
 @pytest.mark.parametrize(

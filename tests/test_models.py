@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import tempfile
 from pathlib import Path
@@ -333,3 +335,88 @@ def test_write_records_deterministic_across_runs(tmp_path):
     for p in paths:
         write_records(records, p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _record_cases() -> dict:
+    """Every record type of the package, with one valid value per constructor
+    parameter, in positional order."""
+    from ge_select.backends import BackendId
+    from ge_select.envs import EnvStep, Product, ToyShopConfig
+    from ge_select.pipeline import Diagnostic, RunConfig
+    from ge_select.prompts import DEFAULT_TEMPLATE, PromptBundle
+    from ge_select.scoring import TokenDistribution
+
+    return {
+        Question: ("q1", "find a mug", {"lang": "en"}),
+        Step: ("search[mug]", "results", "look first"),
+        Trajectory: ("q1", "v1", (Step("click[buy]"),), 1.0, "synthetic", "find a mug", "start"),
+        Guideline: ("Check the flavor.",),
+        StepScore: (2.0, 1.0, 3),
+        ScoreRecord: ("q1", "v1", "b1", (StepScore(2.0, 1.0, 3),), -ge_score([(2.0, 1.0)]), 0.5),
+        SelectionItem: ("q1", 0.5),
+        SelectionResult: ("ge", {"k": 1}, (SelectionItem("q1", 0.5),), "few"),
+        TokenDistribution: ((("a", -0.5),), 0.25),
+        BackendId: ("ngram", "m", "http://x", "abc"),
+        Diagnostic: ("q1", "score", "boom"),
+        RunConfig: ("do it", ("ex",), DEFAULT_TEMPLATE, "emission", "eq5", 3, 2, 7,
+                    {"kind": "ngram"}, {}, {"toyshop": {"seed": 1}}),  # fmt: skip
+        PromptBundle: ("Action: a", ((8, 9),)),
+        EnvStep: ("obs", 1.0, True),
+        Product: ("P001", "mug", "acme", {"color": "red"}),
+        ToyShopConfig: (1, 10, frozenset({"size"}), 3),
+    }
+
+
+@pytest.mark.parametrize("cls", _record_cases(), ids=lambda cls: cls.__name__)
+def test_records_construct_compare_hash_print_and_refuse_assignment(cls):
+    import inspect
+
+    args = _record_cases()[cls]
+    names = list(inspect.signature(cls).parameters)
+    assert len(names) == len(args)
+    positional, keyword = cls(*args), cls(**dict(zip(names, args)))
+    assert positional == keyword and not positional != keyword
+    assert positional != cls.__name__  # another type is never equal
+    try:
+        hash(args)
+    except TypeError:  # a dict field makes the record unhashable, as its values are
+        with pytest.raises(TypeError):
+            hash(positional)
+    else:
+        assert hash(positional) == hash(keyword)
+    if cls.__name__ == "RunConfig":  # the CLI overrides ``parallelism``
+        with pytest.raises(TypeError):
+            hash(positional)
+        positional.parallelism = 1
+        assert positional.parallelism == 1 and positional != keyword
+    else:
+        with pytest.raises(AttributeError):
+            setattr(positional, names[0], args[0])
+        with pytest.raises(AttributeError):
+            delattr(positional, names[0])
+    assert copy.copy(keyword) == keyword == pickle.loads(pickle.dumps(keyword))
+    text = repr(keyword)
+    assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
+    for name in names:
+        assert f"{name}={getattr(keyword, name)!r}" in text
+    assert "_eq5" not in text
+
+
+def test_record_defaults_and_computed_fields():
+    from ge_select.pipeline import RunConfig
+
+    assert repr(Step("a")) == "Step(action='a', observation='', thought='')"
+    first, second = Question("q1", "x"), Question("q1", "x")
+    assert first.metadata == {} and first.metadata is not second.metadata
+    configs = RunConfig(), RunConfig()
+    for name in ("score_backend", "generate_backend", "env"):
+        assert getattr(configs[0], name) == {}
+        assert getattr(configs[0], name) is not getattr(configs[1], name)
+    guideline = Guideline("Check the flavor.")
+    assert repr(guideline) == f"Guideline(text='Check the flavor.\\n', version='{guideline.version}')"
+    with pytest.raises(TypeError):
+        Guideline("Check the flavor.", version="0" * 12)
+    with pytest.raises(TypeError):
+        ScoreRecord("q1", "v1", "b1", (StepScore(2.0, 1.0, 3),), ge_score([(2.0, 1.0)]), _eq5=True)
+    eq5 = ScoreRecord("q1", "v1", "b1", (StepScore(2.0, 1.0, 3),), -ge_score([(2.0, 1.0)]))
+    assert eq5.default_ge == ge_score([(2.0, 1.0)])

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -85,4 +85,4 @@ def test_toyshop_keys_are_the_fields_of_toyshop_config():
     from ge_select.envs import ToyShopConfig
     from ge_select.pipeline import TOYSHOP_KEYS
 
-    assert TOYSHOP_KEYS == tuple(f.name for f in dataclasses.fields(ToyShopConfig))
+    assert TOYSHOP_KEYS == tuple(inspect.signature(ToyShopConfig).parameters)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -25,6 +24,7 @@ from ge_select.models import (
     FormatError,
     Guideline,
     Question,
+    ScoreRecord,
     SelectionItem,
     SelectionResult,
     Step,
@@ -485,7 +485,8 @@ def test_only_mean_entropy_depends_on_top_k(corpus):
     for zero, five in zip(at_zero, at_five):
         assert zero.mean_entropy is None and five.mean_entropy is not None
         assert (zero.per_step, zero.ge) == (five.per_step, five.ge)
-        assert dataclasses.replace(five, mean_entropy=None) == zero
+        without_entropy = (five.question_id, five.guideline_version, five.backend_id, five.per_step, five.ge)
+        assert ScoreRecord(*without_entropy, mean_entropy=None) == zero
 
 
 def test_score_records_carry_backend_fingerprint_and_entropy():
@@ -703,7 +704,8 @@ def test_validate_sft_record_catches_breakage():
 def test_dataset_stats_hand_values():
     t1 = make_trajectory("q1", actions=("a", "b"))
     t2 = make_trajectory("q2", actions=("a", "b", "c", "d"))
-    t1 = Trajectory(**{**t1.__dict__, "reward": 0.5, "steps": t1.steps})
+    t1 = Trajectory(t1.question_id, t1.guideline_version, t1.steps, 0.5, t1.source,
+                    t1.question_text, t1.initial_observation)
     stats = dataset_stats([t1, t2])
     assert stats["avg_turns"] == pytest.approx(3.0, abs=1e-9)
     assert stats["avg_reward_pct"] == pytest.approx(75.0, abs=1e-9)
