@@ -19,8 +19,8 @@ _EXPORTS = {
     ),
     "models": (
         "BackendError", "EnvError", "FormatError", "Guideline", "Question", "ScoreRecord",
-        "SelectionItem", "SelectionResult", "Step", "StepScore", "Trajectory", "load_pool",
-        "load_scores", "load_selection", "load_trajectories", "write_records",
+        "SelectionItem", "SelectionResult", "Step", "StepScore", "Trajectory", "ge_score",
+        "load_pool", "load_scores", "load_selection", "load_trajectories", "write_records",
     ),
     "pipeline": ("RunConfig", "annotate", "score_pool", "score_trajectory"),
     "prompts": ("PromptBundle", "build_prompt", "map_spans_to_tokens"),
@@ -28,8 +28,8 @@ _EXPORTS = {
         "dataset_stats", "difficulty_shift", "export_sft", "review_report", "validate_sft_record",
     ),
     "scoring": (
-        "DIFFICULTY_FLOOR", "TokenDistribution", "aggregate_trajectory", "ge_score",
-        "mean_entropy", "step_difficulty",
+        "DIFFICULTY_FLOOR", "TokenDistribution", "aggregate_trajectory", "mean_entropy",
+        "step_difficulty",
     ),
     "selectors": (
         "HashEmbedBackend", "fl_objective", "select_facility_location", "select_ge",

@@ -598,14 +598,20 @@ def backend_kind(config: Any, where: str = "backend entry") -> str:
 def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry, checked as
     ``backend_kind`` checks it, with its values checked and its n-gram
-    ``corpus_path`` file read. The http ``max_retries`` (at most 10) and
-    ``backoff`` (at most 60 s) are capped, so the longest retry sleep,
-    ``backoff * 2 ** (max_retries - 1)``, stays under 9 hours; ``timeout``
-    is capped at one hour, far below what a socket timeout can hold."""
+    ``corpus_path`` file read. The http ``endpoint`` must be an http or
+    https URL, so a bad one fails here rather than on every request. The
+    http ``max_retries`` (at most 10) and ``backoff`` (at most 60 s) are
+    capped, so the longest retry sleep, ``backoff * 2 ** (max_retries - 1)``,
+    stays under 9 hours; ``timeout`` is capped at one hour, far below what a
+    socket timeout can hold."""
     if backend_kind(config) == "http":
+        model = string(config.get("model"), "backend 'model'", empty=True)
+        endpoint = string(config.get("endpoint"), "backend 'endpoint'")
+        if not endpoint.startswith(("http://", "https://")):
+            raise FormatError(f"backend 'endpoint' must be an http(s) URL, got {endpoint!r}")
         return HttpBackend(
-            model=string(config.get("model"), "backend 'model'", empty=True),
-            endpoint=string(config.get("endpoint"), "backend 'endpoint'", empty=True),
+            model=model,
+            endpoint=endpoint,
             timeout=number(
                 config.get("timeout", 60.0), "backend 'timeout'", low=0.001, high=3600
             ),

@@ -53,7 +53,7 @@ DEFAULT_CACHE_DIR = ".ge-cache"
 _DEFERRED = {
     "backends": ("CachedBackend", "ResponseCache", "build_backend"),
     "envs": ("HttpEnv", "ToyShopConfig", "ToyShopEnv"),
-    "pipeline": ("MAX_PARALLELISM", "SCORE_SKIPS", "annotate", "load_run_config", "score_pool"),
+    "pipeline": ("SCORE_SKIPS", "annotate", "load_run_config", "score_pool"),
     "reports": ("dataset_stats", "difficulty_shift", "export_sft", "review_report"),
     "selectors": (
         "EmbeddingNormError", "HashEmbedBackend", "select_facility_location", "select_ge",
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--parallel",
         type=int,
-        default=None,
+        default=4,
         help="http scoring threads (default 4); n-gram scoring runs on one thread",
     )
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help="response cache directory")
@@ -164,20 +164,24 @@ def _response_cache(cache_dir: str) -> ResponseCache:
     return cache
 
 
+# The cap of ``score --parallel``. An http backend scores on one thread per
+# worker, so the worker count stays small; other backends start no threads.
+MAX_PARALLELISM = 256
+
+
 def _cmd_score(args) -> int:
     config = load_run_config(args.config)
-    if args.parallel is not None:
-        if not 1 <= args.parallel <= MAX_PARALLELISM:
-            raise UsageError(f"--parallel must be between 1 and {MAX_PARALLELISM}")
-        config.parallelism = args.parallel
+    if not 1 <= args.parallel <= MAX_PARALLELISM:
+        raise UsageError(f"--parallel must be between 1 and {MAX_PARALLELISM}")
     pool = load_pool(args.pool)
     trajectories = load_trajectories(args.trajectories)
     guideline = Guideline.load(args.guideline)
     if not config.score_backend:
         raise FormatError("config has no score_backend entry")
     backend = build_backend(config.score_backend)
+    cache = _response_cache(args.cache_dir)
     records, diagnostics = score_pool(
-        pool, trajectories, guideline, backend, config, cache=_response_cache(args.cache_dir)
+        pool, trajectories, guideline, backend, config, cache=cache, parallelism=args.parallel
     )
     failures = [d for d in diagnostics if d.error not in SCORE_SKIPS]
     if failures and not records:

@@ -115,20 +115,14 @@ def string(
 class Record:
     """Base of the record types. A subclass lists its fields in ``__slots__``
     and sets each in ``__init__`` with ``object.__setattr__``; assigning or
-    deleting one afterwards raises ``AttributeError``. Equality, hashing and
-    ``repr`` go over the fields in slot order. A slot whose name starts with
-    ``_`` holds state computed from the fields and takes part in none of them.
+    deleting one afterwards raises ``AttributeError``. Equality, hashing,
+    ``repr``, ``copy`` and ``pickle`` go over every slot, in slot order.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,13 +139,12 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     # ``copy`` and ``pickle`` restore every slot without the checks, which
     # the original already passed.
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    __getstate__ = _values
 
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
@@ -391,14 +384,32 @@ class StepScore(Record):
         )
 
 
-class ScoreRecord(Record):
-    """Scoring result for one question under one guideline and backend."""
+def ge_score(per_step: Iterable[tuple[float, float]]) -> float:
+    """Aggregate per-step (d_i, d_g) pairs into one guideline-effectiveness value.
 
-    # ``_eq5``: whether ``ge`` follows the eq5 convention (negated); set from
-    # per_step.
+    This is the default sign convention: a positive score means the guideline
+    lowered difficulty on average (d_g < d_i).
+    """
+    pairs = list(per_step)
+    if not pairs:
+        raise ValueError("per_step must be non-empty")
+    total = 0.0
+    for d_i, d_g in pairs:
+        if d_i <= 0 or d_g <= 0:
+            raise ValueError(f"difficulties must be positive, got ({d_i}, {d_g})")
+        # log(d_i) - log(d_g), not log(d_i/d_g): keeps swap antisymmetry exact.
+        total += math.log(d_i) - math.log(d_g)
+    return total / len(pairs)
+
+
+class ScoreRecord(Record):
+    """Scoring result for one question under one guideline and backend.
+    ``default_ge`` is computed, not passed: ``ge`` under the default sign
+    convention, in which the lowest value helps least."""
+
     __slots__ = (
         "question_id", "guideline_version", "backend_id", "per_step", "ge", "mean_entropy",
-        "_eq5",
+        "default_ge",
     )  # fmt: skip
     question_id: str
     guideline_version: str
@@ -406,7 +417,7 @@ class ScoreRecord(Record):
     per_step: tuple[StepScore, ...]
     ge: float
     mean_entropy: float | None
-    _eq5: bool
+    default_ge: float
 
     def __init__(
         self,
@@ -430,8 +441,6 @@ class ScoreRecord(Record):
             raise FormatError(f"score {question_id!r}: mean_entropy must be >= 0")
         # ge must be recomputable from per_step under the default sign
         # convention or under eq5; a value matching both counts as default.
-        from .scoring import ge_score
-
         recomputed = ge_score([(s.d_i, s.d_g) for s in per_step])
         eq5 = abs(ge - recomputed) > 1e-9
         if eq5 and abs(ge + recomputed) > 1e-9:
@@ -439,12 +448,7 @@ class ScoreRecord(Record):
                 f"score {question_id!r}: ge {ge} does not match per_step "
                 f"aggregation {recomputed}"
             )
-        object.__setattr__(self, "_eq5", eq5)
-
-    @property
-    def default_ge(self) -> float:
-        """``ge`` under the default sign convention: lowest helps least."""
-        return -self.ge if self._eq5 else self.ge
+        object.__setattr__(self, "default_ge", -ge if eq5 else ge)
 
     def to_record(self) -> dict:
         rec: dict[str, Any] = {

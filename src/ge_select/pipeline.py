@@ -81,30 +81,20 @@ GE_SIGNS = (GE_SIGN_DEFAULT, GE_SIGN_EQ5)
 # does not load the environments.
 TOYSHOP_KEYS = ("seed", "catalog_size", "hidden_attrs", "max_results")
 
-# An http backend scores on one thread per worker, so the worker count stays
-# small; other backends start no threads and ignore it.
-MAX_PARALLELISM = 256
-
 
 class RunConfig(Record):
-    """Pipeline settings, usually loaded from one JSON config document. Unlike
-    the other records it is mutable, and so unhashable: the CLI overrides
-    ``parallelism`` after loading it."""
+    """Pipeline settings, usually loaded from one JSON config document."""
 
     __slots__ = (
-        "instruction", "exemplars", "template", "score_target", "ge_sign", "top_k",
-        "parallelism", "t_max", "score_backend", "generate_backend", "env",
+        "instruction", "exemplars", "template", "score_target", "ge_sign", "top_k", "t_max",
+        "score_backend", "generate_backend", "env",
     )  # fmt: skip
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
     instruction: str
     exemplars: tuple[str, ...]
     template: str
     score_target: str
     ge_sign: str
     top_k: int
-    parallelism: int
     t_max: int  # the turns of one annotate episode, in any environment
     score_backend: dict
     generate_backend: dict
@@ -118,25 +108,28 @@ class RunConfig(Record):
         score_target: str = SCORE_TARGET_ACTION,
         ge_sign: str = GE_SIGN_DEFAULT,
         top_k: int = 5,
-        parallelism: int = 4,
         t_max: int = 15,
         score_backend: dict | None = None,
         generate_backend: dict | None = None,
         env: dict | None = None,
     ) -> None:
-        self.instruction = instruction
-        self.exemplars = exemplars
-        self.template = template
-        self.score_target = score_target
-        self.ge_sign = ge_sign
-        self.top_k = top_k
-        self.parallelism = parallelism
-        self.t_max = t_max
-        self.score_backend = {} if score_backend is None else score_backend
-        self.generate_backend = {} if generate_backend is None else generate_backend
-        self.env = {} if env is None else env
+        if score_backend is None:
+            score_backend = {}
+        if generate_backend is None:
+            generate_backend = {}
+        if env is None:
+            env = {}
+        object.__setattr__(self, "instruction", instruction)
+        object.__setattr__(self, "exemplars", exemplars)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "score_target", score_target)
+        object.__setattr__(self, "ge_sign", ge_sign)
+        object.__setattr__(self, "top_k", top_k)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "score_backend", score_backend)
+        object.__setattr__(self, "generate_backend", generate_backend)
+        object.__setattr__(self, "env", env)
         number(top_k, "top_k", integer=True, low=0)
-        number(parallelism, "parallelism", integer=True, low=1, high=MAX_PARALLELISM)
         number(t_max, "t_max", integer=True, low=1)
         check_template(template)
         if score_target not in SCORE_TARGETS:
@@ -159,12 +152,9 @@ def load_exemplars(path: str | Path) -> tuple[str, ...]:
 
 
 # The keys a run config may hold: files to read, and settings that go to
-# ``RunConfig`` as they are.
+# ``RunConfig`` as they are, which are all its fields but the files' three.
 _PATH_KEYS = ("instruction_path", "exemplars_path", "template_path")
-_CONFIG_KEYS = (
-    "score_target", "ge_sign", "top_k", "parallelism", "t_max",
-    "score_backend", "generate_backend", "env",
-)  # fmt: skip
+_CONFIG_KEYS = tuple(name for name in RunConfig.__slots__ if f"{name}_path" not in _PATH_KEYS)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -316,10 +306,14 @@ def score_pool(
     backend: Backend,
     config: RunConfig,
     cache: ResponseCache | None = None,
+    *,
+    parallelism: int = 4,
 ) -> tuple[list[ScoreRecord], list[Diagnostic]]:
     """Score every question that has a trajectory; first trajectory wins.
 
     With a ``cache``, scored spans already in it are not sent to the backend.
+    An http backend scores on ``parallelism`` worker threads; any other
+    backend starts none.
     """
     by_id = {q.id: q for q in pool}
     diagnostics: list[Diagnostic] = []
@@ -349,7 +343,7 @@ def score_pool(
         # Imported here so runs that start no threads skip its start-up cost.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool_exec:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool_exec:
             outcomes = list(pool_exec.map(work, ordered))
     else:
         outcomes = list(map(work, ordered))

@@ -8,9 +8,9 @@ checks against ln 2 stay exact.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .models import FormatError, Record, StepScore, sum_floats
+from .models import FormatError, Record, StepScore, ge_score, sum_floats
 
 # Difficulty floor: keeps log-ratios finite on perfectly predicted actions.
 DIFFICULTY_FLOOR = 1e-6
@@ -49,24 +49,6 @@ def step_difficulty(logprobs: Sequence[float]) -> float:
         if lp > 0:
             raise ValueError(f"token logprob {lp} must be <= 0")
     return _difficulty(sum_floats(logprobs), len(logprobs))
-
-
-def ge_score(per_step: Iterable[tuple[float, float]]) -> float:
-    """Aggregate per-step (d_i, d_g) pairs into one guideline-effectiveness value.
-
-    This is the default sign convention: a positive score means the guideline
-    lowered difficulty on average (d_g < d_i).
-    """
-    pairs = list(per_step)
-    if not pairs:
-        raise ValueError("per_step must be non-empty")
-    total = 0.0
-    for d_i, d_g in pairs:
-        if d_i <= 0 or d_g <= 0:
-            raise ValueError(f"difficulties must be positive, got ({d_i}, {d_g})")
-        # log(d_i) - log(d_g), not log(d_i/d_g): keeps swap antisymmetry exact.
-        total += math.log(d_i) - math.log(d_g)
-    return total / len(pairs)
 
 
 def mean_entropy(dists: Sequence[TokenDistribution]) -> float:

@@ -143,15 +143,13 @@ def test_acceptance_2_ge_sign_semantics():
         question_text="find a ceramic mug",
     )
     question = Question(id="q1", text="find a ceramic mug")
-    config = RunConfig(instruction="Shop.", exemplars=(), top_k=0, parallelism=1)
+    config = RunConfig(instruction="Shop.", exemplars=(), top_k=0)
     record = score_trajectory(trajectory, question, guideline, backend, config)
     boosted = record.per_step[1]  # the click[buy] step quoted by the guideline
     assert boosted.d_g < boosted.d_i
     assert record.ge > 0.0
 
-    eq5_config = RunConfig(
-        instruction="Shop.", exemplars=(), top_k=0, parallelism=1, ge_sign="eq5"
-    )
+    eq5_config = RunConfig(instruction="Shop.", exemplars=(), top_k=0, ge_sign="eq5")
     eq5_record = score_trajectory(trajectory, question, guideline, backend, eq5_config)
     assert eq5_record.ge == -record.ge
     assert eq5_record.per_step == record.per_step
@@ -315,9 +313,10 @@ def test_acceptance_6_end_to_end_synthetic_selectivity():
             instruction="You are shopping for one item.",
             exemplars=(),
             top_k=0,
-            parallelism=4,
         )
-        records, diagnostics = score_pool(pool, trajectories, guideline, backend, config)
+        records, diagnostics = score_pool(
+            pool, trajectories, guideline, backend, config, parallelism=4
+        )
         assert len(records) == 300 and not diagnostics
 
         bottom = select_ge(records, 50)
@@ -363,18 +362,20 @@ def test_acceptance_7_pipeline_determinism_and_resumability(tmp_path):
     env, pool, _ = toyshop_make(shop, 50)
     guideline = Guideline.from_text(toyshop_guideline())
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
-    config = RunConfig(instruction="Shop.", exemplars=(), top_k=2, parallelism=4)
+    config = RunConfig(instruction="Shop.", exemplars=(), top_k=2)
     ngram = NgramBackend("", order=3)
 
     reference_cache = ResponseCache(tmp_path / "ref.jsonl")
-    reference, _ = score_pool(pool, trajectories, guideline, ngram, config, cache=reference_cache)
+    reference, _ = score_pool(
+        pool, trajectories, guideline, ngram, config, cache=reference_cache, parallelism=4
+    )
     write_records(reference, tmp_path / "reference.jsonl")
 
     # run killed at ~50%: 50 of the 100 echo calls succeed
     cache_path = tmp_path / "shared_cache.jsonl"
     dying = FailAfter(ngram, budget=50)
     partial, diagnostics = score_pool(
-        pool, trajectories, guideline, dying, config, cache=ResponseCache(cache_path)
+        pool, trajectories, guideline, dying, config, cache=ResponseCache(cache_path), parallelism=4
     )
     assert len(partial) < 50
     assert any("killed mid-run" in d.error for d in diagnostics)
@@ -383,7 +384,7 @@ def test_acceptance_7_pipeline_determinism_and_resumability(tmp_path):
     counting = CountingBackend(ngram)
     resumed_cache = ResponseCache(cache_path)
     resumed, diagnostics = score_pool(
-        pool, trajectories, guideline, counting, config, cache=resumed_cache
+        pool, trajectories, guideline, counting, config, cache=resumed_cache, parallelism=4
     )
     assert not diagnostics
     write_records(resumed, tmp_path / "resumed.jsonl")
@@ -392,7 +393,9 @@ def test_acceptance_7_pipeline_determinism_and_resumability(tmp_path):
     assert 0 < resumed_calls <= 50  # only the lost half is recomputed
 
     # warm-cache rerun issues zero outbound calls and identical bytes
-    rerun, _ = score_pool(pool, trajectories, guideline, counting, config, cache=resumed_cache)
+    rerun, _ = score_pool(
+        pool, trajectories, guideline, counting, config, cache=resumed_cache, parallelism=4
+    )
     assert counting.total_calls == resumed_calls
     write_records(rerun, tmp_path / "rerun.jsonl")
     assert (tmp_path / "rerun.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()

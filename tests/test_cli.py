@@ -52,7 +52,6 @@ def workspace(tmp_path):
                 "score_backend": {"kind": "ngram", "order": 3, "corpus": ""},
                 "generate_backend": {"kind": "ngram", "order": 4, "corpus": ""},
                 "top_k": 2,
-                "parallelism": 2,
                 "t_max": 3,
                 "env": {"toyshop": {"seed": 41, "catalog_size": 12}},
             }
@@ -814,7 +813,9 @@ def test_http_scoring_in_front_of_an_ngram_model_matches_the_direct_run(workspac
         assert math.isclose(http_record.mean_entropy, ngram_record.mean_entropy, rel_tol=1e-15)
 
 
-def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_server):
+def _peak_http_requests(workspace, local_server, *flags: str) -> int:
+    """The most echo requests in flight at once while ``score`` runs against
+    the local server with ``flags``."""
     import threading
     import time
 
@@ -834,8 +835,16 @@ def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_ser
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
     config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    assert run(score_argv(workspace) + ["--parallel", "2"]) == 0
-    assert state["peak"] == 2
+    assert run(score_argv(workspace) + list(flags)) == 0
+    return state["peak"]
+
+
+def test_http_score_has_at_most_parallel_requests_in_flight(workspace, local_server):
+    assert _peak_http_requests(workspace, local_server, "--parallel", "2") == 2
+
+
+def test_http_score_without_parallel_has_at_most_four_requests_in_flight(workspace, local_server):
+    assert _peak_http_requests(workspace, local_server) == 4
 
 
 def test_ngram_score_starts_no_threads_and_writes_the_same_cache_twice(workspace, monkeypatch):
@@ -865,8 +874,7 @@ def _http(**settings):
 
 
 _CONFIG_CASES = {
-    "parallelism-str": ("parallelism", "4", "parallelism"),
-    "parallelism-257": ("parallelism", 257, "parallelism"),
+    "parallelism": ("parallelism", 4, "'parallelism'"),  # ``score --parallel`` sizes the pool
     "top_k-str": ("top_k", "5", "top_k"),
     "top_k-negative": ("top_k", -1, "top_k"),
     "top_k-bool": ("top_k", True, "top_k"),
@@ -904,6 +912,10 @@ _CONFIG_CASES = {
     "kind-unknown": ("score_backend", {"kind": "quantum"}, "quantum"),
     "kind-hash_embed": ("score_backend", {"kind": "hash_embed"}, "'hash_embed'"),
     "http-no-endpoint": ("score_backend", {"kind": "http", "model": "m"}, "endpoint"),
+    "http-endpoint-empty": ("score_backend", _http(endpoint="", backoff=0), "endpoint"),
+    "http-endpoint-no-scheme": (
+        "score_backend", _http(endpoint="127.0.0.1:9", backoff=0), "endpoint"
+    ),
     "ngram-corpus-and-corpus_path": (
         "score_backend", _ngram(corpus_path="guideline.txt"), "'corpus' and 'corpus_path'"
     ),
@@ -913,6 +925,8 @@ _CONFIG_CASES = {
 
 @pytest.mark.parametrize("key, value, needle", _CONFIG_CASES.values(), ids=list(_CONFIG_CASES))
 def test_string_parallelism_in_config_exits_two(workspace, capsys, key, value, needle):
+    """A bad or unknown config entry exits 2 naming it, before ``--cache-dir``
+    is created."""
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
     config[key] = value
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
@@ -1204,22 +1218,23 @@ print(" ".join(sys.modules))
 # loads beyond these are the command's.
 _BARE_CHILD = 'import sys; print(" ".join(sys.modules))'
 
-# What each subcommand loads of ge_select, in a fresh process. ``scoring`` comes
-# with any scores file: ``load_scores`` re-derives each ge with ``ge_score``.
-# ``reports`` comes with ``pipeline``, which re-exports its functions. No
-# command loads ``dataclasses`` or ``inspect``, and only those that take a
-# digest load ``hashlib``: cache keys, fingerprints and guideline versions.
+# What each subcommand loads of ge_select, in a fresh process. A scores file
+# needs only ``models``, which re-derives each ge with ``ge_score``; ``scoring``
+# comes with a backend. ``reports`` comes with ``pipeline``, which re-exports
+# its functions. No command loads ``dataclasses`` or ``inspect``, and only
+# those that take a digest load ``hashlib``: cache keys, fingerprints and
+# guideline versions.
 _SCORING_LAYERS = "backends cli models pipeline prompts reports scoring"
 _COMMAND_MODULES = {
     "import": ((), "cli models"),
     "score": (None, _SCORING_LAYERS),
     "annotate": (None, _SCORING_LAYERS + " envs"),
     "select ge": (("select", "--strategy", "ge", "--scores", "scores.jsonl", "-k", "3",
-                   "--out", "sel.jsonl"), "cli models scoring selectors"),
+                   "--out", "sel.jsonl"), "cli models selectors"),
     "select entropy": (("select", "--strategy", "entropy", "--scores", "scores.jsonl", "-k", "3",
-                        "--out", "sel.jsonl"), "cli models scoring selectors"),
+                        "--out", "sel.jsonl"), "cli models selectors"),
     "report": (("report", "--scores", "scores.jsonl", "--trajectories", "trajectories.jsonl",
-                "-m", "3", "--out", "report.md"), "cli models reports scoring"),
+                "-m", "3", "--out", "report.md"), "cli models reports"),
     "export": (("export", "--trajectories", "trajectories.jsonl", "--instruction",
                 "instruction.txt", "--guideline", "guideline.txt", "--out", "sft.jsonl"),
                "cli models reports"),

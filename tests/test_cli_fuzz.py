@@ -37,7 +37,6 @@ CONFIG = {
     "score_target": "action",
     "ge_sign": "default",
     "top_k": 2,
-    "parallelism": 1,
     "t_max": 2,
     "env": {
         "toyshop": {"seed": 3, "catalog_size": 8, "hidden_attrs": ["flavor"], "max_results": 3},

@@ -51,7 +51,7 @@ from conftest import CountingBackend, oracle_conditional
 
 
 def tiny_config(**kwargs) -> RunConfig:
-    defaults = dict(instruction="Shop.", exemplars=(), top_k=2, parallelism=2)
+    defaults = dict(instruction="Shop.", exemplars=(), top_k=2)
     defaults.update(kwargs)
     return RunConfig(**defaults)
 
@@ -163,13 +163,14 @@ def test_score_pool_invariant_to_order_and_parallelism():
     guideline = Guideline.from_text(toyshop_guideline())
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
     backend = NgramBackend("", order=3)
-    base, _ = score_pool(pool, trajectories, guideline, backend, tiny_config(parallelism=1))
+    base, _ = score_pool(pool, trajectories, guideline, backend, tiny_config(), parallelism=1)
     shuffled, _ = score_pool(
         list(reversed(pool)),
         list(reversed(trajectories)),
         guideline,
         backend,
-        tiny_config(parallelism=4),
+        tiny_config(),
+        parallelism=4,
     )
     assert base == shuffled
     # Only an http backend scores on worker threads; this one forwards to the
@@ -180,7 +181,8 @@ def test_score_pool_invariant_to_order_and_parallelism():
         list(reversed(trajectories)),
         guideline,
         pooled,
-        tiny_config(parallelism=4),
+        tiny_config(),
+        parallelism=4,
     )
     assert threaded == base
     assert pooled.threads and threading.get_ident() not in pooled.threads
@@ -254,7 +256,7 @@ def test_score_pool_resumes_to_identical_bytes(tmp_path):
     env, pool, _ = toyshop_make(config, 6)
     guideline = Guideline.from_text(toyshop_guideline())
     trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
-    run_config = tiny_config(parallelism=1)
+    run_config = tiny_config()
 
     ngram = NgramBackend("", order=3)
     full_records, _ = score_pool(
@@ -769,7 +771,7 @@ def test_load_run_config_resolves_paths(tmp_path):
           "instruction_path": "instr.txt",
           "exemplars_path": "ex.jsonl",
           "score_backend": {"kind": "ngram", "order": 2, "corpus_path": "corpus.txt"},
-          "parallelism": 2
+          "t_max": 2
         }
         """,
         encoding="utf-8",
@@ -778,4 +780,4 @@ def test_load_run_config_resolves_paths(tmp_path):
     assert config.instruction == "Do the task."
     assert config.exemplars == ("Task: x\nAction: y\n",)
     assert config.score_backend["corpus_path"] == str(tmp_path / "corpus.txt")
-    assert config.parallelism == 2
+    assert config.t_max == 2
