@@ -470,11 +470,19 @@ def cache_key(backend_id: BackendId, request_body: str) -> str:
     ).hexdigest()
 
 
+# The hex characters of a ``cache_key`` that ``ResponseCache`` stores and
+# indexes: its first 128 bits.
+STORED_KEY_CHARS = 32
+
+
 class ResponseCache:
     """Append-only response log with an in-memory index.
 
     One JSON line per entry; appends are serialized, reads are lock-free
-    against the immutable index snapshot semantics of dict reads. Each entry
+    against the immutable index snapshot semantics of dict reads. An entry is
+    stored and looked up under the first ``STORED_KEY_CHARS`` characters of
+    its key, and a loaded line is indexed the same way, so lines written with
+    full 64-character keys still hit. Each entry
     goes out in a single ``os.write`` on an ``O_APPEND`` descriptor, so
     processes sharing the file cannot interleave the bytes of one entry; a
     short write raises instead of being retried. A line that is not a JSON
@@ -503,7 +511,7 @@ class ResponseCache:
                         entry = None
                     response = entry.get("response") if isinstance(entry, dict) else None
                     if response is not None and isinstance(entry.get("key"), str):
-                        self._index[entry["key"]] = response
+                        self._index[entry["key"][:STORED_KEY_CHARS]] = response
                     else:
                         self.skipped_lines += 1
         else:
@@ -513,10 +521,11 @@ class ResponseCache:
         return len(self._index)
 
     def get(self, key: str) -> Any | None:
-        return self._index.get(key)
+        return self._index.get(key[:STORED_KEY_CHARS])
 
     def put(self, key: str, response: Any) -> Any:
         """Store once; later writers get the first stored value back."""
+        key = key[:STORED_KEY_CHARS]
         with self._lock:
             if key in self._index:
                 return self._index[key]

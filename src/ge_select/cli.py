@@ -35,6 +35,7 @@ from .models import (
     load_trajectories,
     number,
     string,
+    write_file,
     write_records,
 )
 
@@ -86,17 +87,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="ge-select",
-        description=(
-            "Score agent trajectories by guideline effectiveness, select "
-            "informative questions, and export fine-tuning data."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-
-    p = sub.add_parser("score", help="score a pool of trajectories")
+def _score_arguments(p: _Parser) -> None:
     p.add_argument("--pool", required=True, help="question pool JSONL")
     p.add_argument("--trajectories", required=True, help="trajectory JSONL")
     p.add_argument("--guideline", required=True, help="guideline text file")
@@ -110,7 +101,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help="response cache directory")
 
-    p = sub.add_parser("select", help="select k questions")
+
+def _select_arguments(p: _Parser) -> None:
     p.add_argument("--scores", help="score JSONL (ge, entropy, random fallback)")
     p.add_argument(
         "--strategy",
@@ -124,13 +116,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", help="pool JSONL (random; fl when embedding on the fly)")
     p.add_argument("--out", required=True, help="output selection JSONL")
 
-    p = sub.add_parser("report", help="write review report")
+
+def _report_arguments(p: _Parser) -> None:
     p.add_argument("--scores", required=True)
     p.add_argument("--trajectories", required=True)
     p.add_argument("-m", type=int, default=30, help="number of questions (default 30)")
     p.add_argument("--out", required=True, help="output report path")
 
-    p = sub.add_parser("annotate", help="roll out trajectories")
+
+def _annotate_arguments(p: _Parser) -> None:
     p.add_argument("--questions", required=True, help="pool JSONL or selection JSONL")
     p.add_argument("--pool", help="pool JSONL to resolve a selection file against")
     p.add_argument("--guideline", required=True)
@@ -140,17 +134,48 @@ def _build_parser() -> _Parser:
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.add_argument("--out", required=True, help="output trajectory JSONL")
 
-    p = sub.add_parser("export", help="export SFT dataset")
+
+def _export_arguments(p: _Parser) -> None:
     p.add_argument("--trajectories", required=True)
     p.add_argument("--instruction", required=True, help="instruction text file")
     p.add_argument("--guideline", required=True)
     p.add_argument("--out", required=True, help="output SFT JSONL")
 
-    p = sub.add_parser("stats", help="dataset statistics")
+
+def _stats_arguments(p: _Parser) -> None:
     p.add_argument("--trajectories", required=True)
     p.add_argument("--selected", help="selection JSONL for difficulty shift")
     p.add_argument("--pool", help="pool JSONL for difficulty shift")
 
+
+# Each subcommand's help line and the function that adds its arguments, in
+# the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "score": ("score a pool of trajectories", _score_arguments),
+    "select": ("select k questions", _select_arguments),
+    "report": ("write review report", _report_arguments),
+    "annotate": ("roll out trajectories", _annotate_arguments),
+    "export": ("export SFT dataset", _export_arguments),
+    "stats": ("dataset statistics", _stats_arguments),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The CLI's parser, with every subcommand but the arguments of
+    ``command`` only: a run parses one subcommand, so the others need only
+    their name and help line."""
+    parser = _Parser(
+        prog="ge-select",
+        description=(
+            "Score agent trajectories by guideline effectiveness, select "
+            "informative questions, and export fine-tuning data."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
@@ -192,15 +217,17 @@ def _cmd_score(args) -> int:
 def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
     """Write ``records`` to ``out``, and any diagnostics to the ``.diag.jsonl``
     sidecar with one warning line each on stderr. A run without diagnostics
-    removes the sidecar, so none is left from an earlier run."""
-    write_records(records, out)
+    removes the sidecar, so none is left from an earlier run. The sidecar is
+    settled before ``out`` is replaced, so a run cut between the two never
+    pairs a new ``out`` with an old sidecar."""
     sidecar = Path(out + ".diag.jsonl")
     if diagnostics:
         write_records(diagnostics, sidecar)
-        for diag in diagnostics:
-            print(f"warning: {diag.question_id}: {diag.error}", file=sys.stderr)
     else:
         sidecar.unlink(missing_ok=True)
+    write_records(records, out)
+    for diag in diagnostics:
+        print(f"warning: {diag.question_id}: {diag.error}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -288,7 +315,7 @@ def _cmd_report(args) -> int:
     scores = load_scores(args.scores)
     trajectories = load_trajectories(args.trajectories)
     report = review_report(scores, trajectories, args.m)
-    Path(args.out).write_text(report, encoding="utf-8")
+    write_file(args.out, report)
     return EXIT_OK
 
 
@@ -367,9 +394,12 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    # The top-level parser's only option takes no value, so the first
+    # argument that names a subcommand is the one argparse runs.
+    parser = _build_parser(next((arg for arg in argv if arg in _SUBCOMMANDS), None))
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
         handler, layers = _COMMANDS[args.command]

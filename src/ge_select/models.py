@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -649,7 +650,35 @@ def dumps_record(record: Any) -> str:
     return _canonical_json(record.to_record() if hasattr(record, "to_record") else record)
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, all or nothing: into a new file
+    beside it, which then replaces ``path``. A failed write leaves ``path`` as
+    it was, removes the new file and raises the error naming ``path``, as
+    ``Path.write_text`` would. The new file has ``write_text``'s mode, and a
+    symlink at ``path`` is replaced, not its target."""
+    data = text.encode("utf-8")
+    path = os.fspath(path)
+    # A fixed-length name, so an output name of the longest length the file
+    # system allows still gets a temporary file.
+    temporary = os.path.join(os.path.dirname(path), f".ge-select-{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(temporary, path)
+        except BaseException:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.filename != temporary:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def write_records(records: Sequence[Any], path: str | Path) -> None:
     """Write records canonically: one line each, newline-terminated."""
-    text = "".join(dumps_record(r) + "\n" for r in records)
-    Path(path).write_text(text, encoding="utf-8")
+    write_file(path, "".join(dumps_record(r) + "\n" for r in records))

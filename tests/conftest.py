@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,11 +52,10 @@ def _restore_openblas_threads():
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def run_python_child(args: list[str], openblas_threads: str | None = None) -> str:
-    """Run ``python *args`` in a fresh process that imports this checkout's
+def python_child_env(openblas_threads: str | None = None) -> dict[str, str]:
+    """The environment of a child process that imports this checkout's
     ``ge_select`` and sees no BLAS thread variable except
-    ``OPENBLAS_NUM_THREADS=openblas_threads``; assert it exits 0 and return
-    its stdout."""
+    ``OPENBLAS_NUM_THREADS=openblas_threads``."""
     import ge_select
 
     env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
@@ -63,6 +63,13 @@ def run_python_child(args: list[str], openblas_threads: str | None = None) -> st
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     src_root = str(Path(ge_select.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python_child(args: list[str], openblas_threads: str | None = None) -> str:
+    """Run ``python *args`` in a fresh process with ``python_child_env``;
+    assert it exits 0 and return its stdout."""
+    env = python_child_env(openblas_threads)
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, f"{args} exited {proc.returncode}: {proc.stderr}"
     return proc.stdout
@@ -210,3 +217,28 @@ def oracle_conditional(corpus: bytes, prefix: bytes, ctx: bytes, b: int) -> floa
     numer = count(corpus, b) + count(prefix, b)
     denom = count(corpus, None) + count(prefix, None)
     return (numer + 1) / (denom + 256)
+
+
+def reference_counts(corpus: bytes, prefix: bytes, ctx: bytes) -> tuple[int, dict[int, int]]:
+    """Total and next-byte counts of ``ctx`` over corpus plus prefix, by scanning."""
+    following: dict[int, int] = {}
+    for hay in (corpus, prefix):
+        for i in range(len(hay) - len(ctx)):
+            if hay[i : i + len(ctx)] == ctx:
+                following[hay[i + len(ctx)]] = following.get(hay[i + len(ctx)], 0) + 1
+    return sum(following.values()), following
+
+
+def reference_top_k(total: int, following: dict[int, int], k: int) -> tuple[list, str]:
+    """The n-gram top-k distribution built from scratch on every call: rank
+    by (-count, byte), pad with the smallest unseen bytes, smooth add-one."""
+    chosen = sorted(following, key=lambda b: (-following[b], b))[:k]
+    if len(chosen) < k:
+        chosen += [b for b in range(min(k, 256)) if b not in following][: k - len(chosen)]
+    top = []
+    mass = 0.0
+    for b in chosen:
+        p = (following.get(b, 0) + 1) / (total + 256)
+        mass += p
+        top.append((chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p).hex()))
+    return top, max(0.0, 1.0 - mass).hex()

@@ -28,7 +28,13 @@ from ge_select.backends import (
 from ge_select.models import FormatError
 from ge_select.selectors import EMBED_DIMENSIONS, HashEmbedBackend
 
-from conftest import CountingBackend, echo_response, oracle_conditional
+from conftest import (
+    CountingBackend,
+    echo_response,
+    oracle_conditional,
+    reference_counts,
+    reference_top_k,
+)
 
 
 def count_oracle(corpus: bytes, ctx: bytes, b: int) -> float:
@@ -371,31 +377,6 @@ def test_prefix_reuse_is_exact_under_eight_threads(monkeypatch):
         t.join()
     for n in range(8):
         assert results[n] == work[n][2]
-
-
-def reference_counts(corpus: bytes, prefix: bytes, ctx: bytes) -> tuple[int, dict[int, int]]:
-    """Total and next-byte counts of ``ctx`` over corpus plus prefix, by scanning."""
-    following: dict[int, int] = {}
-    for hay in (corpus, prefix):
-        for i in range(len(hay) - len(ctx)):
-            if hay[i : i + len(ctx)] == ctx:
-                following[hay[i + len(ctx)]] = following.get(hay[i + len(ctx)], 0) + 1
-    return sum(following.values()), following
-
-
-def reference_top_k(total: int, following: dict[int, int], k: int) -> tuple[list, str]:
-    """The n-gram top-k distribution built from scratch on every call: rank
-    by (-count, byte), pad with the smallest unseen bytes, smooth add-one."""
-    chosen = sorted(following, key=lambda b: (-following[b], b))[:k]
-    if len(chosen) < k:
-        chosen += [b for b in range(min(k, 256)) if b not in following][: k - len(chosen)]
-    top = []
-    mass = 0.0
-    for b in chosen:
-        p = (following.get(b, 0) + 1) / (total + 256)
-        mass += p
-        top.append((chr(b) if 32 <= b < 127 else f"\\x{b:02x}", math.log(p).hex()))
-    return top, max(0.0, 1.0 - mass).hex()
 
 
 def echo_top_k(backend: NgramBackend, text: str, k: int) -> list[tuple[list, str]]:

@@ -26,7 +26,7 @@ from ge_select.models import (
 from ge_select.pipeline import _CONFIG_KEYS, _PATH_KEYS, load_run_config
 from ge_select.prompts import DEFAULT_TEMPLATE
 
-from conftest import backend_echo_response, echo_response, run_python_child
+from conftest import backend_echo_response, echo_response, python_child_env, run_python_child
 
 
 @pytest.fixture
@@ -111,13 +111,20 @@ def _readme_synopsis() -> dict[str, str]:
     return dict(zip(parts[1::2], parts[2::2]))
 
 
+def _subcommand_parsers(command: str | None) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of the CLI's parser built for ``command``."""
+    return next(
+        a for a in _build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 def test_readme_cli_synopsis_matches_the_parser():
     synopsis = _readme_synopsis()
-    commands = next(
-        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
+    commands = _subcommand_parsers(None)
     assert sorted(synopsis) == sorted(commands)
-    for command, parser in commands.items():
+    for command in commands:
+        # The parser adds arguments only for the subcommand it is built for.
+        parser = _subcommand_parsers(command)[command]
         text = synopsis[command]
         options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == options, command
@@ -303,6 +310,53 @@ def test_score_warns_once_about_malformed_cache_lines(workspace, capsys):
     assert (workspace / "scores.jsonl").read_bytes() == scores
     # every good entry loaded: the rerun was all hits and appended nothing
     assert cache_path.read_text(encoding="utf-8") == corrupted
+
+
+def test_a_cache_written_with_full_sha256_keys_still_serves_every_hit(workspace, monkeypatch):
+    """Caches written before the stored key was cut to 128 bits hold full
+    64-character keys. A warm ``score`` and ``annotate`` over one such cache
+    call no backend, write the cold run's bytes and append nothing."""
+    from ge_select import backends
+
+    def cold_run(cache_dir: str) -> tuple[bytes, bytes, str]:
+        scores, annotated = score_argv(workspace), annotate_argv(workspace)
+        for argv in (scores, annotated):
+            argv[argv.index("--cache-dir") + 1] = cache_dir
+            assert run(argv) == 0
+        cache = workspace / cache_dir / "cache.jsonl"
+        outputs = (workspace / "scores.jsonl").read_bytes(), (workspace / "annotated.jsonl").read_bytes()
+        return *outputs, cache.read_text(encoding="utf-8")
+
+    scores, annotated, fresh = cold_run(str(workspace / "fresh"))
+    fresh_entries = [json.loads(line) for line in fresh.splitlines()]
+    # scoring entries are objects, generation entries strings
+    assert {type(e["response"]) for e in fresh_entries} == {dict, str}
+    assert all(re.fullmatch(r"[0-9a-f]{32}", e["key"]) for e in fresh_entries)
+
+    with monkeypatch.context() as patch:  # store whole keys, as caches before the cut did
+        patch.setattr(backends, "STORED_KEY_CHARS", 64)
+        assert cold_run(str(workspace / "full"))[:2] == (scores, annotated)
+    full_path = workspace / "full" / "cache.jsonl"
+    full = full_path.read_text(encoding="utf-8")
+    full_entries = [json.loads(line) for line in full.splitlines()]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", e["key"]) for e in full_entries)
+    assert [(e["key"][:32], e["response"]) for e in full_entries] == [
+        (e["key"], e["response"]) for e in fresh_entries
+    ]
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a warm run called the backend")
+
+    monkeypatch.setattr(backends.NgramBackend, "echo_logprobs", no_call)
+    monkeypatch.setattr(backends.NgramBackend, "generate", no_call)
+    (workspace / "scores.jsonl").unlink()
+    (workspace / "annotated.jsonl").unlink()
+    for argv in (score_argv(workspace), annotate_argv(workspace)):
+        argv[argv.index("--cache-dir") + 1] = str(workspace / "full")
+        assert run(argv) == 0
+    assert (workspace / "scores.jsonl").read_bytes() == scores
+    assert (workspace / "annotated.jsonl").read_bytes() == annotated
+    assert full_path.read_text(encoding="utf-8") == full
 
 
 def test_select_all_strategies(workspace):
@@ -1479,6 +1533,42 @@ def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(workspace, capsy
     assert capsys.readouterr().err == ""
     assert len(load_trajectories(workspace / "annotated.jsonl")) == 12
     assert not sidecar.exists()
+
+
+def test_a_write_cut_short_keeps_the_previous_output(workspace):
+    """``score`` and ``select`` children whose file size limit is below their
+    output's size exit 2 with one error line, and leave the previous output
+    byte for byte, with no temporary file beside it."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    assert run(score_argv(workspace)) == 0  # fills the cache, so the child appends nothing
+    limit = 256
+    assert (workspace / "scores.jsonl").stat().st_size > limit
+    select = ["select", "--strategy", "ge", "-k", "12", "--scores", str(workspace / "scores.jsonl"),
+              "--out", str(workspace / "selected.jsonl")]  # fmt: skip
+    assert run(select) == 0
+    assert (workspace / "selected.jsonl").stat().st_size > limit
+    previous = b"previous output\n"
+
+    def limit_file_size() -> None:
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+    # select first: it reads the scores that score then overwrites
+    for argv, out in ((select, "selected.jsonl"), (score_argv(workspace), "scores.jsonl")):
+        (workspace / out).write_bytes(previous)
+        before = sorted(os.listdir(workspace))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ge_select", *argv],
+            env=python_child_env(), capture_output=True, text=True, preexec_fn=limit_file_size,
+        )  # fmt: skip
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert_one_error_line(proc.stderr, 2, "File too large")
+        assert (workspace / out).read_bytes() == previous, argv[0]
+        assert sorted(os.listdir(workspace)) == before, argv[0]
 
 
 def test_score_with_every_question_failing_exits_three(workspace, capsys):

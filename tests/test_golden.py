@@ -10,6 +10,9 @@ A change that means to alter an output byte regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
+which prints each output whose digest it adds, removes or changes, against
+the file it replaces.
+
 Facility-location selections hold BLAS dot products, so their bytes depend
 on numpy's build and on the BLAS thread count. The CLI fixes the count at
 one in a fresh process, so each ``select --strategy fl`` step runs in a child
@@ -198,6 +201,10 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         payload = {"numpy_build": numpy_build(), "digests": chain_digests(Path(tmp))}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+    for name in sorted(old.keys() | payload["digests"].keys()):
+        if old.get(name) != payload["digests"].get(name):
+            print(f"changed: {name}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(payload['digests'])} digests to {GOLDEN}")

@@ -29,6 +29,7 @@ from ge_select.models import (
     load_selection,
     load_trajectories,
     normalize_guideline_text,
+    write_file,
     write_records,
 )
 from ge_select.scoring import ge_score
@@ -230,6 +231,33 @@ def test_write_is_canonical_and_idempotent(tmp_path):
     text = a.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert ": " not in text.splitlines()[0].split('"observation"')[0]
+
+
+def test_write_file_replaces_the_output_whole_as_write_text_would(tmp_path):
+    plain, replaced = tmp_path / "plain.txt", tmp_path / "replaced.txt"
+    plain.write_text("é\n", encoding="utf-8")
+    write_file(replaced, "é\n")
+    assert replaced.read_bytes() == plain.read_bytes()
+    assert replaced.stat().st_mode == plain.stat().st_mode  # write_text's mode, not 0600
+    # a symlink at the output is replaced, and its target keeps its bytes
+    link = tmp_path / "link.txt"
+    link.symlink_to(plain)
+    write_file(link, "new\n")
+    assert not link.is_symlink() and link.read_text(encoding="utf-8") == "new\n"
+    assert plain.read_text(encoding="utf-8") == "é\n"
+    # a failed write raises write_text's error, naming the output, and leaves no file
+    (tmp_path / "directory").mkdir()
+    for target in (tmp_path / "missing" / "out.txt", tmp_path / "directory"):
+        with pytest.raises(OSError) as expected:
+            target.write_text("x", encoding="utf-8")
+        with pytest.raises(type(expected.value)) as got:
+            write_file(target, "x")
+        assert str(got.value) == str(expected.value)
+    longest = tmp_path / ("n" * 255)  # the longest name most file systems allow
+    write_file(longest, "x")
+    assert longest.read_text(encoding="utf-8") == "x"
+    names = ["directory", "link.txt", longest.name, "plain.txt", "replaced.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_guideline_version_is_content_hash():
