@@ -87,7 +87,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _score_arguments(p: _Parser) -> None:
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="ge-select",
+        description=(
+            "Score agent trajectories by guideline effectiveness, select "
+            "informative questions, and export fine-tuning data."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+
+    p = sub.add_parser("score", help="score a pool of trajectories")
     p.add_argument("--pool", required=True, help="question pool JSONL")
     p.add_argument("--trajectories", required=True, help="trajectory JSONL")
     p.add_argument("--guideline", required=True, help="guideline text file")
@@ -101,8 +111,7 @@ def _score_arguments(p: _Parser) -> None:
     )
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help="response cache directory")
 
-
-def _select_arguments(p: _Parser) -> None:
+    p = sub.add_parser("select", help="select k questions")
     p.add_argument("--scores", help="score JSONL (ge, entropy, random fallback)")
     p.add_argument(
         "--strategy",
@@ -116,15 +125,13 @@ def _select_arguments(p: _Parser) -> None:
     p.add_argument("--pool", help="pool JSONL (random; fl when embedding on the fly)")
     p.add_argument("--out", required=True, help="output selection JSONL")
 
-
-def _report_arguments(p: _Parser) -> None:
+    p = sub.add_parser("report", help="write review report")
     p.add_argument("--scores", required=True)
     p.add_argument("--trajectories", required=True)
     p.add_argument("-m", type=int, default=30, help="number of questions (default 30)")
     p.add_argument("--out", required=True, help="output report path")
 
-
-def _annotate_arguments(p: _Parser) -> None:
+    p = sub.add_parser("annotate", help="roll out trajectories")
     p.add_argument("--questions", required=True, help="pool JSONL or selection JSONL")
     p.add_argument("--pool", help="pool JSONL to resolve a selection file against")
     p.add_argument("--guideline", required=True)
@@ -134,48 +141,17 @@ def _annotate_arguments(p: _Parser) -> None:
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.add_argument("--out", required=True, help="output trajectory JSONL")
 
-
-def _export_arguments(p: _Parser) -> None:
+    p = sub.add_parser("export", help="export SFT dataset")
     p.add_argument("--trajectories", required=True)
     p.add_argument("--instruction", required=True, help="instruction text file")
     p.add_argument("--guideline", required=True)
     p.add_argument("--out", required=True, help="output SFT JSONL")
 
-
-def _stats_arguments(p: _Parser) -> None:
+    p = sub.add_parser("stats", help="dataset statistics")
     p.add_argument("--trajectories", required=True)
     p.add_argument("--selected", help="selection JSONL for difficulty shift")
     p.add_argument("--pool", help="pool JSONL for difficulty shift")
 
-
-# Each subcommand's help line and the function that adds its arguments, in
-# the order ``--help`` lists them.
-_SUBCOMMANDS = {
-    "score": ("score a pool of trajectories", _score_arguments),
-    "select": ("select k questions", _select_arguments),
-    "report": ("write review report", _report_arguments),
-    "annotate": ("roll out trajectories", _annotate_arguments),
-    "export": ("export SFT dataset", _export_arguments),
-    "stats": ("dataset statistics", _stats_arguments),
-}
-
-
-def _build_parser(command: str | None) -> _Parser:
-    """The CLI's parser, with every subcommand but the arguments of
-    ``command`` only: a run parses one subcommand, so the others need only
-    their name and help line."""
-    parser = _Parser(
-        prog="ge-select",
-        description=(
-            "Score agent trajectories by guideline effectiveness, select "
-            "informative questions, and export fine-tuning data."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(p)
     return parser
 
 
@@ -394,12 +370,9 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str]) -> int:
-    argv = list(argv)
-    # The top-level parser's only option takes no value, so the first
-    # argument that names a subcommand is the one argparse runs.
-    parser = _build_parser(next((arg for arg in argv if arg in _SUBCOMMANDS), None))
+    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(list(argv))
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
         handler, layers = _COMMANDS[args.command]

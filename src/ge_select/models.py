@@ -655,9 +655,16 @@ def write_file(path: str | Path, text: str) -> None:
     beside it, which then replaces ``path``. A failed write leaves ``path`` as
     it was, removes the new file and raises the error naming ``path``, as
     ``Path.write_text`` would. The new file has ``write_text``'s mode, and a
-    symlink at ``path`` is replaced, not its target."""
+    symlink at ``path`` is replaced, not its target. A ``path`` that exists
+    but is not a regular file (``/dev/null``, a FIFO, ``/dev/fd/N``, a
+    directory) is written straight through, as ``write_text`` writes it, so
+    the device or pipe is never replaced."""
     data = text.encode("utf-8")
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return
     # A fixed-length name, so an output name of the longest length the file
     # system allows still gets a temporary file.
     temporary = os.path.join(os.path.dirname(path), f".ge-select-{os.urandom(6).hex()}.tmp")

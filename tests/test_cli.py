@@ -111,20 +111,13 @@ def _readme_synopsis() -> dict[str, str]:
     return dict(zip(parts[1::2], parts[2::2]))
 
 
-def _subcommand_parsers(command: str | None) -> dict[str, argparse.ArgumentParser]:
-    """The subcommand parsers of the CLI's parser built for ``command``."""
-    return next(
-        a for a in _build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-
-
 def test_readme_cli_synopsis_matches_the_parser():
     synopsis = _readme_synopsis()
-    commands = _subcommand_parsers(None)
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
     assert sorted(synopsis) == sorted(commands)
-    for command in commands:
-        # The parser adds arguments only for the subcommand it is built for.
-        parser = _subcommand_parsers(command)[command]
+    for command, parser in commands.items():
         text = synopsis[command]
         options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == options, command

@@ -3,8 +3,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import pickle
 import random
+import stat
 import tempfile
 from pathlib import Path
 
@@ -245,6 +247,16 @@ def test_write_file_replaces_the_output_whole_as_write_text_would(tmp_path):
     write_file(link, "new\n")
     assert not link.is_symlink() and link.read_text(encoding="utf-8") == "new\n"
     assert plain.read_text(encoding="utf-8") == "é\n"
+    # a path that is not a regular file is written through and stays what it is
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it at once
+    try:
+        write_file(fifo, "é\n")
+        assert os.read(reader, 1024) == "é\n".encode("utf-8")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
     # a failed write raises write_text's error, naming the output, and leaves no file
     (tmp_path / "directory").mkdir()
     for target in (tmp_path / "missing" / "out.txt", tmp_path / "directory"):
@@ -256,7 +268,7 @@ def test_write_file_replaces_the_output_whole_as_write_text_would(tmp_path):
     longest = tmp_path / ("n" * 255)  # the longest name most file systems allow
     write_file(longest, "x")
     assert longest.read_text(encoding="utf-8") == "x"
-    names = ["directory", "link.txt", longest.name, "plain.txt", "replaced.txt"]
+    names = ["directory", "fifo", "link.txt", longest.name, "plain.txt", "replaced.txt"]
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
