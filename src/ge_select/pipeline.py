@@ -43,10 +43,8 @@ from .prompts import (
     check_template,
     map_spans_to_tokens,
 )
-# Re-exported for callers that import them from here: perfbench/run.py
-# (``validate_sft_record``), tests/test_acceptance.py (all but
-# ``review_report``) and tests/test_pipeline.py (all five).
-from .reports import dataset_stats, difficulty_shift, export_sft, review_report, validate_sft_record  # noqa: F401
+# Re-exported for its one reader, perfbench/run.py.
+from .reports import validate_sft_record  # noqa: F401
 from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
 
 OBSERVATION_STOP = "\nObservation"
@@ -245,8 +243,7 @@ def _score_prompt(
             tokens = echo[first:last]
             if any(token.logprob is None for token in tokens):
                 raise FormatError(
-                    f"scored span for step {index} covers a token "
-                    "without a logprob (prompt must not begin with an action)"
+                    f"the echo reply has a null logprob at a token of step {index}'s scored span"
                 )
             total = sum_floats(token.logprob for token in tokens)
             number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
@@ -366,6 +363,44 @@ def parse_action(completion: str) -> str:
     return ""
 
 
+def _episode(
+    question: Question,
+    guideline: Guideline,
+    backend: Backend,
+    env,
+    config: RunConfig,
+) -> Trajectory:
+    """Roll out one episode of at most ``config.t_max`` turns. An
+    ``EnvError`` or ``BackendError`` propagates unchanged."""
+    initial = env.reset(question)
+    history: list[tuple[str, str]] = []
+    for _ in range(config.t_max):
+        prompt = build_generation_prompt(
+            config.instruction,
+            guideline,
+            config.exemplars,
+            question.text,
+            initial,
+            history,
+            config.template,
+        )
+        completion = backend.generate(prompt, stop=[OBSERVATION_STOP])
+        action = parse_action(completion) or completion.strip() or "noop"
+        result = env.step(action)
+        history.append((action, result.observation))
+        if result.done:
+            break
+    return Trajectory(
+        question_id=question.id,
+        guideline_version=guideline.version,
+        steps=tuple(Step(action=a, observation=o) for a, o in history),
+        reward=result.reward,  # ``t_max`` >= 1, so the last step is bound
+        source="annotated",
+        question_text=question.text,
+        initial_observation=initial,
+    )
+
+
 def annotate(
     questions: Sequence[Question],
     guideline: Guideline,
@@ -373,60 +408,17 @@ def annotate(
     env,
     config: RunConfig,
 ) -> tuple[list[Trajectory], list[Diagnostic]]:
-    """Roll out one episode per question with the generation backend."""
+    """Roll out one episode per question with the generation backend; a
+    failed episode leaves a diagnostic instead of a trajectory."""
     if not questions:
         raise FormatError("annotate needs at least one question")
     trajectories: list[Trajectory] = []
     diagnostics: list[Diagnostic] = []
     for question in questions:
         try:
-            initial = env.reset(question)
+            trajectories.append(_episode(question, guideline, backend, env, config))
         except EnvError as exc:
             diagnostics.append(Diagnostic(question.id, "annotate-env", str(exc)))
-            continue
-        history: list[tuple[str, str]] = []
-        reward = 0.0
-        failed = False
-        for _ in range(config.t_max):
-            prompt = build_generation_prompt(
-                config.instruction,
-                guideline,
-                config.exemplars,
-                question.text,
-                initial,
-                history,
-                config.template,
-            )
-            try:
-                completion = backend.generate(prompt, stop=[OBSERVATION_STOP])
-            except BackendError as exc:
-                diagnostics.append(Diagnostic(question.id, "annotate-generate", str(exc)))
-                failed = True
-                break
-            action = parse_action(completion)
-            if not action:
-                action = completion.strip() or "noop"
-            try:
-                result = env.step(action)
-            except EnvError as exc:
-                diagnostics.append(Diagnostic(question.id, "annotate-env", str(exc)))
-                failed = True
-                break
-            history.append((action, result.observation))
-            reward = result.reward
-            if result.done:
-                break
-        if failed or not history:
-            continue
-        trajectories.append(
-            Trajectory(
-                question_id=question.id,
-                guideline_version=guideline.version,
-                steps=tuple(Step(action=a, observation=o) for a, o in history),
-                reward=reward,
-                source="annotated",
-                question_text=question.text,
-                initial_observation=initial,
-            )
-        )
+        except BackendError as exc:
+            diagnostics.append(Diagnostic(question.id, "annotate-generate", str(exc)))
     return trajectories, diagnostics

@@ -90,10 +90,6 @@ def export_sft(
             {"role": "user", "content": framing},
         ]
         for i, step in enumerate(trajectory.steps):
-            if not step.action.strip():
-                raise FormatError(
-                    f"trajectory {trajectory.question_id!r} step {i} has an empty action"
-                )
             messages.append({"role": "assistant", "content": step.action})
             if i < len(trajectory.steps) - 1:
                 messages.append({"role": "user", "content": step.observation})

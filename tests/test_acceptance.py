@@ -43,15 +43,8 @@ from ge_select.models import (
     load_trajectories,
     write_records,
 )
-from ge_select.pipeline import (
-    RunConfig,
-    dataset_stats,
-    difficulty_shift,
-    export_sft,
-    score_pool,
-    score_trajectory,
-    validate_sft_record,
-)
+from ge_select.pipeline import RunConfig, score_pool, score_trajectory
+from ge_select.reports import dataset_stats, difficulty_shift, export_sft, validate_sft_record
 from ge_select.scoring import (
     DIFFICULTY_FLOOR,
     TokenDistribution,

@@ -573,6 +573,45 @@ def test_annotate_http_env_requires_url(workspace):
     assert not fresh.exists()  # the usage error is raised before the cache is opened
 
 
+def test_annotate_whose_every_reset_fails_exits_four(workspace, capsys, local_server):
+    local_server.handler = lambda path, body: (500, {"error": "down"})
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 4
+    assert_one_error_line(
+        capsys.readouterr().err, 4,
+        "error:4:all 12 rollouts failed: environment /reset returned HTTP 500",
+    )
+    assert [path for path, _, _ in local_server.requests] == ["/reset"] * 12
+    assert not (workspace / "annotated.jsonl").exists()
+
+
+def test_annotate_whose_every_rollout_fails_with_one_generation_failure_exits_three(
+    workspace, capsys, local_server
+):
+    """Half the resets fail and every completion is empty: the run fails as a
+    backend failure, since not every rollout failed in the environment."""
+    questions = [q.id for q in load_pool(workspace / "pool.jsonl")]
+
+    def handler(path, body):
+        if path == "/reset":
+            status = 500 if questions.index(body["question_id"]) % 2 == 0 else 200
+            return status, {"observation": "ready"}
+        return 200, {"choices": [{"text": ""}]}
+
+    local_server.handler = handler
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["generate_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 3
+    assert_one_error_line(
+        capsys.readouterr().err, 3,
+        "error:3:all 12 rollouts failed: environment /reset returned HTTP 500",
+    )
+    assert [path for path, _, _ in local_server.requests].count("/completions") == 6
+    assert not (workspace / "annotated.jsonl").exists()
+
+
 def test_select_default_budget_on_large_score_file(tmp_path):
     import math
 
@@ -784,6 +823,64 @@ def test_http_echo_reply_that_does_not_tile_exits_three(workspace, capsys, local
     assert run(score_argv(workspace)) == 3
     assert_one_error_line(capsys.readouterr().err, 3, "does not tile the submitted prompt")
     assert not (workspace / "scores.jsonl").exists()
+
+
+def test_http_echo_reply_whose_token_text_differs_from_the_prompt_exits_three(
+    workspace, capsys, local_server
+):
+    def altered(path, body):
+        # The offsets tile and every token keeps its length: only the last
+        # token's text is not the prompt's.
+        reply = echo_response(body["prompt"], body["logprobs"])
+        tokens = reply["choices"][0]["logprobs"]["tokens"]
+        tokens[-1] = "".join("b" if ch == "a" else "a" for ch in tokens[-1])
+        return 200, reply
+
+    local_server.handler = altered
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 3
+    assert_one_error_line(
+        capsys.readouterr().err, 3,
+        "all 12 scoring attempts failed: endpoint token stream does not tile the submitted prompt",
+    )
+    assert not (workspace / "scores.jsonl").exists()
+
+
+def test_http_echo_null_logprob_inside_a_scored_span_fails_its_question(
+    workspace, capsys, local_server
+):
+    pool = load_pool(workspace / "pool.jsonl")
+    texts = [q.text for q in pool]
+    question = next(q for q in pool if texts.count(q.text) == 1)  # its prompts name it alone
+
+    def null_in_span(path, body):
+        reply = echo_response(body["prompt"], body["logprobs"])
+        logprobs = reply["choices"][0]["logprobs"]
+        if f"Task: {question.text}\n" in body["prompt"]:
+            # The token after the last "Action: " opens the last step's span.
+            last = max(i for i, tok in enumerate(logprobs["tokens"]) if tok == "Action: ")
+            logprobs["token_logprobs"][last + 1] = None
+        return 200, reply
+
+    local_server.handler = null_in_span
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["score_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(score_argv(workspace)) == 0
+    err = capsys.readouterr().err
+    trajectories = load_trajectories(workspace / "trajectories.jsonl")
+    steps = next(len(t.steps) for t in trajectories if t.question_id == question.id)
+    message = (
+        f"the echo reply has a null logprob at a token of step {steps - 1}'s scored span"
+    )
+    assert err == f"warning: {question.id}: {message}\n"
+    diagnostics = (workspace / "scores.jsonl.diag.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in diagnostics] == [
+        {"question_id": question.id, "stage": "score", "error": message}
+    ]
+    assert len(load_scores(workspace / "scores.jsonl")) == 11
 
 
 @pytest.mark.parametrize("overflowing", [3, 12])

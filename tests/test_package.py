@@ -54,12 +54,15 @@ def test_every_public_name_is_its_defining_modules_object():
             if hasattr(value, "__module__"):  # a class or function, not a constant
                 assert value.__module__ == module.__name__, name
     # The errors moved to ``models``; their former modules still export them.
+    # ``pipeline`` still exports the one ``reports`` name the benchmark imports from it.
     from ge_select import backends, envs, pipeline, reports
 
     assert backends.BackendError is ge_select.BackendError
     assert envs.EnvError is ge_select.EnvError
-    for name in PUBLIC["reports"]:
-        assert getattr(pipeline, name) is getattr(reports, name)
+    assert pipeline.validate_sft_record is reports.validate_sft_record
+    for name in ("dataset_stats", "difficulty_shift", "export_sft", "review_report"):
+        with pytest.raises(ImportError, match=name):
+            exec(f"from ge_select.pipeline import {name}", {})
 
 
 def test_unknown_attributes_raise_attribute_error():

@@ -21,6 +21,7 @@ from ge_select.backends import (
 )
 from ge_select.envs import ToyShopConfig, ToyShopEnv, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import (
+    EnvError,
     FormatError,
     Guideline,
     Question,
@@ -32,19 +33,22 @@ from ge_select.models import (
     write_records,
 )
 from ge_select.pipeline import (
+    Diagnostic,
     RunConfig,
     annotate,
+    load_run_config,
+    parse_action,
+    score_pool,
+    score_trajectory,
+)
+from ge_select.prompts import build_prompt
+from ge_select.reports import (
     dataset_stats,
     difficulty_shift,
     export_sft,
-    load_run_config,
-    parse_action,
     review_report,
-    score_pool,
-    score_trajectory,
     validate_sft_record,
 )
-from ge_select.prompts import build_prompt
 from ge_select.scoring import DIFFICULTY_FLOOR
 
 from conftest import CountingBackend, oracle_conditional
@@ -528,6 +532,24 @@ def test_review_report_sections_and_order():
     assert "Action: click[buy]" in report
 
 
+def test_review_report_prints_a_steps_thought_before_its_action():
+    trajectory = Trajectory(
+        question_id="qa",
+        guideline_version="0" * 12,
+        steps=(
+            Step(action="search[mug]", observation="Results:", thought="look for mugs first"),
+            Step(action="click[buy]", observation="ok"),
+        ),
+        reward=1.0,
+        source="ingested",
+    )
+    report = review_report([make_scored("qa", 0.2)], [trajectory], 1)
+    assert (
+        "Thought: look for mugs first\nAction: search[mug]\nObservation: Results:\n"
+        "Action: click[buy]\nObservation: ok\n"
+    ) in report
+
+
 def test_review_report_clamps_and_is_deterministic():
     scores = [make_scored("qa", 0.2), make_scored("qb", -0.3)]
     trajectories = [make_trajectory("qa"), make_trajectory("qb")]
@@ -642,6 +664,33 @@ def test_annotate_backend_failure_skips_question():
     assert trajectories == []
     assert len(diagnostics) == 2
     assert all(d.stage == "annotate-generate" for d in diagnostics)
+
+
+def test_annotate_env_failure_mid_episode_skips_only_that_question():
+    config = ToyShopConfig(seed=28, catalog_size=10)
+    shop, pool, _ = toyshop_make(config, 3)
+    failing = pool[1].id
+
+    class StepFailsOnce:
+        """The shop, but the second /step of one question fails."""
+
+        def reset(self, question):
+            self.question_id, self.turns = question.id, 0
+            return shop.reset(question)
+
+        def step(self, action):
+            self.turns += 1
+            if self.question_id == failing and self.turns == 2:
+                raise EnvError("environment /step returned HTTP 500")
+            return shop.step(action)
+
+    backend = ScriptedBackend(["search[thing]"])  # never buys, so episodes run t_max turns
+    trajectories, diagnostics = annotate(
+        pool, Guideline.from_text("g"), backend, StepFailsOnce(), tiny_config(t_max=3)
+    )
+    assert diagnostics == [Diagnostic(failing, "annotate-env", "environment /step returned HTTP 500")]
+    assert [t.question_id for t in trajectories] == [pool[0].id, pool[2].id]
+    assert all(len(t.steps) == 3 for t in trajectories)
 
 
 def test_annotate_invalid_actions_continue_episode():
