@@ -330,9 +330,11 @@ def _cmd_annotate(args) -> int:
     )
     trajectories, diagnostics = annotate(questions, guideline, backend, env, config)
     if diagnostics and not trajectories:
-        if all(d.stage == "annotate-env" for d in diagnostics):
-            raise EnvError(f"all {len(diagnostics)} rollouts failed: {diagnostics[0].error}")
-        raise BackendError(f"all {len(diagnostics)} rollouts failed: {diagnostics[0].error}")
+        # One generation failure makes the run a backend failure, and the
+        # message names the first failure of the kind that sets the code.
+        generate = [d for d in diagnostics if d.stage == "annotate-generate"]
+        error = BackendError if generate else EnvError
+        raise error(f"all {len(diagnostics)} rollouts failed: {(generate or diagnostics)[0].error}")
     return _write_with_diagnostics(trajectories, diagnostics, args.out)
 
 

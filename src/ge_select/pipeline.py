@@ -47,7 +47,10 @@ from .prompts import (
 from .reports import validate_sft_record  # noqa: F401
 from .scoring import TokenDistribution, aggregate_trajectory, mean_entropy
 
-OBSERVATION_STOP = "\nObservation"
+# An annotate turn reads its action from one line, so generation stops at the
+# first newline: a backend writes no line that nothing reads, and the cache
+# stores none.
+ACTION_STOP = "\n"
 
 # The two diagnostics of ``score_pool`` that skip a question without a failure.
 DUPLICATE_TRAJECTORY = "duplicate trajectory ignored"
@@ -384,7 +387,7 @@ def _episode(
             history,
             config.template,
         )
-        completion = backend.generate(prompt, stop=[OBSERVATION_STOP])
+        completion = backend.generate(prompt, stop=[ACTION_STOP])
         action = parse_action(completion) or completion.strip() or "noop"
         result = env.step(action)
         history.append((action, result.observation))

@@ -26,6 +26,7 @@ from ge_select.backends import (
     canonical_request,
 )
 from ge_select.models import FormatError
+from ge_select.pipeline import parse_action
 from ge_select.selectors import EMBED_DIMENSIONS, HashEmbedBackend
 
 from conftest import (
@@ -325,6 +326,51 @@ def test_generate_prompt_reuse_matches_a_fresh_backend(corpus, order, calls):
     backend = NgramBackend(corpus, order)
     for prompt in generate_prompts(calls):
         assert generate_outcome(backend, prompt) == generate_outcome(NgramBackend(corpus, order), prompt)
+
+
+# Corpora and prompts whose greedy walks often run over several lines, and
+# can reach "\nObservation" after an action line.
+_LINE_TEXT = st.lists(
+    st.sampled_from(["a", "b", "[", "\n", "\n", "b\na", "é", "€", "𝄞", "Action: ", "\nObservation: "]),
+    max_size=16,
+).map("".join)
+
+
+@settings(max_examples=100)
+@given(
+    corpus=_LINE_TEXT,
+    order=st.integers(1, 5),
+    calls=st.lists(st.tuples(st.booleans(), _LINE_TEXT), min_size=1, max_size=4),
+    max_tokens=st.integers(1, 24),
+)
+@example(corpus="Action: click[buy]\nObservation: ok\n" * 3, order=4, calls=[(False, "Action: c")],
+         max_tokens=24)  # fmt: skip
+@example(corpus="ab\nab\n", order=2, calls=[(False, "ab")], max_tokens=8)  # the first line is empty
+def test_stopping_at_a_newline_yields_the_first_line_of_the_longer_walk(
+    corpus, order, calls, max_tokens
+):
+    """Greedy generation does not depend on ``stop``, which only ends the
+    walk: a walk stopped at "\\n" returns the first line of the one stopped
+    at "\\nObservation", and ``parse_action`` reads the same action from
+    both whenever that line holds one. On fresh backends, and on one reused
+    backend whose prompt table each call extends or replaces."""
+    reused = NgramBackend(corpus, order)
+    for prompt in generate_prompts(calls):
+        fresh = (NgramBackend(corpus, order), NgramBackend(corpus, order))
+        for longer, shorter in (fresh, (reused, reused)):
+            try:
+                whole = longer.generate(prompt, stop=["\nObservation"], max_tokens=max_tokens)
+            except BackendError:
+                whole = ""
+            first_line = whole.split("\n", 1)[0]
+            if not first_line:
+                with pytest.raises(BackendError, match="empty"):
+                    shorter.generate(prompt, stop=["\n"], max_tokens=max_tokens)
+                continue
+            line = shorter.generate(prompt, stop=["\n"], max_tokens=max_tokens)
+            assert line == first_line
+            if parse_action(line):
+                assert parse_action(line) == parse_action(whole)
 
 
 def test_prefix_reuse_is_exact_under_eight_threads(monkeypatch):

@@ -589,7 +589,8 @@ def test_annotate_whose_every_rollout_fails_with_one_generation_failure_exits_th
     workspace, capsys, local_server
 ):
     """Half the resets fail and every completion is empty: the run fails as a
-    backend failure, since not every rollout failed in the environment."""
+    backend failure, since not every rollout failed in the environment, and
+    its message names the first generation failure."""
     questions = [q.id for q in load_pool(workspace / "pool.jsonl")]
 
     def handler(path, body):
@@ -606,10 +607,36 @@ def test_annotate_whose_every_rollout_fails_with_one_generation_failure_exits_th
     assert run(argv) == 3
     assert_one_error_line(
         capsys.readouterr().err, 3,
-        "error:3:all 12 rollouts failed: environment /reset returned HTTP 500",
+        "error:3:all 12 rollouts failed: backend produced an empty completion",
     )
     assert [path for path, _, _ in local_server.requests].count("/completions") == 6
     assert not (workspace / "annotated.jsonl").exists()
+
+
+def test_annotate_asks_http_generation_for_the_action_line_only(workspace, local_server):
+    """Every turn's request stops at the first newline, so a reply whose
+    first line is empty is an empty completion: that question gets one
+    ``annotate-generate`` diagnostic, and the others still roll out."""
+    replies = iter(["\nclick[buy]"])
+
+    def handler(path, body):
+        return 200, {"choices": [{"text": next(replies, "click[buy]")}]}
+
+    local_server.handler = handler
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["generate_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(annotate_argv(workspace)) == 0
+    assert all(body["stop"] == ["\n"] for _, body, _ in local_server.requests)
+    first, *rest = [q.id for q in load_pool(workspace / "pool.jsonl")]
+    sidecar = workspace / "annotated.jsonl.diag.jsonl"
+    assert [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()] == [
+        {"question_id": first, "stage": "annotate-generate",
+         "error": "backend produced an empty completion"}  # fmt: skip
+    ]
+    annotated = load_trajectories(workspace / "annotated.jsonl")
+    assert [t.question_id for t in annotated] == rest
+    assert all([s.action for s in t.steps] == ["click[buy]"] for t in annotated)
 
 
 def test_select_default_budget_on_large_score_file(tmp_path):

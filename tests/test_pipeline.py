@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -701,6 +703,19 @@ def test_annotate_invalid_actions_continue_episode():
     assert len(trajectories) == 1
     observations = [s.observation for s in trajectories[0].steps]
     assert observations[0] == "Invalid action."
+
+
+def test_the_benchmark_skips_the_diagnostics_that_score_pool_skips():
+    """``perfbench/run.py`` keeps its own copy of ``SCORE_SKIPS``; a change to
+    either side would make the benchmark count skipped questions as failures."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    copies = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SKIP_DIAGNOSTICS"]
+    ]
+    assert copies == [set(pipeline.SCORE_SKIPS)]
 
 
 def test_parse_action_variants():
