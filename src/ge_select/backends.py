@@ -18,11 +18,13 @@ only what it consumes of each echo there (``pipeline``);
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from pathlib import Path
@@ -465,31 +467,37 @@ def canonical_request(payload: dict) -> str:
 
 
 def cache_key(backend_id: BackendId, request_body: str) -> str:
-    return hashlib.sha256(
-        (backend_id.fingerprint + "\n" + request_body).encode("utf-8")
-    ).hexdigest()
+    """The first 128 bits of the SHA-256 of the backend fingerprint and the
+    request body, as 22 base64url characters (RFC 4648 §5, unpadded)."""
+    digest = hashlib.sha256((backend_id.fingerprint + "\n" + request_body).encode("utf-8"))
+    return _key_text(digest.digest()[:16])
 
 
-# The hex characters of a ``cache_key`` that ``ResponseCache`` stores and
-# indexes: its first 128 bits.
-STORED_KEY_CHARS = 32
+def _key_text(bits: bytes) -> str:
+    return base64.urlsafe_b64encode(bits)[:22].decode("ascii")
+
+
+# The first 128 bits of a hex key written before keys were base64url.
+_LEGACY_KEY = re.compile(r"[0-9a-f]{32}")
 
 
 class ResponseCache:
     """Append-only response log with an in-memory index.
 
-    One JSON line per entry; appends are serialized, reads are lock-free
-    against the immutable index snapshot semantics of dict reads. An entry is
-    stored and looked up under the first ``STORED_KEY_CHARS`` characters of
-    its key, and a loaded line is indexed the same way, so lines written with
-    full 64-character keys still hit. Each entry
-    goes out in a single ``os.write`` on an ``O_APPEND`` descriptor, so
-    processes sharing the file cannot interleave the bytes of one entry; a
-    short write raises instead of being retried. A line that is not a JSON
-    object with a ``key`` and a non-null ``response`` (no stored response is
-    null), such as a torn final line (crash mid-append), is skipped on load
-    and counted in ``skipped_lines``; the next append starts on a fresh line
-    so it is not lost to the torn one.
+    One compact JSON list per line, ``["<key>",<response>]``; appends are
+    serialized, reads are lock-free against the immutable index snapshot
+    semantics of dict reads. Entries are stored and looked up under the key
+    as given, a ``cache_key``. A legacy ``{"key": <hex>, "response": …}``
+    line, written when keys were hex (64 characters, later the first 32), is
+    indexed under the ``cache_key`` form of its first 32 hex characters, the
+    same 128 bits, so it still hits; one file may hold all three kinds. Each
+    entry goes out in a single ``os.write`` on an ``O_APPEND`` descriptor,
+    so processes sharing the file cannot interleave the bytes of one entry;
+    a short write raises instead of being retried. Any other line, such as a
+    torn final line (crash mid-append), a null response (no stored response
+    is null) or a legacy key that is not hex, is skipped on load and counted
+    in ``skipped_lines``; the next append starts on a fresh line so it is
+    not lost to the torn one.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -509,9 +517,15 @@ class ResponseCache:
                         entry = json.loads(line)
                     except (ValueError, RecursionError):  # e.g. a torn final line
                         entry = None
-                    response = entry.get("response") if isinstance(entry, dict) else None
-                    if response is not None and isinstance(entry.get("key"), str):
-                        self._index[entry["key"][:STORED_KEY_CHARS]] = response
+                    key = response = None
+                    if isinstance(entry, list) and len(entry) == 2:
+                        key, response = entry
+                    elif isinstance(entry, dict):
+                        legacy, response = entry.get("key"), entry.get("response")
+                        if isinstance(legacy, str) and _LEGACY_KEY.match(legacy):
+                            key = _key_text(bytes.fromhex(legacy[:32]))
+                    if response is not None and isinstance(key, str):
+                        self._index[key] = response
                     else:
                         self.skipped_lines += 1
         else:
@@ -521,19 +535,14 @@ class ResponseCache:
         return len(self._index)
 
     def get(self, key: str) -> Any | None:
-        return self._index.get(key[:STORED_KEY_CHARS])
+        return self._index.get(key)
 
     def put(self, key: str, response: Any) -> Any:
         """Store once; later writers get the first stored value back."""
-        key = key[:STORED_KEY_CHARS]
         with self._lock:
             if key in self._index:
                 return self._index[key]
-            line = json.dumps(
-                {"key": key, "response": response},
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
+            line = json.dumps([key, response], ensure_ascii=False, separators=(",", ":"))
             if self._torn_tail:
                 line = "\n" + line
             data = (line + "\n").encode("utf-8")

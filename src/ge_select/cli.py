@@ -207,12 +207,16 @@ def _write_with_diagnostics(records: list, diagnostics: list, out: str) -> int:
     return EXIT_OK
 
 
-def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]], list[int]]:
+def _load_embeddings_file(path: str) -> tuple[list[str], list[Sequence[float]], list[int]]:
     """Read an embeddings file, rejecting a repeated id, an empty vector and
     a vector whose length differs from the first record's, each by line
-    number. Returns the ids, the vectors and each record's line number."""
+    number. Returns the ids, the vectors and each record's line number. Each
+    vector is an ``array('d')``, 8 bytes a number instead of a float object
+    and its list slot, since ``select`` holds them all through the product."""
+    from array import array  # imported here, so no other command pays for it
+
     ids: list[str] = []
-    vectors: list[list[float]] = []
+    vectors: list[array] = []
     lines: list[int] = []
     seen: dict[str, int] = {}
     for lineno, record in _load_jsonl(path, "embedding"):
@@ -227,7 +231,7 @@ def _load_embeddings_file(path: str) -> tuple[list[str], list[list[float]], list
                 f"{where} has {len(vector)} numbers, but line {lines[0]} has {len(vectors[0])}"
             )
         ids.append(qid)
-        vectors.append([number(v, where) for v in vector])
+        vectors.append(array("d", [number(v, where) for v in vector]))
         lines.append(lineno)
     return ids, vectors, lines
 

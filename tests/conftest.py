@@ -75,6 +75,29 @@ def run_python_child(args: list[str], openblas_threads: str | None = None) -> st
     return proc.stdout
 
 
+def cache_entries(path) -> list[tuple[str, object]]:
+    """The ``(key, response)`` pairs of a ``cache.jsonl``, in line order. A
+    line is either ``[key, response]`` or a legacy ``{"key", "response"}``
+    object, read as it stands (a legacy key stays hex)."""
+    entries = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        entries.append((entry["key"], entry["response"]) if isinstance(entry, dict) else tuple(entry))
+    return entries
+
+
+def write_cache_entries(path, entries) -> None:
+    """Write ``(key, response)`` pairs as ``ResponseCache.put`` writes them,
+    one ``[key, response]`` line each."""
+    Path(path).write_text(
+        "".join(
+            json.dumps([key, response], ensure_ascii=False, separators=(",", ":")) + "\n"
+            for key, response in entries
+        ),
+        encoding="utf-8",
+    )
+
+
 class LocalServer:
     """Tiny JSON-over-POST server; each test plugs in its own handler."""
 

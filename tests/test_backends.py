@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 import os
@@ -31,6 +33,7 @@ from ge_select.selectors import EMBED_DIMENSIONS, HashEmbedBackend
 
 from conftest import (
     CountingBackend,
+    cache_entries,
     echo_response,
     oracle_conditional,
     reference_counts,
@@ -615,6 +618,11 @@ def test_cache_key_contracts():
     assert cache_key(bid_a, body) == cache_key(bid_a, body)
     assert cache_key(bid_a, body) != cache_key(bid_a, body + " ")
     assert cache_key(bid_a, body) != cache_key(bid_b, body)
+    # the first 128 bits of the SHA-256 of fingerprint and body, in base64url
+    key = cache_key(bid_a, body)
+    digest = hashlib.sha256((bid_a.fingerprint + "\n" + body).encode("utf-8")).digest()
+    assert re.fullmatch(r"[A-Za-z0-9_-]{22}", key)
+    assert base64.urlsafe_b64decode(key + "==") == digest[:16]
 
 
 def test_response_cache_persistence(tmp_path):
@@ -653,6 +661,34 @@ def test_response_cache_counts_skipped_lines_and_appends_past_a_torn_one(tmp_pat
     assert reloaded.skipped_lines == 4
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [b'["k9",{"steps":[[-1.5,', b'["k9",null]\n', b'{"key":"not-hex-not-hex-not-hex-not-hex","response":"x"}\n'],
+    ids=["torn-list", "null-response", "non-hex-key"],
+)
+def test_response_cache_reads_hex_keyed_lines_and_appends_past_a_skipped_one(tmp_path, bad_line):
+    """Hex-keyed object lines, of 64 or 32 characters, are indexed under the
+    ``cache_key`` form of their first 128 bits; a torn list line, a null
+    response and a non-hex key are skipped lines."""
+    full, short = hashlib.sha256(b"a").hexdigest(), hashlib.sha256(b"b").hexdigest()[:32]
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(
+        b'{"key":"%s","response":"a"}\n{"key":"%s","response":"b"}\n["k3","c"]\n'
+        % (full.encode(), short.encode()) + bad_line
+    )
+    cache = ResponseCache(path)
+    b64 = {h: base64.urlsafe_b64encode(bytes.fromhex(h[:32]))[:22].decode() for h in (full, short)}
+    assert (cache.get(b64[full]), cache.get(b64[short]), cache.get("k3")) == ("a", "b", "c")
+    assert cache.get(full) is cache.get(short) is cache.get("k9") is None
+    assert len(cache) == 3 and cache.skipped_lines == 1
+    before = path.read_bytes()
+    cache.put("k4", "d")
+    fresh_line = b"" if bad_line.endswith(b"\n") else b"\n"
+    assert path.read_bytes() == before + fresh_line + b'["k4","d"]\n'
+    reloaded = ResponseCache(path)
+    assert reloaded.get("k4") == "d" and len(reloaded) == 4 and reloaded.skipped_lines == 1
+
+
 def test_response_cache_two_writers_never_interleave_entries(tmp_path):
     path = tmp_path / "cache.jsonl"
     caches = [ResponseCache(path), ResponseCache(path)]
@@ -669,11 +705,10 @@ def test_response_cache_two_writers_never_interleave_entries(tmp_path):
     for t in threads:
         t.join()
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 48
-    for line in lines:
-        entry = json.loads(line)
-        assert entry["response"]["text"] == payload
+    entries = cache_entries(path)
+    assert len(entries) == 48
+    for _, response in entries:
+        assert response["text"] == payload
     fresh = ResponseCache(path)
     assert len(fresh) == 48
     for worker in range(4):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import copy
+import hashlib
 import inspect
 import json
 import math
@@ -26,7 +28,14 @@ from ge_select.models import (
 from ge_select.pipeline import _CONFIG_KEYS, _PATH_KEYS, load_run_config
 from ge_select.prompts import DEFAULT_TEMPLATE
 
-from conftest import backend_echo_response, echo_response, python_child_env, run_python_child
+from conftest import (
+    backend_echo_response,
+    cache_entries,
+    echo_response,
+    python_child_env,
+    run_python_child,
+    write_cache_entries,
+)
 
 
 @pytest.fixture
@@ -305,51 +314,103 @@ def test_score_warns_once_about_malformed_cache_lines(workspace, capsys):
     assert cache_path.read_text(encoding="utf-8") == corrupted
 
 
-def test_a_cache_written_with_full_sha256_keys_still_serves_every_hit(workspace, monkeypatch):
-    """Caches written before the stored key was cut to 128 bits hold full
-    64-character keys. A warm ``score`` and ``annotate`` over one such cache
-    call no backend, write the cold run's bytes and append nothing."""
-    from ge_select import backends
+def legacy_cache_line(hex_key: str, response) -> str:
+    """One cache line as written while keys were hex."""
+    entry = {"key": hex_key, "response": response}
+    return json.dumps(entry, ensure_ascii=False, separators=(",", ":")) + "\n"
 
-    def cold_run(cache_dir: str) -> tuple[bytes, bytes, str]:
-        scores, annotated = score_argv(workspace), annotate_argv(workspace)
-        for argv in (scores, annotated):
-            argv[argv.index("--cache-dir") + 1] = cache_dir
+
+def cold_run_with_hex_keys(workspace, monkeypatch) -> tuple[bytes, bytes, list, dict[str, str]]:
+    """A cold ``score`` and ``annotate`` into ``<workspace>/fresh``: their
+    outputs, the cache's entries, and each key's full SHA-256 hex key, the
+    key that caches stored before keys were base64url."""
+    from ge_select import backends, pipeline
+
+    real_cache_key, hex_keys = backends.cache_key, {}
+
+    def recording_cache_key(backend_id, request_body):
+        key = real_cache_key(backend_id, request_body)
+        hashed = (backend_id.fingerprint + "\n" + request_body).encode("utf-8")
+        hex_keys[key] = hashlib.sha256(hashed).hexdigest()
+        return key
+
+    with monkeypatch.context() as patch:  # scoring and generation keys
+        patch.setattr(pipeline, "cache_key", recording_cache_key)
+        patch.setattr(backends, "cache_key", recording_cache_key)
+        for argv in (score_argv(workspace), annotate_argv(workspace)):
+            argv[argv.index("--cache-dir") + 1] = str(workspace / "fresh")
             assert run(argv) == 0
-        cache = workspace / cache_dir / "cache.jsonl"
-        outputs = (workspace / "scores.jsonl").read_bytes(), (workspace / "annotated.jsonl").read_bytes()
-        return *outputs, cache.read_text(encoding="utf-8")
-
-    scores, annotated, fresh = cold_run(str(workspace / "fresh"))
-    fresh_entries = [json.loads(line) for line in fresh.splitlines()]
+    entries = cache_entries(workspace / "fresh" / "cache.jsonl")
     # scoring entries are objects, generation entries strings
-    assert {type(e["response"]) for e in fresh_entries} == {dict, str}
-    assert all(re.fullmatch(r"[0-9a-f]{32}", e["key"]) for e in fresh_entries)
+    assert {type(response) for _, response in entries} == {dict, str}
+    assert all(re.fullmatch(r"[A-Za-z0-9_-]{22}", key) for key, _ in entries)
+    # a key is the first 128 bits of the SHA-256, the bits that a 32-hex key held
+    assert all(base64.urlsafe_b64decode(key + "==").hex() == hex_keys[key][:32] for key, _ in entries)
+    outputs = (workspace / "scores.jsonl").read_bytes(), (workspace / "annotated.jsonl").read_bytes()
+    return *outputs, entries, hex_keys
 
-    with monkeypatch.context() as patch:  # store whole keys, as caches before the cut did
-        patch.setattr(backends, "STORED_KEY_CHARS", 64)
-        assert cold_run(str(workspace / "full"))[:2] == (scores, annotated)
-    full_path = workspace / "full" / "cache.jsonl"
-    full = full_path.read_text(encoding="utf-8")
-    full_entries = [json.loads(line) for line in full.splitlines()]
-    assert all(re.fullmatch(r"[0-9a-f]{64}", e["key"]) for e in full_entries)
-    assert [(e["key"][:32], e["response"]) for e in full_entries] == [
-        (e["key"], e["response"]) for e in fresh_entries
-    ]
+
+def assert_warm_run_calls_no_backend(workspace, monkeypatch, cache_dir: Path, scores, annotated):
+    """A warm ``score`` and ``annotate`` over ``cache_dir`` write ``scores``
+    and ``annotated`` with no backend call and leave the cache byte-unchanged."""
+    from ge_select import backends
 
     def no_call(*args, **kwargs):
         raise AssertionError("a warm run called the backend")
 
+    cache = (cache_dir / "cache.jsonl").read_bytes()
     monkeypatch.setattr(backends.NgramBackend, "echo_logprobs", no_call)
     monkeypatch.setattr(backends.NgramBackend, "generate", no_call)
     (workspace / "scores.jsonl").unlink()
     (workspace / "annotated.jsonl").unlink()
     for argv in (score_argv(workspace), annotate_argv(workspace)):
-        argv[argv.index("--cache-dir") + 1] = str(workspace / "full")
+        argv[argv.index("--cache-dir") + 1] = str(cache_dir)
         assert run(argv) == 0
     assert (workspace / "scores.jsonl").read_bytes() == scores
     assert (workspace / "annotated.jsonl").read_bytes() == annotated
-    assert full_path.read_text(encoding="utf-8") == full
+    assert (cache_dir / "cache.jsonl").read_bytes() == cache
+
+
+def test_a_cache_written_with_full_sha256_keys_still_serves_every_hit(workspace, monkeypatch):
+    """Caches written before keys were base64url hold one ``{"key",
+    "response"}`` object per line, keyed by the full 64-character hex
+    SHA-256. A warm ``score`` and ``annotate`` over one such cache call no
+    backend, write the cold run's bytes and append nothing."""
+    scores, annotated, entries, hex_keys = cold_run_with_hex_keys(workspace, monkeypatch)
+    full = workspace / "full"
+    full.mkdir()
+    (full / "cache.jsonl").write_text(
+        "".join(legacy_cache_line(hex_keys[key], response) for key, response in entries),
+        encoding="utf-8",
+    )
+    assert_warm_run_calls_no_backend(workspace, monkeypatch, full, scores, annotated)
+
+
+def test_one_cache_of_hex_keyed_and_list_lines_serves_every_hit(workspace, monkeypatch, capsys):
+    """One ``cache.jsonl`` may hold lines of all three kinds: objects keyed by
+    64 and by 32 hex characters, and ``[key, response]`` lists. A warm run
+    over it serves every entry, and counts the torn list line, the null
+    response and the object keyed by a non-hex string as skipped lines."""
+    scores, annotated, entries, hex_keys = cold_run_with_hex_keys(workspace, monkeypatch)
+    lines = []
+    for i, (key, response) in enumerate(entries):
+        if i % 3 == 0:
+            lines.append(legacy_cache_line(hex_keys[key], response))
+        elif i % 3 == 1:
+            lines.append(legacy_cache_line(hex_keys[key][:32], response))
+        else:
+            lines.append(json.dumps([key, response]) + "\n")
+    key, response = entries[0]
+    lines.insert(1, json.dumps([key, None]) + "\n")
+    lines.insert(3, legacy_cache_line("z" + hex_keys[key][1:], response))
+    lines.append(json.dumps([key, response])[:-3])  # torn by a crash mid-append
+    mixed = workspace / "mixed"
+    mixed.mkdir()
+    (mixed / "cache.jsonl").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert_warm_run_calls_no_backend(workspace, monkeypatch, mixed, scores, annotated)
+    warning = f"warning: cache {mixed / 'cache.jsonl'}: skipped 3 malformed line(s)\n"
+    assert capsys.readouterr().err == 2 * warning
 
 
 def test_select_all_strategies(workspace):
@@ -1556,6 +1617,37 @@ def test_select_fl_embeds_each_distinct_text_once(tmp_path, monkeypatch):
     assert (tmp_path / "sel_fl.jsonl").read_bytes() == (tmp_path / "every.jsonl").read_bytes()
 
 
+def test_select_fl_holds_each_embedding_as_an_exact_float_array(tmp_path):
+    """``--embeddings`` rows are ``array('d')`` holding each number exactly,
+    signed zero included, and a file of the pool's hash vectors selects the
+    bytes that ``--pool`` selects."""
+    from array import array
+
+    from ge_select.cli import _load_embeddings_file
+    from ge_select.selectors import HashEmbedBackend
+
+    rows = [[-0.0, 1, 0.1, 5e-324], [1e308, -3, 0.0, 2.2250738585072014e-308]]
+    exact = tmp_path / "exact.jsonl"
+    write_records([{"question_id": f"q{i}", "embedding": row} for i, row in enumerate(rows)], exact)
+    ids, vectors, lines = _load_embeddings_file(str(exact))
+    assert (ids, lines) == (["q0", "q1"], [1, 2])
+    assert all(type(v) is array and v.typecode == "d" for v in vectors)
+    assert [[x.hex() for x in v] for v in vectors] == [[float(x).hex() for x in row] for row in rows]
+
+    _, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=100), 300)
+    write_records(pool, tmp_path / "pool.jsonl")
+    embedder = HashEmbedBackend()
+    write_records(
+        [{"question_id": q.id, "embedding": embedder.embed(q.text)} for q in pool],
+        tmp_path / "embeddings.jsonl",
+    )
+    for source in ("pool", "embeddings"):
+        argv = ["select", "--strategy", "fl", f"--{source}", str(tmp_path / f"{source}.jsonl"),
+                "-k", "20", "--out", str(tmp_path / f"sel_{source}.jsonl")]  # fmt: skip
+        run_python_child(["-m", "ge_select", *argv], "1")
+    assert (tmp_path / "sel_embeddings.jsonl").read_bytes() == (tmp_path / "sel_pool.jsonl").read_bytes()
+
+
 def _ranked_ids(report: str) -> list[str]:
     return [line.split()[2] for line in report.splitlines() if line.startswith("## ")]
 
@@ -1701,10 +1793,11 @@ def rewrite_cache_entry(workspace, kind: type, change) -> None:
     """Replace the response of the first cache entry whose response is of
     type ``kind`` (scoring entries are objects, generations strings)."""
     path = workspace / "cache" / "cache.jsonl"
-    entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    entry = next(e for e in entries if isinstance(e["response"], kind))
-    entry["response"] = change(entry["response"])
-    path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+    entries = cache_entries(path)
+    index = next(i for i, (_, response) in enumerate(entries) if isinstance(response, kind))
+    key, response = entries[index]
+    entries[index] = key, change(response)
+    write_cache_entries(path, entries)
 
 
 @pytest.mark.parametrize(

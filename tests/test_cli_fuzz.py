@@ -25,6 +25,8 @@ from ge_select.cli import run
 from ge_select.envs import ToyShopConfig, toyshop_guideline, toyshop_make, toyshop_rollout
 from ge_select.models import Guideline, write_records
 
+from conftest import cache_entries, write_cache_entries
+
 # What a mutated field becomes: swapped types, nulls, numbers out of range,
 # integers beyond float range and a lone surrogate.
 MUTANTS = (None, True, 0, -1, 1.5, 10**400, "x", "", "\ud800", [], [None], {}, {"zz": 1})
@@ -229,10 +231,11 @@ def test_malformed_cache_entry_exits_zero_or_with_one_error_line(workspace, comm
     # ``command`` 0 is score, which reads the scoring entries (objects); 1 is
     # annotate, which reads the generation entries (strings).
     def mutate(path: Path) -> None:
-        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        entry = next(e for e in entries if isinstance(e["response"], kind))
-        entry["response"] = change(entry["response"])
-        path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        entries = cache_entries(path)
+        index = next(i for i, (_, response) in enumerate(entries) if isinstance(response, kind))
+        key, response = entries[index]
+        entries[index] = key, change(response)
+        write_cache_entries(path, entries)
 
     code, err = _run_on_a_copy(workspace, "cache.jsonl", mutate, lambda argvs: argvs[command])
     _assert_zero_or_one_error_line(code, err)

@@ -53,7 +53,7 @@ from ge_select.reports import (
 )
 from ge_select.scoring import DIFFICULTY_FLOOR
 
-from conftest import CountingBackend, oracle_conditional
+from conftest import CountingBackend, cache_entries, oracle_conditional, write_cache_entries
 
 
 def tiny_config(**kwargs) -> RunConfig:
@@ -305,7 +305,7 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
     record = score_trajectory(
         trajectory, pool[0], guideline, counting, config, cache=ResponseCache(cache_path)
     )
-    entries = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+    entries = [response for _, response in cache_entries(cache_path)]
     assert len(entries) == 2
     n_tokens = [s.n_tokens for s in record.per_step]
     for entry in entries:
@@ -332,7 +332,7 @@ def test_score_trajectory_caches_only_the_scored_spans(tmp_path, monkeypatch):
         cache=ResponseCache(cache_path),
     )  # fmt: skip
     assert counting.counts["echo"] == 3
-    added = json.loads(cache_path.read_text().splitlines()[-1])["response"]
+    added = cache_entries(cache_path)[-1][1]
     assert added["steps"] == with_guideline["steps"] != without["steps"]
     assert (rerun.per_step, rerun.ge) == (record.per_step, record.ge)
 
@@ -374,7 +374,7 @@ def test_pre_v2_cache_entries_are_never_read(tmp_path):
     )
     assert record == cold
     assert counting.counts["echo"] == 2
-    entries = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+    entries = [response for _, response in cache_entries(cache_path)]
     assert len(entries) == 6
     assert all(sorted(entry) == ["mean_entropy", "steps"] for entry in entries[4:])
 
@@ -421,9 +421,8 @@ def test_malformed_scoring_hit_is_an_error_naming_the_cache(tmp_path, change, ne
     backend = NgramBackend("", order=3)
     cache_path = tmp_path / "cache.jsonl"
     score_trajectory(trajectory, question, guideline, backend, tiny_config(), ResponseCache(cache_path))
-    entries = [json.loads(line) for line in cache_path.read_text().splitlines()]
-    cache_path.write_text(
-        "".join(json.dumps({**e, "response": change(e["response"])}) + "\n" for e in entries)
+    write_cache_entries(
+        cache_path, [(key, change(response)) for key, response in cache_entries(cache_path)]
     )
     counting = CountingBackend(backend)
     with pytest.raises(FormatError, match=re.escape(f"cache {cache_path}: scoring entry{needle}")):
@@ -445,7 +444,7 @@ def test_scoring_entry_size_does_not_grow_with_the_action_text(tmp_path):
             ResponseCache(cache_path),
         )  # fmt: skip
         assert record.per_step[0].n_tokens >= len(action)  # byte tokens
-        responses = [json.loads(line)["response"] for line in cache_path.read_text().splitlines()]
+        responses = [response for _, response in cache_entries(cache_path)]
         sizes += [len(json.dumps(response)) for response in responses]
     # Two floats, an integer and the keys: no more than this for any action.
     assert max(sizes) <= 90, sizes

@@ -14,7 +14,6 @@ n-gram model.
 
 from __future__ import annotations
 
-import json
 import math
 
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +23,13 @@ from ge_select.backends import NgramBackend, ResponseCache, build_backend, cache
 from ge_select.models import Guideline, Question, Step, Trajectory
 from ge_select.pipeline import RunConfig, score_pool
 
-from conftest import backend_echo_response, oracle_conditional, reference_counts, reference_top_k
+from conftest import (
+    backend_echo_response,
+    cache_entries,
+    oracle_conditional,
+    reference_counts,
+    reference_top_k,
+)
 
 _TEXT = st.text(alphabet="ab [\né€𝄞", max_size=8)
 _WORD = st.text(alphabet="ab[é€𝄞", min_size=1, max_size=6)  # never blank after trimming
@@ -131,7 +136,7 @@ def _oracle_prompt(corpus: bytes, order: int, text: str, spans, top_k: int) -> d
 
 def _oracle(pool, trajectories, guideline, corpus: str, order: int, config: RunConfig, backend_id):
     """Each question's expected ``(d_i hex, d_g hex)`` pairs, ge and mean
-    entropy, and every cache entry, keyed by the first 128 bits of its key."""
+    entropy, and every cache entry by its key."""
     expected, entries = {}, {}
     exemplars = "".join(ex if ex.endswith("\n") else ex + "\n" for ex in config.exemplars)
     for question, trajectory in zip(pool, trajectories):
@@ -146,7 +151,7 @@ def _oracle(pool, trajectories, guideline, corpus: str, order: int, config: RunC
             text, spans = _render(config.template, values, trajectory, config.score_target)
             entry = _oracle_prompt(corpus.encode("utf-8"), order, text, spans, top_k)
             request = {"op": "score_spans", "v": 3, "text": text, "spans": spans, "top_k": top_k}
-            entries[cache_key(backend_id, canonical_request(request))[:32]] = entry
+            entries[cache_key(backend_id, canonical_request(request))] = entry
             scored.append(entry)
         (without, _), (with_g, entropy) = ((e["steps"], e["mean_entropy"]) for e in scored)
         pairs = [
@@ -219,11 +224,7 @@ def test_score_pool_matches_a_brute_force_oracle(
     assert not diagnostics
     assert _observed(cold) == expected
     written = cache_path.read_text(encoding="utf-8")
-    stored = {}
-    for line in written.splitlines():
-        entry = json.loads(line)
-        stored[entry["key"][:32]] = entry["response"]  # 128 bits identify an entry
-    assert stored == entries
+    assert dict(cache_entries(cache_path)) == entries
 
     warm, _ = score_pool(
         pool, trajectories, guideline, _NoEcho(ngram), config, cache=ResponseCache(cache_path)
