@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .models import (
+    STRATEGIES,
     BackendError,
     EnvError,
     FormatError,
@@ -113,11 +114,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="select k questions")
     p.add_argument("--scores", help="score JSONL (ge, entropy, random fallback)")
-    p.add_argument(
-        "--strategy",
-        required=True,
-        choices=["ge", "random", "entropy", "highscore", "fl"],
-    )
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("-k", type=int, default=800, help="selection budget (default 800)")
     p.add_argument("--seed", type=int, default=0, help="seed for random/highscore")
     p.add_argument("--trajectories", help="trajectory JSONL (highscore)")
@@ -300,11 +297,12 @@ def _cmd_report(args) -> int:
 
 
 def _load_questions(path: str, pool_path: str | None) -> list[Question]:
-    """Accept either a pool file or a selection file plus --pool."""
+    """Accept either a pool file or a selection file plus --pool. A file
+    whose first record has a ``strategy`` and no ``id`` is a selection."""
     first = next(_load_jsonl(path, "questions"), None)
     if first is None:
         raise FormatError(f"{path}: questions file is empty")
-    if "strategy" in first[1]:
+    if "strategy" in first[1] and "id" not in first[1]:
         if not pool_path:
             raise UsageError("--pool is required when --questions is a selection file")
         selection = load_selection(path)

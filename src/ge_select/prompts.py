@@ -189,13 +189,11 @@ def map_spans_to_tokens(
     bounds are sorted, and each span costs two bisections whatever the
     prompt's length. A token belongs to a span when their character intervals
     overlap at all, so split tokens at span boundaries are kept rather than
-    dropped.
+    dropped. Every span is non-empty, so the token holding its first
+    character overlaps it, and each slice holds at least one token.
     """
     per_action = []
-    for index, (start, end) in enumerate(bundle.action_spans):
+    for start, end in bundle.action_spans:
         first = bisect_right(tokens, start, key=_END)
-        last = bisect_left(tokens, end, lo=first, key=_START)
-        if last == first:
-            raise FormatError(f"action span {index} maps to zero tokens")
-        per_action.append((first, last))
+        per_action.append((first, bisect_left(tokens, end, lo=first, key=_START)))
     return tuple(per_action)

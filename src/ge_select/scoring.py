@@ -80,15 +80,14 @@ def aggregate_trajectory(
     ``step_difficulty`` of its logprobs bit for bit. Token counts may differ
     between variants (the tokenizer sees different contexts); only the step
     count must match. Returns the per-step scores, whose ``n_tokens`` is the
-    guideline prompt's count, and the default-convention ge value.
+    guideline prompt's count, and the default-convention ge value. No steps
+    at all raises ``ge_score``'s ``ValueError``.
     """
     if len(with_g) != len(without_g):
         raise FormatError(
             f"variant step counts differ: with guideline {len(with_g)}, "
             f"without {len(without_g)}"
         )
-    if not with_g:
-        raise FormatError("trajectory has no steps to aggregate")
     per_step = [
         StepScore(d_i=_difficulty(*wo), d_g=_difficulty(*wi), n_tokens=wi[1])
         for wi, wo in zip(with_g, without_g)

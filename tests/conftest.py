@@ -113,7 +113,8 @@ class LocalServer:
                 headers = {k: v for k, v in self.headers.items()}
                 outer.requests.append((self.path, body, headers))
                 status, payload = outer.handler(self.path, body)
-                data = json.dumps(payload).encode("utf-8")
+                # bytes go out as they are, so a handler can send a non-JSON body
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

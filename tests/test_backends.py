@@ -886,6 +886,49 @@ def test_http_echo_rejects_lists_of_unequal_length(local_server, changes):
         backend.echo_logprobs("score this prompt", want_top_k=2)
 
 
+@pytest.mark.parametrize("kind", ["ngram", "http"])
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("echo_logprobs", ("",), "echo scoring requires non-empty text"),
+        ("generate", ("prompt", (), 0), "max_tokens must be >= 1"),
+    ],
+    ids=["echo-empty-text", "generate-zero-tokens"],
+)
+def test_backends_refuse_an_empty_echo_and_a_zero_token_budget(
+    local_server, kind, method, args, message
+):
+    if kind == "ngram":
+        backend = NgramBackend("abc", order=2)
+    else:
+        backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
+    with pytest.raises(BackendError, match=f"^{message}$"):
+        getattr(backend, method)(*args)
+    assert local_server.requests == []  # refused before any request
+
+
+@pytest.mark.parametrize("method", ["echo_logprobs", "generate"])
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (b"<html>busy</html>", "/completions returned non-JSON body: "),
+        ({}, "malformed completions response: {}"),
+        ({"choices": []}, "malformed completions response: {'choices': []}"),
+        ({"choices": None}, "malformed completions response: {'choices': None}"),
+        ([], "malformed completions response: []"),
+    ],
+    ids=["not-json", "no-choices", "empty-choices", "null-choices", "not-an-object"],
+)
+def test_http_completions_reply_of_the_wrong_shape_raises_backend_error(
+    local_server, method, reply, message
+):
+    local_server.handler = lambda path, body: (200, reply)
+    backend = HttpBackend(model="m", endpoint=local_server.url, backoff=0.0)
+    with pytest.raises(BackendError, match=re.escape(message)):
+        getattr(backend, method)("score this prompt")
+    assert len(local_server.requests) == 1  # a 200 reply is not retried
+
+
 def test_http_bearer_token_from_env(local_server, monkeypatch):
     monkeypatch.setenv("GE_API_KEY", "sekrit")
     local_server.handler = lambda path, body: (200, echo_response(body["prompt"]))

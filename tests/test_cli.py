@@ -468,8 +468,17 @@ def test_select_high_score_short_supply_warns_but_succeeds(workspace, capsys):
 
 
 def test_select_missing_inputs_usage_error(workspace, capsys):
-    assert run(["select", "--strategy", "ge", "-k", "3", "--out", str(workspace / "x.jsonl")]) == 1
-    assert run(["select", "--strategy", "fl", "-k", "3", "--out", str(workspace / "x.jsonl")]) == 1
+    for strategy, needle in {
+        "ge": "--scores is required for --strategy ge",
+        "entropy": "--scores is required for --strategy entropy",
+        "random": "--pool or --scores is required for --strategy random",
+        "highscore": "--trajectories is required for --strategy highscore",
+        "fl": "--embeddings or --pool is required for --strategy fl",
+    }.items():
+        argv = ["select", "--strategy", strategy, "-k", "3", "--out", str(workspace / "x.jsonl")]
+        assert run(argv) == 1
+        assert_one_error_line(capsys.readouterr().err, 1, needle)
+    assert not (workspace / "x.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -598,6 +607,57 @@ def test_annotate_questions_file_whose_first_record_is_not_an_object_exits_two(
     )
     assert code == 2
     assert_one_error_line(capsys.readouterr().err, 2, f"{questions}:1:")
+
+
+def test_annotate_reads_a_pool_whose_questions_carry_a_strategy_key(workspace):
+    pool = workspace / "strategy_pool.jsonl"
+    pool.write_text('{"id":"q1","text":"find a red mug","strategy":"x"}\n', encoding="utf-8")
+    argv = annotate_argv(workspace)
+    argv[argv.index("--questions") + 1] = str(pool)
+    assert run(argv) == 0
+    assert [t.question_id for t in load_trajectories(workspace / "annotated.jsonl")] == ["q1"]
+
+
+_EMPTY_SELECTION = {"strategy": "random", "params": {"k": 0, "seed": 0}, "items": []}
+_ZZ_SELECTION = {**_EMPTY_SELECTION, "items": [{"question_id": "zz", "score": 0.0}]}
+# A selection file, and the message with which ``stats --selected`` and
+# ``annotate --questions`` refuse it (None: the command accepts it).
+_BAD_SELECTIONS = {
+    "strategy-unknown": ([{**_EMPTY_SELECTION, "strategy": "best"}],
+                         "selection strategy must be one of", "selection strategy must be one of"),
+    "items-not-a-list": ([{**_EMPTY_SELECTION, "items": {}}],
+                         "'items' must be a list", "'items' must be a list"),
+    "two-records": ([_EMPTY_SELECTION] * 2, "selection file must contain exactly one record",
+                    "selection file must contain exactly one record"),
+    "id-outside-the-pool": ([_ZZ_SELECTION], "selected question 'zz' is not in the pool",
+                            "selection ids missing from pool: ['zz']"),
+    "empty": ([_EMPTY_SELECTION], None, "annotate needs at least one question"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "records, stats_needle, annotate_needle", _BAD_SELECTIONS.values(), ids=list(_BAD_SELECTIONS)
+)
+def test_bad_selection_file_exits_two(workspace, capsys, records, stats_needle, annotate_needle):
+    selection = workspace / "selection.jsonl"
+    selection.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    stats = ["stats", "--trajectories", str(workspace / "trajectories.jsonl"),
+             "--selected", str(selection), "--pool", str(workspace / "pool.jsonl")]  # fmt: skip
+    annotate = [*annotate_argv(workspace), "--questions", str(selection),
+                "--pool", str(workspace / "pool.jsonl")]  # fmt: skip
+    for argv, needle in ((stats, stats_needle), (annotate, annotate_needle)):
+        capsys.readouterr()
+        if needle is None:
+            assert run(argv) == 0
+            continue
+        assert run(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, 2, needle)
+    assert not (workspace / "annotated.jsonl").exists()
+    # Without --pool, annotate cannot resolve a selection's ids.
+    assert run(annotate[: annotate.index("--pool")]) == 1
+    assert_one_error_line(
+        capsys.readouterr().err, 1, "--pool is required when --questions is a selection file"
+    )
 
 
 def test_annotate_http_env(workspace, local_server):
@@ -856,6 +916,7 @@ _BAD_RECORDS = {
                  "does not match per_step"),
     "score-difficulty": ("scores", {"per_step": [{"d_i": -1.0, "d_g": 2.0, "n_tokens": 1}]},
                          "difficulties must be > 0"),
+    "score-per_step-empty": ("scores", {"per_step": []}, "score 'q1': per_step must be non-empty"),
     "trajectory-source": ("trajectories", {"source": "scraped"}, "source must be one of"),
     "trajectory-steps": ("trajectories", {"steps": []}, "steps must be non-empty"),
     "step-action": ("trajectories", {"steps": [{"action": " ", "observation": ""}]},
@@ -1122,6 +1183,7 @@ _CONFIG_CASES = {
     "embed_backend": ("embed_backend", {"kind": "hash_embed"}, "'embed_backend'"),
     "env-replay_trajectories": ("env", {"replay_trajectories": "t.jsonl"}, "'replay_trajectories'"),
     "score_backend-str": ("score_backend", "ngram", "score_backend"),
+    "score_backend-empty": ("score_backend", {}, "config has no score_backend entry"),
     "generate_backend-list": ("generate_backend", [1], "generate_backend"),
     "instruction_path-int": ("instruction_path", 5, "paths"),
     "ngram-order-9": ("score_backend", _ngram(order=9), "order"),
@@ -1225,7 +1287,12 @@ def test_removed_run_config_keys_exit_two_at_annotate_load(workspace, capsys):
 
 @pytest.mark.parametrize(
     "entry, needle",
-    [(_ngram(ordr=5), "'ordr'"), ({"kind": ["x"]}, "kind"), ({"kind": "http"}, "model")],
+    [
+        (_ngram(ordr=5), "'ordr'"),
+        ({"kind": ["x"]}, "kind"),
+        ({"kind": "http"}, "model"),
+        ({}, "config has no generate_backend entry"),
+    ],
 )
 def test_annotate_generate_backend_of_the_wrong_shape_exits_two(workspace, capsys, entry, needle):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
@@ -1272,10 +1339,18 @@ def test_unknown_toyshop_key_in_config_exits_two(workspace, capsys, key, value):
     assert_one_error_line(capsys.readouterr().err, 2, "env.toyshop", key)
 
 
-@pytest.mark.parametrize("field", ["catalog_size", "max_results"])
-def test_toyshop_range_below_one_exits_four(workspace, capsys, field):
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("catalog_size", 0, "catalog_size"),
+        ("max_results", -1, "max_results"),
+        ("hidden_attrs", ["flavor", "weight"], "unknown hidden attribute kinds: ['weight']"),
+    ],
+    ids=["catalog_size", "max_results", "hidden_attrs"],
+)
+def test_toyshop_range_below_one_exits_four(workspace, capsys, field, value, needle):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
-    config["env"]["toyshop"][field] = 0 if field == "catalog_size" else -1
+    config["env"]["toyshop"][field] = value
     (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
     code = run(
         ["annotate", "--questions", str(workspace / "pool.jsonl"),
@@ -1286,7 +1361,7 @@ def test_toyshop_range_below_one_exits_four(workspace, capsys, field):
          "--out", str(workspace / "annotated.jsonl")]
     )
     assert code == 4
-    assert_one_error_line(capsys.readouterr().err, 4, field)
+    assert_one_error_line(capsys.readouterr().err, 4, needle)
     assert not (workspace / "annotated.jsonl").exists()
 
 

@@ -166,6 +166,8 @@ def test_toyshop_make_deterministic():
     b = toyshop_make(config, 25)
     assert a[1] == b[1]
     assert a[2] == b[2]
+    with pytest.raises(EnvError, match="n_questions must be >= 1"):
+        toyshop_make(config, 0)
 
 
 def test_toyshop_make_no_hidden_attrs_means_no_hidden_questions():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ge_select.models import (
     SOURCES,
     STRATEGIES,
+    EnvError,
     FormatError,
     Guideline,
     Question,
@@ -272,6 +273,40 @@ def test_write_file_replaces_the_output_whole_as_write_text_would(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
+def test_write_file_cut_short_keeps_the_output_and_leaves_no_temporary(tmp_path, monkeypatch):
+    import errno
+    import resource
+
+    out = tmp_path / "out.txt"
+    out.write_text("old\n", encoding="utf-8")
+    # A write past the file-size limit fails with EFBIG, which names no file:
+    # the temporary is removed and the error raised as it came.
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+    try:
+        with pytest.raises(OSError) as raised:
+            write_file(out, "x" * 65536)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert raised.value.errno == errno.EFBIG and raised.value.filename is None
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # A temporary that is gone before the rename cannot be removed either;
+    # the rename's error is raised naming the output.
+    rename = os.replace
+
+    def vanish_then_rename(src, dst):
+        os.unlink(src)
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", vanish_then_rename)
+    with pytest.raises(FileNotFoundError) as raised:
+        write_file(out, "new\n")
+    assert raised.value.filename == str(out)
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_guideline_version_is_content_hash():
     g1 = Guideline.from_text("Always search first.\nThen click.")
     g2 = Guideline.from_text("Always search first.   \nThen click.\n\n")
@@ -433,6 +468,38 @@ def test_records_construct_compare_hash_print_and_refuse_assignment(cls):
     assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
     for name in cls.__slots__:  # the parameters, and any field computed from them
         assert f"{name}={getattr(keyword, name)!r}" in text
+
+
+# One constructor argument of ``_record_cases`` replaced by a value the
+# record refuses: (record, argument index, value, error class, message).
+_REFUSED_ARGUMENTS = {
+    "trajectory-question_id": ("Trajectory", 0, "", FormatError,
+                               "trajectory question_id must be non-empty"),
+    "step_score-n_tokens": ("StepScore", 2, 0, FormatError, "n_tokens must be >= 1"),
+    "score-per_step": ("ScoreRecord", 3, (), FormatError, "score 'q1': per_step must be non-empty"),
+    "score-mean_entropy": ("ScoreRecord", 5, -0.5, FormatError,
+                           "score 'q1': mean_entropy must be >= 0"),
+    "selection-strategy": ("SelectionResult", 0, "best", FormatError,
+                           f"selection strategy must be one of {STRATEGIES}"),
+    "top_k-logprob": ("TokenDistribution", 0, (("a", 0.5),), ValueError,
+                      "logprob for 'a' must be <= 0"),
+    "top_k-residual": ("TokenDistribution", 1, 1.5, ValueError, "residual_mass must be in [0,1]"),
+    "toyshop-hidden_attrs": ("ToyShopConfig", 2, frozenset({"weight"}), EnvError,
+                             "unknown hidden attribute kinds: ['weight']"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "name, index, value, error, message", _REFUSED_ARGUMENTS.values(), ids=list(_REFUSED_ARGUMENTS)
+)
+def test_records_refuse_an_argument_out_of_range(name, index, value, error, message):
+    cls = next(cls for cls in _record_cases() if cls.__name__ == name)
+    args = list(_record_cases()[cls])
+    cls(*args)
+    args[index] = value
+    with pytest.raises(error) as raised:
+        cls(*args)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_record_defaults_and_computed_fields():

@@ -77,11 +77,29 @@ def test_unknown_attributes_raise_attribute_error():
 
 def test_importing_the_package_loads_only_models():
     src_root = str(Path(ge_select.__file__).resolve().parent.parent)
-    child = "import sys, ge_select; print(sorted(m for m in sys.modules if 'ge_select' in m))"
+    loaded = "print(sorted(m for m in sys.modules if 'ge_select' in m))"
+    # Reading a module's name loads that module and what it imports.
+    child = f"import sys, ge_select; {loaded}; ge_select.scoring; {loaded}"
     proc = subprocess.run(
         [sys.executable, "-c", child], cwd=src_root, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "['ge_select', 'ge_select.models']"
+    assert proc.stdout.splitlines() == [
+        "['ge_select', 'ge_select.models']",
+        "['ge_select', 'ge_select.models', 'ge_select.scoring']",
+    ]
+
+
+@pytest.mark.parametrize("module", ["ge_select", "ge_select.cli"])
+def test_the_package_and_its_cli_module_run_the_cli(tmp_path, module):
+    src_root = str(Path(ge_select.__file__).resolve().parent.parent)
+    missing = tmp_path / "missing.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "stats", "--trajectories", str(missing)],
+        cwd=src_root, capture_output=True, text=True,
+    )  # fmt: skip
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:2:") and str(missing) in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_toyshop_keys_are_the_fields_of_toyshop_config():

@@ -764,6 +764,18 @@ def test_validate_sft_record_catches_breakage():
     swapped = {"messages": [good["messages"][1], good["messages"][0]] + good["messages"][2:]}
     with pytest.raises(FormatError):
         validate_sft_record(swapped)
+    system, user, assistant = good["messages"][:3]
+    for record, message in (
+        ({"messages": [system, user]}, "at least system, user, assistant"),
+        ({"messages": "system user assistant"}, "at least system, user, assistant"),
+        (
+            {"messages": [system, assistant, user, assistant]},
+            "expected user message, got assistant",
+        ),
+        ({"messages": [system, user, {**assistant, "content": None}]}, "content must be a string"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            validate_sft_record(record)
 
 
 def test_dataset_stats_hand_values():
@@ -821,6 +833,15 @@ def test_difficulty_shift_missing_level_errors():
     pool = level_pool({"a": "easy"}) + [Question(id="b", text="task b")]
     with pytest.raises(FormatError, match="level"):
         difficulty_shift(selection_of(["b"]), pool)
+    with pytest.raises(FormatError, match="selected question 'z' is not in the pool"):
+        difficulty_shift(selection_of(["z"]), pool[:1])
+
+
+def test_difficulty_shift_lists_unknown_levels_after_the_known_ones_by_name():
+    pool = level_pool({"a": "expert", "b": "easy", "c": "beginner"})
+    shifts = difficulty_shift(selection_of(["a"]), pool)
+    assert list(shifts) == ["easy", "medium", "hard", "beginner", "expert"]
+    assert shifts["expert"] == pytest.approx(100.0 - 100.0 / 3, abs=1e-9)
 
 
 def test_load_run_config_resolves_paths(tmp_path):

@@ -111,6 +111,11 @@ def test_missing_placeholder_is_an_error():
         )
 
 
+def test_unknown_score_target_is_an_error():
+    with pytest.raises(FormatError, match="unknown score target 'actoin'"):
+        build_prompt(INSTRUCTION, None, EXEMPLARS, make_trajectory(["a"]), score_target="actoin")
+
+
 def test_initial_observation_rendered_before_steps():
     trajectory = Trajectory(
         question_id="q1",
@@ -184,7 +189,9 @@ def test_map_spans_selects_exactly_the_overlapping_tokens(steps, score_target, d
     )
     bundle = build_prompt(INSTRUCTION, None, EXEMPLARS, trajectory, score_target=score_target)
     text = bundle.rendered
-    cuts = data.draw(st.sets(st.integers(1, len(text) - 1)), label="cuts")
+    # A repeated cut, or one at either end, makes a zero-length token, which
+    # an http echo reply may hold.
+    cuts = data.draw(st.lists(st.integers(0, len(text))), label="cuts")
     bounds = [0, *sorted(cuts), len(text)]
     tokens = [(text[a:b], a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -208,6 +215,7 @@ def test_map_spans_selects_exactly_the_overlapping_tokens(steps, score_target, d
             if start < span_end and end > span_start
         ]
         assert list(range(first, last)) == overlapping
+        assert last > first
 
 
 def test_generation_prompt_ends_with_action_cue():

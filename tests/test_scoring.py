@@ -200,6 +200,9 @@ def test_aggregate_trajectory_length_mismatch():
 
     with pytest.raises(FormatError, match="step counts differ"):
         aggregate_trajectory([(-1.0, 1)] * 2, [(-1.0, 1)] * 3)
+    # no steps: ``ge_score`` refuses the empty aggregate
+    with pytest.raises(ValueError, match="per_step must be non-empty"):
+        aggregate_trajectory([], [])
 
 
 def test_aggregate_trajectory_identical_inputs_zero_ge():

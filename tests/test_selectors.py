@@ -437,8 +437,13 @@ def test_fl_lazy_greedy_equals_full_rescan_on_orthogonal_vectors():
 
 
 def test_fl_dimension_mismatch():
-    with pytest.raises(Exception):
-        select_facility_location(["a", "b"], [[1.0, 0.0], [1.0]], 1)
+    for vectors, message in (
+        ([[1.0, 0.0], [1.0]], "embeddings must all have the same dimension"),
+        ([1.0, 2.0], "embeddings must all have the same dimension"),  # numbers, not rows
+        ([[1.0, 0.0]], "ids and embeddings must have equal length"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            select_facility_location(["a", "b"], vectors, 1)
 
 
 def test_all_selectors_respect_budget_and_membership():
