@@ -287,6 +287,50 @@ class NgramBackend(Backend):
         return text
 
 
+# The http backend's default retry policy, which ``HttpEnv`` also gives
+# ``/reset``: up to 3 retries, sleeping 1, 2 and 4 s before them.
+MAX_RETRIES, BACKOFF_S = 3, 1.0
+
+
+def post_json(
+    session: requests.Session,
+    url: str,
+    body: dict,
+    name: str,
+    timeout: float,
+    retries: int,
+    backoff: float,
+    error: type[Exception],
+    headers: dict[str, str] | None = None,
+) -> Any:
+    """POST ``body`` as JSON to ``url`` and return the decoded reply. A
+    transport error, a 429 or a 5xx is retried up to ``retries`` times,
+    sleeping ``backoff * 2 ** (n - 1)`` before retry n. Any other 4xx, a
+    body that is not JSON, or a last attempt that fails raises ``error``
+    naming the call ``name``. It adds no header to ``headers``."""
+    import requests
+
+    last_error = ""
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(backoff * 2 ** (attempt - 1))
+        try:
+            response = session.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = f"transport error: {exc}"
+            continue
+        if response.status_code == 429 or response.status_code >= 500:
+            last_error = f"HTTP {response.status_code}"
+            continue
+        if response.status_code >= 400:
+            raise error(f"{name} returned HTTP {response.status_code}: {response.text[:200]}")
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise error(f"{name} returned non-JSON body: {exc}") from exc
+    raise error(f"{name} unreachable after {retries} retries ({last_error})")
+
+
 class HttpBackend(Backend):
     """OpenAI-compatible completions client with bounded retries.
 
@@ -302,16 +346,15 @@ class HttpBackend(Backend):
         endpoint: str,
         api_key: str | None = None,
         timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 1.0,
+        max_retries: int = MAX_RETRIES,
+        backoff: float = BACKOFF_S,
         session: requests.Session | None = None,
     ) -> None:
         self.model = model
         self.endpoint = endpoint.rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+        key = os.environ.get(API_KEY_ENV, "") if api_key is None else api_key
+        self.headers = {"Authorization": f"Bearer {key}"} if key else {}
+        self.policy = (timeout, max_retries, backoff)  # as ``post_json`` takes them
         if session is None:
             import requests
 
@@ -319,39 +362,14 @@ class HttpBackend(Backend):
         self.session = session
         self.id = BackendId(kind="http", model=model, endpoint=self.endpoint)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
-
-    def _post(self, path: str, body: dict) -> dict:
-        import requests
-
-        url = f"{self.endpoint}{path}"
-        last_error = ""
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
-            try:
-                response = self.session.post(
-                    url, json=body, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = f"transport error: {exc}"
-                continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = f"HTTP {response.status_code}"
-                continue
-            if response.status_code >= 400:
-                raise BackendError(f"{url} returned HTTP {response.status_code}: {response.text[:200]}")
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise BackendError(f"{url} returned non-JSON body: {exc}") from exc
-        raise BackendError(
-            f"{url} unreachable after {self.max_retries} retries ({last_error})"
-        )
+    def _complete(self, body: dict) -> dict:
+        """The first choice of the endpoint's completions reply to ``body``."""
+        url = f"{self.endpoint}/completions"
+        data = post_json(self.session, url, body, url, *self.policy, BackendError, self.headers)
+        choices = data.get("choices") if isinstance(data, dict) else None
+        if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
+            raise BackendError(f"malformed completions response: {data}")
+        return choices[0]
 
     def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
         """Echo ``text`` through the endpoint. A reply whose tokens do not tile
@@ -366,35 +384,20 @@ class HttpBackend(Backend):
             "logprobs": max(want_top_k, 1),
             "temperature": 0,
         }
-        data = self._post("/completions", body)
-        try:
-            choice = data["choices"][0]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed completions response: {data}") from exc
-        logprobs = choice.get("logprobs") if isinstance(choice, dict) else None
-        if (
-            not isinstance(logprobs, dict)
-            or "tokens" not in logprobs
-            or "token_logprobs" not in logprobs
-            or "text_offset" not in logprobs
-        ):
+        logprobs = self._complete(body).get("logprobs")
+        columns = ("tokens", "token_logprobs", "text_offset")
+        if not isinstance(logprobs, dict) or not all(name in logprobs for name in columns):
             raise BackendError(
                 "endpoint did not return prompt-token logprobs; echo scoring needs a "
                 "completions endpoint with echo+logprobs support (chat-only endpoints "
                 "cannot score recorded trajectories)"
             )
-        token_texts = logprobs["tokens"]
-        token_lps = logprobs["token_logprobs"]
-        offsets = logprobs["text_offset"]
-        tops = logprobs.get("top_logprobs") or []
-        for name, value in (
-            ("tokens", token_texts),
-            ("token_logprobs", token_lps),
-            ("text_offset", offsets),
-            ("top_logprobs", tops),
-        ):
+        lists = {name: logprobs[name] for name in columns}
+        lists["top_logprobs"] = logprobs.get("top_logprobs") or []
+        for name, value in lists.items():
             if not isinstance(value, list):
                 raise BackendError(f"malformed echo logprobs: {name!r} must be a list")
+        token_texts, token_lps, offsets, tops = lists.values()
         if not len(token_texts) == len(token_lps) == len(offsets):
             raise BackendError(
                 "malformed echo logprobs: 'tokens', 'token_logprobs' and 'text_offset' hold "
@@ -450,12 +453,8 @@ class HttpBackend(Backend):
         }
         if stop:
             body["stop"] = list(stop)
-        data = self._post("/completions", body)
-        try:
-            text = data["choices"][0]["text"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed completions response: {data}") from exc
-        string(text, "completion text", empty=True, error=BackendError)
+        choice = self._complete(body)
+        text = string(choice.get("text"), "completion text", empty=True, error=BackendError)
         text = text[: min((text.find(s) for s in stop if s in text), default=len(text))]
         if not text:
             raise BackendError("backend produced an empty completion")
@@ -497,7 +496,8 @@ class ResponseCache:
     torn final line (crash mid-append), a null response (no stored response
     is null) or a legacy key that is not hex, is skipped on load and counted
     in ``skipped_lines``; the next append starts on a fresh line so it is
-    not lost to the torn one.
+    not lost to the torn one. Only an append creates the file and its
+    directory, so a run that stores nothing leaves no trace.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -528,8 +528,6 @@ class ResponseCache:
                         self._index[key] = response
                     else:
                         self.skipped_lines += 1
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -546,6 +544,8 @@ class ResponseCache:
             if self._torn_tail:
                 line = "\n" + line
             data = (line + "\n").encode("utf-8")
+            if not self._index:  # the first append makes the directory
+                self.path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:
                 written = os.write(fd, data)
@@ -634,9 +634,13 @@ def build_backend(config: dict) -> Backend:
                 config.get("timeout", 60.0), "backend 'timeout'", low=0.001, high=3600
             ),
             max_retries=number(
-                config.get("max_retries", 3), "backend 'max_retries'", integer=True, low=0, high=10
+                config.get("max_retries", MAX_RETRIES),
+                "backend 'max_retries'",
+                integer=True,
+                low=0,
+                high=10,
             ),
-            backoff=number(config.get("backoff", 1.0), "backend 'backoff'", low=0, high=60),
+            backoff=number(config.get("backoff", BACKOFF_S), "backend 'backoff'", low=0, high=60),
         )
     corpus = string(config.get("corpus", ""), "backend 'corpus'", empty=True)
     if "corpus_path" in config:  # ``backend_kind`` allows one of the two

@@ -326,7 +326,6 @@ def _cmd_annotate(args) -> int:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")
         env = HttpEnv(args.env_url)
-    # Opening the cache creates --cache-dir, so it comes after every check.
     backend = CachedBackend(
         build_backend(config.generate_backend), _response_cache(args.cache_dir)
     )

@@ -373,21 +373,16 @@ class HttpEnv:
         self.session = session
 
     def _post(self, path: str, body: dict) -> dict:
-        import requests
+        """Send one call through the http backend's client. ``/reset`` only
+        starts an episode, so it is retried as a backend call is; ``/step``
+        acts, so it is sent once."""
+        from .backends import BACKOFF_S, MAX_RETRIES, post_json
 
-        try:
-            response = self.session.post(
-                f"{self.base_url}{path}", json=body, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise EnvError(f"environment {path} transport failure: {exc}") from exc
-        if response.status_code >= 400:
-            raise EnvError(f"environment {path} returned HTTP {response.status_code}")
-        try:
-            data = response.json()
-        except ValueError as exc:
-            raise EnvError(f"environment {path} returned non-JSON body: {exc}") from exc
-        return keys(data, None, f"environment {path} reply", EnvError)
+        name = f"environment {path}"
+        retries = MAX_RETRIES if path == "/reset" else 0
+        url = f"{self.base_url}{path}"
+        data = post_json(self.session, url, body, name, self.timeout, retries, BACKOFF_S, EnvError)
+        return keys(data, None, f"{name} reply", EnvError)
 
     def reset(self, question: Question) -> str:
         data = self._post("/reset", {"question_id": question.id, "text": question.text})

@@ -145,6 +145,17 @@ def local_server():
     server.close()
 
 
+@pytest.fixture
+def no_sleep(monkeypatch):
+    """The seconds of every ``time.sleep`` call, made without waiting, so a
+    test of http retries does not wait out their backoff."""
+    import time
+
+    sleeps: list[float] = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return sleeps
+
+
 class CountingBackend:
     """Forwards to a backend and counts the calls that reach it."""
 

@@ -694,20 +694,93 @@ def test_annotate_http_env_requires_url(workspace):
     assert not fresh.exists()  # the usage error is raised before the cache is opened
 
 
-def test_annotate_whose_every_reset_fails_exits_four(workspace, capsys, local_server):
+def test_annotate_whose_every_reset_fails_exits_four(workspace, capsys, local_server, no_sleep):
+    """Each question's ``/reset`` is sent 4 times, as an http backend call
+    is, before its rollout fails."""
     local_server.handler = lambda path, body: (500, {"error": "down"})
     argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
     assert run(argv) == 4
     assert_one_error_line(
         capsys.readouterr().err, 4,
-        "error:4:all 12 rollouts failed: environment /reset returned HTTP 500",
+        "error:4:all 12 rollouts failed: environment /reset unreachable after 3 retries (HTTP 500)",
     )
-    assert [path for path, _, _ in local_server.requests] == ["/reset"] * 12
+    assert [path for path, _, _ in local_server.requests] == ["/reset"] * 48
+    assert no_sleep == [1.0, 2.0, 4.0] * 12
     assert not (workspace / "annotated.jsonl").exists()
 
 
+def test_annotate_retries_a_reset_that_fails_once(workspace, local_server, no_sleep):
+    first = load_pool(workspace / "pool.jsonl")[0].id
+    replies = iter([(500, {"error": "busy"})])
+
+    def handler(path, body):
+        if path == "/reset":
+            return next(replies, (200, {"observation": "ready"}))
+        return 200, {"observation": "done", "reward": 1.0, "done": True}
+
+    local_server.handler = handler
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 0
+    resets = [body["question_id"] for path, body, _ in local_server.requests if path == "/reset"]
+    assert resets[:2] == [first, first] and len(resets) == 13
+    assert no_sleep == [1.0]
+    assert len(load_trajectories(workspace / "annotated.jsonl")) == 12
+    assert not (workspace / "annotated.jsonl.diag.jsonl").exists()
+
+
+def test_annotate_sends_a_failing_step_once(workspace, local_server, no_sleep):
+    """``/step`` acts in the environment, so a 5xx on it is not retried: its
+    question gets one ``annotate-env`` diagnostic and the others roll out."""
+    first, *rest = [q.id for q in load_pool(workspace / "pool.jsonl")]
+    episode = {}
+
+    def handler(path, body):
+        if path == "/reset":
+            episode["question_id"] = body["question_id"]
+            return 200, {"observation": "ready"}
+        if episode["question_id"] == first:
+            return 500, {"error": "down"}
+        return 200, {"observation": "done", "reward": 1.0, "done": True}
+
+    local_server.handler = handler
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 0
+    assert [path for path, _, _ in local_server.requests] == ["/reset", "/step"] * 12
+    assert no_sleep == []
+    sidecar = workspace / "annotated.jsonl.diag.jsonl"
+    assert [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()] == [
+        {"question_id": first, "stage": "annotate-env",
+         "error": "environment /step unreachable after 0 retries (HTTP 500)"}  # fmt: skip
+    ]
+    assert [t.question_id for t in load_trajectories(workspace / "annotated.jsonl")] == rest
+
+
+def test_annotate_sends_the_api_key_to_the_model_only(workspace, local_server, monkeypatch):
+    monkeypatch.setenv("GE_API_KEY", "sekrit")
+
+    def handler(path, body):
+        if path == "/completions":
+            return 200, {"choices": [{"text": "click[buy]"}]}
+        if path == "/reset":
+            return 200, {"observation": "ready"}
+        return 200, {"observation": "done", "reward": 1.0, "done": True}
+
+    local_server.handler = handler
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["generate_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [*annotate_argv(workspace), "--env", "http", "--env-url", local_server.url]
+    assert run(argv) == 0
+    sent: dict[str, list] = {}
+    for path, _, headers in local_server.requests:
+        sent.setdefault(path, []).append({k.lower(): v for k, v in headers.items()})
+    assert sorted(sent) == ["/completions", "/reset", "/step"]
+    assert all(h.get("authorization") == "Bearer sekrit" for h in sent["/completions"])
+    assert not any("authorization" in h for h in sent["/reset"] + sent["/step"])
+
+
 def test_annotate_whose_every_rollout_fails_with_one_generation_failure_exits_three(
-    workspace, capsys, local_server
+    workspace, capsys, local_server, no_sleep
 ):
     """Half the resets fail and every completion is empty: the run fails as a
     backend failure, since not every rollout failed in the environment, and
@@ -1415,6 +1488,43 @@ def test_a_command_never_reads_an_unused_entrys_corpus(workspace, command, unuse
     assert written[0][0]
 
 
+@pytest.mark.parametrize("command", ["annotate", "score"])
+def test_a_run_refused_inside_the_pipeline_leaves_no_cache_dir(workspace, capsys, command):
+    """``annotate`` of an empty selection and ``score`` of a trajectory
+    outside the pool are refused after the cache is opened; opening it
+    creates nothing."""
+    if command == "annotate":
+        selection = workspace / "selection.jsonl"
+        selection.write_text(json.dumps(_EMPTY_SELECTION) + "\n", encoding="utf-8")
+        argv = [*annotate_argv(workspace), "--questions", str(selection),
+                "--pool", str(workspace / "pool.jsonl")]  # fmt: skip
+        needle = "error:2:annotate needs at least one question"
+    else:
+        lines = (workspace / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()
+        record = {**json.loads(lines[0]), "question_id": "nope"}
+        (workspace / "nope.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = score_argv(workspace)
+        argv[argv.index("--trajectories") + 1] = str(workspace / "nope.jsonl")
+        needle = "error:2:trajectory question_id 'nope' is not in the pool"
+    argv[argv.index("--cache-dir") + 1] = str(workspace / "new")
+    assert run(argv) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, needle)
+    assert not (workspace / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["annotate", "score"])
+def test_an_unwritable_cache_dir_exits_two(workspace, capsys, command):
+    """A ``--cache-dir`` below a regular file fails at the first append."""
+    (workspace / "plain.txt").write_text("not a directory\n", encoding="utf-8")
+    argv = annotate_argv(workspace) if command == "annotate" else score_argv(workspace)
+    argv[argv.index("--cache-dir") + 1] = str(workspace / "plain.txt" / "cache")
+    out = Path(argv[argv.index("--out") + 1])
+    out.unlink(missing_ok=True)
+    assert run(argv) == 2
+    assert_one_error_line(capsys.readouterr().err, 2, "Not a directory", "plain.txt")
+    assert not out.exists()
+
+
 def test_annotate_with_its_own_corpus_missing_exits_two_without_a_cache_dir(workspace, capsys):
     config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
     for entry in ("score_backend", "generate_backend"):
@@ -1796,7 +1906,9 @@ def test_a_clean_score_rerun_removes_the_diagnostics_sidecar(workspace, capsys):
     assert not sidecar.exists()
 
 
-def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(workspace, capsys, local_server):
+def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(
+    workspace, capsys, local_server, no_sleep
+):
     failing = {"q0000", "q0001"}
 
     def handler(path, body):
@@ -1810,7 +1922,9 @@ def test_a_clean_annotate_rerun_removes_the_diagnostics_sidecar(workspace, capsy
     sidecar = workspace / "annotated.jsonl.diag.jsonl"
     diagnostics = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]
     assert {d["question_id"] for d in diagnostics} == failing
-    assert all("environment /reset returned HTTP 500" in d["error"] for d in diagnostics)
+    assert [d["error"] for d in diagnostics] == [
+        "environment /reset unreachable after 3 retries (HTTP 500)"
+    ] * 2
     failing.clear()
     capsys.readouterr()
     assert run(argv) == 0

@@ -244,17 +244,41 @@ def test_http_env_round_trip(local_server):
     assert local_server.requests[0][1] == {"question_id": "q9", "text": "buy a mug"}
 
 
-def test_http_env_error_status(local_server):
+def test_http_env_error_status(local_server, no_sleep):
+    """A 5xx on ``/reset`` is retried as a backend call is, sleeping 1, 2
+    and 4 s; a 5xx on ``/step`` is not retried."""
     failing = {"/reset"}
     local_server.handler = lambda path, body: (500 if path in failing else 200, {"observation": "ready"})
     env = HttpEnv(local_server.url)
-    with pytest.raises(EnvError, match="^environment /reset returned HTTP 500$"):
+    with pytest.raises(
+        EnvError, match=r"^environment /reset unreachable after 3 retries \(HTTP 500\)$"
+    ):
         env.reset(Question(id="q1", text="x"))
+    assert no_sleep == [1.0, 2.0, 4.0]
     failing.clear()
     failing.add("/step")
     assert env.reset(Question(id="q1", text="x")) == "ready"
-    with pytest.raises(EnvError, match="^environment /step returned HTTP 500$"):
+    with pytest.raises(
+        EnvError, match=r"^environment /step unreachable after 0 retries \(HTTP 500\)$"
+    ):
         env.step("click[buy]")
+    assert [path for path, _, _ in local_server.requests] == ["/reset"] * 5 + ["/step"]
+    assert no_sleep == [1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("path", ["/reset", "/step"])
+def test_http_env_client_error_is_sent_once_and_quotes_the_reply(local_server, no_sleep, path):
+    local_server.handler = lambda p, body: (
+        (404, {"error": "unknown"}) if p == path else (200, {"observation": "ready"})
+    )
+    env = HttpEnv(local_server.url)
+    message = f'^environment {path} returned HTTP 404: {{"error": "unknown"}}$'
+    with pytest.raises(EnvError, match=message):
+        env.reset(Question(id="q1", text="x"))
+        env.step("click[buy]")
+    assert [p for p, _, _ in local_server.requests][-1] == path
+    assert len(local_server.requests) == (1 if path == "/reset" else 2)
+    assert no_sleep == []
 
 
 def test_http_env_transport_and_body_errors_name_the_call():
@@ -267,16 +291,26 @@ def test_http_env_transport_and_body_errors_name_the_call():
             raise ValueError("Expecting value")
 
     class Session:
-        def post(self, url, json, timeout):
+        def __init__(self):
+            self.headers = []
+
+        def post(self, url, json, headers, timeout):
+            self.headers.append(headers)
             if url.endswith("/step"):
                 raise requests.ConnectionError("connection refused")
             return NotJson()
 
-    env = HttpEnv("http://env.invalid", session=Session())
+    session = Session()
+    env = HttpEnv("http://env.invalid", session=session)
     with pytest.raises(EnvError, match="^environment /reset returned non-JSON body: Expecting value$"):
         env.reset(Question(id="q1", text="x"))
-    with pytest.raises(EnvError, match="^environment /step transport failure: connection refused$"):
+    with pytest.raises(
+        EnvError,
+        match=r"^environment /step unreachable after 0 retries "
+        r"\(transport error: connection refused\)$",
+    ):
         env.step("click[buy]")
+    assert session.headers == [None, None]  # the environment gets no header of the model's
 
 
 @pytest.mark.parametrize(

@@ -78,14 +78,18 @@ def test_unknown_attributes_raise_attribute_error():
 def test_importing_the_package_loads_only_models():
     src_root = str(Path(ge_select.__file__).resolve().parent.parent)
     loaded = "print(sorted(m for m in sys.modules if 'ge_select' in m))"
-    # Reading a module's name loads that module and what it imports.
-    child = f"import sys, ge_select; {loaded}; ge_select.scoring; {loaded}"
+    # Reading a module's name loads that module and what it imports; ``envs``
+    # loads ``backends`` only when an ``HttpEnv`` posts.
+    child = (
+        f"import sys, ge_select; {loaded}; ge_select.scoring; {loaded}; ge_select.envs; {loaded}"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", child], cwd=src_root, capture_output=True, text=True, check=True
     )
     assert proc.stdout.splitlines() == [
         "['ge_select', 'ge_select.models']",
         "['ge_select', 'ge_select.models', 'ge_select.scoring']",
+        "['ge_select', 'ge_select.envs', 'ge_select.models', 'ge_select.scoring']",
     ]
 
 
