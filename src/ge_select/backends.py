@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -28,10 +29,10 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Any, NamedTuple, Sequence
 
 from .models import BackendError, FormatError, Record, _read_text, keys, number, string, sum_floats
-from .scoring import TokenDistribution
+from .scoring import TokenDistribution, entropy
 
 if TYPE_CHECKING:
     import requests
@@ -111,7 +112,6 @@ def _count(counts: dict[bytes, list], ctx: bytes, b: int, base: dict[bytes, list
 
 
 _BYTE_TEXT = tuple(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in range(256))
-_LOG_UNSEEN = math.log(1 / 256)  # any byte after a context that no table holds
 
 
 def _rank(item: tuple[int, int]) -> tuple[int, int]:
@@ -138,13 +138,23 @@ def _distribution(total: int, ranked: tuple[tuple[int, int], ...], k: int) -> To
     return TokenDistribution(top=tuple(top), residual_mass=max(0.0, 1.0 - mass))
 
 
+@functools.lru_cache(maxsize=2048)
+def _entropy(total: int, counts: tuple[int, ...], k: int) -> float:
+    """``scoring.entropy`` of the top-k distribution of a context seen
+    ``total`` times whose ``k`` largest counts, in descending order, are
+    ``counts``. An entropy reads only the probabilities, in rank order, so
+    the bytes that hold the counts do not matter: any ranked pairs with
+    these counts give the same distribution's entropy, bit for bit."""
+    return entropy(_distribution(total, tuple(enumerate(counts)), k))
+
+
 class NgramBackend(Backend):
     """Add-one-smoothed byte model: P(b|ctx) = (count(ctx+b)+1)/(count(ctx)+256).
 
     ``order`` is the context length in bytes. Counts are the training-corpus
     counts plus the counts of the already-processed prefix of the current
     call, so the model is deterministic but prompt-sensitive. There are two
-    tables: the corpus table, and one table per echoed text or generation
+    tables: the corpus table, and one table per scored text or generation
     prompt, counted over the corpus table, so a lookup reads the text's table
     and then the corpus. Text tables hold full-order contexts only: shorter
     ones are looked up only before the text has counted any.
@@ -160,11 +170,8 @@ class NgramBackend(Backend):
             for start in range(max(0, i - order), i + 1):
                 _count(self.counts, data[start:i], b, _NO_COUNTS)
         corpus_hash = hashlib.sha256(data).hexdigest()[:12]
-        # Prefix reuse. ``_echoed`` maps each top-k width to the last echoed
-        # ``(text, tokens)``; a snapshot is never mutated, so threads share
-        # it. ``_prompt`` holds one ``(prompt bytes, prompt counts)`` per
-        # thread, because extending a prompt mutates its table.
-        self._echoed: dict[int, tuple[str, tuple[EchoToken, ...]]] = {}
+        # Generation's prompt reuse: one ``(prompt bytes, prompt counts)``
+        # per thread, because extending a prompt mutates its table.
         self._prompt = threading.local()
         name = model or f"ngram-o{order}"
         self.id = BackendId(
@@ -180,52 +187,70 @@ class NgramBackend(Backend):
         total, following = self.counts.get(ctx[-self.order :], _EMPTY_BUCKET)
         return (following.get(byte_value, 0) + 1) / (total + 256)
 
-    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
-        """Echo ``text``, reusing the tokens of the characters it shares with
-        the previous text echoed at this top-k width. A token depends only on
-        the text up to its end, so the shared ones are exact; only their local
-        counts are rebuilt before the loop resumes after them.
+    def _conditionals(
+        self, data: bytes, bounds: Sequence[tuple[int, int]], read: AbstractSet[bytes]
+    ):
+        """For each byte of ``data`` inside one of the sorted, disjoint
+        ``bounds``, in order, yield it with its context's total and
+        ``{next byte: count}``, as they stand before it is counted; a caller
+        reads them before it asks for the next.
 
-        One loop visits each remaining byte. A character's first byte opens
-        its token and, at ``want_top_k > 0``, its top-k distribution; a UTF-8
-        continuation byte adds its logprob to the open token."""
+        Every byte inside a bound is counted. A byte between bounds is
+        counted only when its context is in ``read``, which must hold every
+        full-order context that a byte inside a bound reads: no other count
+        is ever looked up."""
+        order = self.order
+        corpus = self.counts
+        local: dict[bytes, list] = {}
+        counted_to = order  # the bytes before it have a short context, which no text table holds
+        for lo, hi in bounds:
+            for i in range(counted_to, lo):
+                ctx = data[i - order : i]
+                if ctx not in read:
+                    continue
+                # ``_count(local, ctx, b, corpus)``, inlined because this loop
+                # runs once per byte.
+                b = data[i]
+                bucket = local.get(ctx)
+                if bucket is not None:
+                    bucket[0] += 1
+                    following = bucket[1]
+                    following[b] = following.get(b, 0) + 1
+                elif ctx in corpus:
+                    total, following = corpus[ctx]
+                    local[ctx] = [total + 1, {**following, b: following.get(b, 0) + 1}]
+                else:  # the literal spares an empty base a copy
+                    local[ctx] = [1, {b: 1}]
+            for i in range(lo, hi):
+                b = data[i]
+                ctx = data[i - order : i] if i >= order else data[:i]
+                counted = local.get(ctx)
+                total, following = counted or corpus.get(ctx, _EMPTY_BUCKET)
+                yield b, total, following
+                count = following.get(b, 0)
+                if counted is not None:
+                    counted[0] = total + 1
+                    following[b] = count + 1
+                elif i >= order:
+                    local[ctx] = [total + 1, {**following, b: count + 1}]
+            counted_to = max(counted_to, hi)
+
+    def echo_logprobs(self, text: str, want_top_k: int = 0) -> tuple[EchoToken, ...]:
+        """Echo ``text``, one token per character. A character's first byte
+        opens its token and, at ``want_top_k > 0``, gives its top-k
+        distribution; a UTF-8 continuation byte adds its logprob to the open
+        token."""
         if not text:
             raise BackendError("echo scoring requires non-empty text")
         k = want_top_k
-        order = self.order
-        local: dict[bytes, list] = {}
         data = text.encode("utf-8")
-        previous_text, previous = self._echoed.get(k, ("", ()))
-        shared = len(os.path.commonprefix([previous_text, text]))
-        start = len(text[:shared].encode("utf-8"))
-        corpus = self.counts
-        for end in range(order, start):
-            _count(local, data[end - order : end], data[end], corpus)
         log = math.log
-        unseen_top = _distribution(0, (), k) if k > 0 else None
         logprobs: list[float] = []
         tops: list[TokenDistribution | None] = []
-        for i in range(start, len(data)):
-            b = data[i]
-            opens = b & 0xC0 != 0x80  # not a UTF-8 continuation byte
-            ctx = data[i - order : i] if i >= order else data[:i]
-            # The lookup and ``_count(local, ctx, b, corpus)``, inlined
-            # because this loop runs once per byte.
-            counted = local.get(ctx)
-            bucket = counted or corpus.get(ctx)
-            if bucket is None:  # a context in no table: every byte is 1/256
-                if opens:
-                    logprobs.append(_LOG_UNSEEN)
-                    tops.append(unseen_top)
-                else:
-                    logprobs[-1] += _LOG_UNSEEN
-                if i >= order:
-                    local[ctx] = [1, {b: 1}]
-                continue
-            total, following = bucket
-            count = following.get(b, 0)
-            logprob = log((count + 1) / (total + 256))
-            if opens:
+        # One bound holds every byte, so no byte lies between bounds.
+        for b, total, following in self._conditionals(data, ((0, len(data)),), frozenset()):
+            logprob = log((following.get(b, 0) + 1) / (total + 256))
+            if b & 0xC0 != 0x80:  # not a UTF-8 continuation byte
                 logprobs.append(logprob)
                 tops.append(
                     _distribution(total, tuple(sorted(following.items(), key=_rank)[:k]), k)
@@ -234,16 +259,52 @@ class NgramBackend(Backend):
                 )
             else:
                 logprobs[-1] += logprob
-            if counted is not None:
-                counted[0] = total + 1
-                following[b] = count + 1
-            elif i >= order:
-                local[ctx] = [total + 1, {**following, b: count + 1}]
         n = len(text)
-        columns = zip(text[shared:], range(shared, n), range(shared + 1, n + 1), logprobs, tops)
-        result = previous[:shared] + tuple(map(EchoToken._make, columns))
-        self._echoed[k] = (text, result)
-        return result
+        return tuple(map(EchoToken._make, zip(text, range(n), range(1, n + 1), logprobs, tops)))
+
+    def score_spans(
+        self, text: str, spans: Sequence[tuple[int, int]], top_k: int = 0
+    ) -> tuple[list[list], float | None]:
+        """What ``pipeline`` reads of ``echo_logprobs(text, top_k)`` over the
+        character ``spans``, bit for bit, without the echo: one ``[total,
+        count]`` pair per span, the sum of its characters' logprobs added left
+        to right from 0.0 and their number, and the mean ``scoring.entropy``
+        of their top-k distributions in order, or None when there are none.
+
+        Spans must be sorted, disjoint and non-empty, as ``build_prompt``
+        makes them. Up to the last span's end, the bytes whose context a span
+        reads are counted, but only a byte inside a span takes a log, and only
+        a span character's first byte a top-k ranking."""
+        data = text.encode("utf-8")
+        bounds = [
+            (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))
+            for start, end in spans
+        ]
+        order = self.order
+        read = {data[i - order : i] for lo, hi in bounds for i in range(max(lo, order), hi)}
+        log = math.log
+        steps: list[list] = []
+        entropies = 0.0
+        distributions = 0
+        walk = self._conditionals(data, bounds, read)
+        for lo, hi in bounds:
+            span_total = char = 0.0
+            chars = 0
+            for b, total, following in itertools.islice(walk, hi - lo):
+                logprob = log((following.get(b, 0) + 1) / (total + 256))
+                if b & 0xC0 == 0x80:  # a UTF-8 continuation byte
+                    char += logprob
+                    continue
+                if chars:
+                    span_total += char
+                char = logprob
+                chars += 1
+                if top_k > 0:
+                    counts = tuple(sorted(following.values(), reverse=True)[:top_k])
+                    entropies += _entropy(total, counts, top_k)
+                    distributions += 1
+            steps.append([span_total + char, chars])
+        return steps, entropies / distributions if distributions else None
 
     def generate(
         self,

@@ -215,13 +215,14 @@ def _score_prompt(
     logprobs in token order and their number, plus the mean entropy of the
     top-k distributions at those tokens (None when there are none).
 
-    Only these are cached (schema 3), keyed by schema version, prompt, spans
-    and top_k, so a hit needs neither the backend, span mapping nor any
-    distribution. A miss stores them and returns what the cache holds, so
-    racing writers agree; JSON floats round-trip exactly, so a hit returns
-    the same bytes. A hit of any other shape raises ``FormatError`` naming
-    the cache. A miss whose sum overflows raises ``FormatError`` and stores
-    nothing.
+    A miss asks the backend's ``score_spans`` for them when it has one, and
+    otherwise reads them off its ``echo_logprobs`` reply. Only these are
+    cached (schema 3), keyed by schema version, prompt, spans and top_k, so a
+    hit needs neither the backend, span mapping nor any distribution. A miss
+    stores them and returns what the cache holds, so racing writers agree;
+    JSON floats round-trip exactly, so a hit returns the same bytes. A hit of
+    any other shape raises ``FormatError`` naming the cache. A miss whose sum
+    overflows raises ``FormatError`` and stores nothing.
     """
     key = cache_key(
         backend.id,
@@ -238,9 +239,12 @@ def _score_prompt(
     scored = cache.get(key) if cache is not None else None
     if scored is not None:
         _check_scored(scored, len(bundle.action_spans), f"cache {cache.path}: scoring entry")
+        return scored["steps"], scored["mean_entropy"]
+    if hasattr(backend, "score_spans"):
+        steps, entropy = backend.score_spans(bundle.rendered, bundle.action_spans, top_k)
     else:
         echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
-        steps: list[list] = []
+        steps = []
         dists: list[TokenDistribution] = []
         for index, (first, last) in enumerate(map_spans_to_tokens(bundle, echo)):
             tokens = echo[first:last]
@@ -248,13 +252,14 @@ def _score_prompt(
                 raise FormatError(
                     f"the echo reply has a null logprob at a token of step {index}'s scored span"
                 )
-            total = sum_floats(token.logprob for token in tokens)
-            number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
-            steps.append([total, len(tokens)])
+            steps.append([sum_floats(token.logprob for token in tokens), len(tokens)])
             dists.extend(token.top for token in tokens if token.top)
-        scored = {"steps": steps, "mean_entropy": mean_entropy(dists) if dists else None}
-        if cache is not None:
-            scored = cache.put(key, scored)
+        entropy = mean_entropy(dists) if dists else None
+    for index, (total, _) in enumerate(steps):
+        number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
+    scored = {"steps": steps, "mean_entropy": entropy}
+    if cache is not None:
+        scored = cache.put(key, scored)
     return scored["steps"], scored["mean_entropy"]
 
 

@@ -51,22 +51,24 @@ def step_difficulty(logprobs: Sequence[float]) -> float:
     return _difficulty(sum_floats(logprobs), len(logprobs))
 
 
+def entropy(dist: TokenDistribution) -> float:
+    """Entropy of one top-k distribution with a residual bucket, floored at 0."""
+    h = 0.0
+    for _token, logprob in dist.top:
+        p = math.exp(logprob)
+        if p > 0.0:
+            h -= p * math.log(p)
+    r = dist.residual_mass
+    if r > 0.0:
+        h -= r * math.log(r)
+    return max(0.0, h)
+
+
 def mean_entropy(dists: Sequence[TokenDistribution]) -> float:
-    """Mean per-position entropy of top-k distributions with a residual bucket."""
+    """Mean ``entropy`` of top-k distributions, added left to right from 0.0."""
     if not dists:
         raise ValueError("no token distributions given")
-    total = 0.0
-    for dist in dists:
-        h = 0.0
-        for _token, logprob in dist.top:
-            p = math.exp(logprob)
-            if p > 0.0:
-                h -= p * math.log(p)
-        r = dist.residual_mass
-        if r > 0.0:
-            h -= r * math.log(r)
-        total += max(0.0, h)
-    return total / len(dists)
+    return sum_floats(map(entropy, dists)) / len(dists)
 
 
 def aggregate_trajectory(

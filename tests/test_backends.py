@@ -27,8 +27,10 @@ from ge_select.backends import (
     cache_key,
     canonical_request,
 )
-from ge_select.models import FormatError
+from ge_select.models import FormatError, sum_floats
 from ge_select.pipeline import parse_action
+from ge_select.prompts import PromptBundle, map_spans_to_tokens
+from ge_select.scoring import mean_entropy
 from ge_select.selectors import EMBED_DIMENSIONS, HashEmbedBackend
 
 from conftest import (
@@ -221,7 +223,8 @@ def test_ngram_matches_brute_force_counts(corpus, text, prompt, order, k, stop):
     backend = NgramBackend(corpus, order)
     corpus_bytes = corpus.encode("utf-8")
     # The second call of each kind runs on the same backend and extends the
-    # first one's text, so it takes the prefix-reuse path.
+    # first one's text: an echo keeps nothing of the one before, while
+    # generation counts only the new bytes of its prompt.
     for echoed in (text, text + prompt):
         data = echoed.encode("utf-8")
         result = backend.echo_logprobs(echoed, want_top_k=k)
@@ -264,7 +267,7 @@ _ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 )
 def test_ngram_echo_tiles_any_text(corpus, order, first, second, k):
     backend = NgramBackend(corpus, order)
-    # The later texts share a prefix with the one before, so they reuse its tokens.
+    # The later texts share a prefix with the one before, on the same backend.
     for text in (first, first + second, first[: len(first) // 2] + second or "a"):
         tokens = backend.echo_logprobs(text, want_top_k=k)
         end = 0
@@ -272,6 +275,54 @@ def test_ngram_echo_tiles_any_text(corpus, order, first, second, k):
             assert (token.char_start, token.char_end) == (end, end + len(token.text))
             end = token.char_end
         assert "".join(token.text for token in tokens) == text
+
+
+_SPAN_TEXT = st.text(alphabet="ab [\né€𝄞", min_size=1, max_size=24)
+
+
+@st.composite
+def _text_and_spans(draw) -> tuple[str, list[tuple[int, int]]]:
+    """A text and sorted, disjoint, non-empty character spans of it, as
+    ``build_prompt`` makes them; some touch, some start at 0 and some end at
+    the text's end."""
+    text = draw(_SPAN_TEXT)
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=8)))
+    spans = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    return text, spans or [(0, len(text))]
+
+
+def echo_scores(backend: NgramBackend, text: str, spans, k: int) -> tuple[list, str | None]:
+    """What ``pipeline`` reads of ``backend``'s echo over ``spans``: each span's
+    summed logprob and token count, and the mean entropy, as exact hex."""
+    echo = backend.echo_logprobs(text, want_top_k=k)
+    steps, dists = [], []
+    for first, last in map_spans_to_tokens(PromptBundle(text, tuple(spans)), echo):
+        tokens = echo[first:last]
+        steps.append([sum_floats(token.logprob for token in tokens).hex(), len(tokens)])
+        dists.extend(token.top for token in tokens if token.top)
+    return steps, mean_entropy(dists).hex() if dists else None
+
+
+@settings(max_examples=150)
+@given(
+    corpus=st.one_of(st.just(""), _NGRAM_TEXT),
+    order=st.integers(1, 5),
+    case=_text_and_spans(),
+    k=st.sampled_from([0, 2, 5]),
+)
+# One span inside the first ``order`` bytes, whose contexts are short, and one
+# that ends the text, after a 4-byte character.
+@example(corpus="", order=5, case=("aé€b ab𝄞", [(1, 2), (6, 8)]), k=5)
+@example(corpus="ab é€𝄞 ab\n", order=3, case=("é€𝄞 ab é€𝄞", [(0, 2), (3, 5), (8, 10)]), k=2)
+# Each span's characters repeat a context counted between spans, and in the corpus.
+@example(corpus="ab ab [", order=2, case=("ab ab ab [ab", [(3, 5), (9, 12)]), k=5)
+def test_score_spans_equals_the_echo_path_bit_for_bit(corpus, order, case, k):
+    text, spans = case
+    backend = NgramBackend(corpus, order)
+    steps, entropy = backend.score_spans(text, spans, k)
+    hex_steps = [[total.hex(), count] for total, count in steps]
+    hex_entropy = None if entropy is None else entropy.hex()
+    assert (hex_steps, hex_entropy) == echo_scores(backend, text, spans, k)
 
 
 def echo_key(result) -> list[tuple]:
@@ -317,6 +368,8 @@ def generate_prompts(calls) -> list[str]:
 @settings(max_examples=60)
 @given(corpus=_NGRAM_TEXT, order=st.integers(1, 5), calls=_ECHO_CALLS)
 def test_echo_prefix_reuse_matches_a_fresh_backend(corpus, order, calls):
+    """Echoes on one backend of texts that share prefixes with the one before
+    equal a fresh backend's: an echo leaves nothing behind for the next."""
     backend = NgramBackend(corpus, order)
     for text, k in echo_texts(calls):
         expected = NgramBackend(corpus, order).echo_logprobs(text, want_top_k=k)
@@ -377,6 +430,10 @@ def test_stopping_at_a_newline_yields_the_first_line_of_the_longer_walk(
 
 
 def test_prefix_reuse_is_exact_under_eight_threads(monkeypatch):
+    """Eight threads share one backend, each interleaving echoes with
+    generations whose prompts extend its previous one, and each gets a fresh
+    backend's results. Only generation keeps state between calls: its
+    per-thread prompt table."""
     rng = random.Random(17)
     corpus = "".join(rng.choice("ab \né[]") for _ in range(300))
     order = 3

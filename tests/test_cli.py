@@ -359,6 +359,7 @@ def assert_warm_run_calls_no_backend(workspace, monkeypatch, cache_dir: Path, sc
         raise AssertionError("a warm run called the backend")
 
     cache = (cache_dir / "cache.jsonl").read_bytes()
+    monkeypatch.setattr(backends.NgramBackend, "score_spans", no_call)
     monkeypatch.setattr(backends.NgramBackend, "echo_logprobs", no_call)
     monkeypatch.setattr(backends.NgramBackend, "generate", no_call)
     (workspace / "scores.jsonl").unlink()
