@@ -206,21 +206,8 @@ class NgramBackend(Backend):
         for lo, hi in bounds:
             for i in range(counted_to, lo):
                 ctx = data[i - order : i]
-                if ctx not in read:
-                    continue
-                # ``_count(local, ctx, b, corpus)``, inlined because this loop
-                # runs once per byte.
-                b = data[i]
-                bucket = local.get(ctx)
-                if bucket is not None:
-                    bucket[0] += 1
-                    following = bucket[1]
-                    following[b] = following.get(b, 0) + 1
-                elif ctx in corpus:
-                    total, following = corpus[ctx]
-                    local[ctx] = [total + 1, {**following, b: following.get(b, 0) + 1}]
-                else:  # the literal spares an empty base a copy
-                    local[ctx] = [1, {b: 1}]
+                if ctx in read:
+                    _count(local, ctx, data[i], corpus)
             for i in range(lo, hi):
                 b = data[i]
                 ctx = data[i - order : i] if i >= order else data[:i]
@@ -271,10 +258,11 @@ class NgramBackend(Backend):
         to right from 0.0 and their number, and the mean ``scoring.entropy``
         of their top-k distributions in order, or None when there are none.
 
-        Spans must be sorted, disjoint and non-empty, as ``build_prompt``
-        makes them. Up to the last span's end, the bytes whose context a span
-        reads are counted, but only a byte inside a span takes a log, and only
-        a span character's first byte a top-k ranking."""
+        Spans must be sorted, disjoint and non-empty; the ``_Renderer`` of
+        ``build_prompt`` always makes them so. Up to the last span's end, the
+        bytes whose context a span reads are counted, but only a byte inside
+        a span takes a log, and only a span character's first byte a top-k
+        ranking."""
         data = text.encode("utf-8")
         bounds = [
             (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))
