@@ -1,6 +1,8 @@
-"""Model backends: echo logprob scoring and generation.
+"""Model backends: scoring and generation.
 
-Two implementations share one duck-typed surface:
+A backend scores a prompt's spans with ``score_spans`` when it has it, and
+otherwise by echo logprobs (``echo_logprobs``), whose tokens ``pipeline``
+maps to the spans. Two implementations share one duck-typed surface:
 
 - ``NgramBackend``: a deterministic byte-level model for offline runs. Its
   conditionals blend training-corpus counts with counts accumulated over the
@@ -12,7 +14,7 @@ Two implementations share one duck-typed surface:
 
 ``ResponseCache`` is a content-addressed, append-only response log so
 repeated runs are reproducible and issue no outbound calls. Scoring stores
-only what it consumes of each echo there (``pipeline``);
+only what it consumes of each scored prompt there (``pipeline``);
 ``CachedBackend`` stores generations.
 """
 
@@ -25,7 +27,6 @@ import itertools
 import json
 import math
 import os
-import re
 import threading
 import time
 from pathlib import Path
@@ -73,7 +74,11 @@ class EchoToken(NamedTuple):
 
 
 class Backend:
-    """Capability surface; concrete backends override what they support."""
+    """Capability surface; concrete backends override what they support.
+
+    ``pipeline`` scores a prompt's spans with ``score_spans(text, spans,
+    top_k)`` when a backend has it, and otherwise with ``echo_logprobs``;
+    ``annotate`` calls ``generate``."""
 
     id: BackendId
 
@@ -518,15 +523,7 @@ def cache_key(backend_id: BackendId, request_body: str) -> str:
     """The first 128 bits of the SHA-256 of the backend fingerprint and the
     request body, as 22 base64url characters (RFC 4648 §5, unpadded)."""
     digest = hashlib.sha256((backend_id.fingerprint + "\n" + request_body).encode("utf-8"))
-    return _key_text(digest.digest()[:16])
-
-
-def _key_text(bits: bytes) -> str:
-    return base64.urlsafe_b64encode(bits)[:22].decode("ascii")
-
-
-# The first 128 bits of a hex key written before keys were base64url.
-_LEGACY_KEY = re.compile(r"[0-9a-f]{32}")
+    return base64.urlsafe_b64encode(digest.digest()[:16])[:22].decode("ascii")
 
 
 class ResponseCache:
@@ -535,17 +532,15 @@ class ResponseCache:
     One compact JSON list per line, ``["<key>",<response>]``; appends are
     serialized, reads are lock-free against the immutable index snapshot
     semantics of dict reads. Entries are stored and looked up under the key
-    as given, a ``cache_key``. A legacy ``{"key": <hex>, "response": …}``
-    line, written when keys were hex (64 characters, later the first 32), is
-    indexed under the ``cache_key`` form of its first 32 hex characters, the
-    same 128 bits, so it still hits; one file may hold all three kinds. Each
-    entry goes out in a single ``os.write`` on an ``O_APPEND`` descriptor,
-    so processes sharing the file cannot interleave the bytes of one entry;
-    a short write raises instead of being retried. Any other line, such as a
-    torn final line (crash mid-append), a null response (no stored response
-    is null) or a legacy key that is not hex, is skipped on load and counted
-    in ``skipped_lines``; the next append starts on a fresh line so it is
-    not lost to the torn one. Only an append creates the file and its
+    as given, a ``cache_key``. Each entry goes out in a single ``os.write``
+    on an ``O_APPEND`` descriptor, so processes sharing the file cannot
+    interleave the bytes of one entry; a short write raises instead of being
+    retried. A line that is not a list of a string key and a non-null
+    response, such as a torn final line (crash mid-append), a null response
+    (no stored response is null) or a ``{"key": …}`` object line written
+    before entries were lists, is skipped on load and counted in
+    ``skipped_lines``; the next append starts on a fresh line so it is not
+    lost to the torn one. Only an append creates the file and its
     directory, so a run that stores nothing leaves no trace.
     """
 
@@ -566,15 +561,13 @@ class ResponseCache:
                         entry = json.loads(line)
                     except (ValueError, RecursionError):  # e.g. a torn final line
                         entry = None
-                    key = response = None
-                    if isinstance(entry, list) and len(entry) == 2:
-                        key, response = entry
-                    elif isinstance(entry, dict):
-                        legacy, response = entry.get("key"), entry.get("response")
-                        if isinstance(legacy, str) and _LEGACY_KEY.match(legacy):
-                            key = _key_text(bytes.fromhex(legacy[:32]))
-                    if response is not None and isinstance(key, str):
-                        self._index[key] = response
+                    if (
+                        isinstance(entry, list)
+                        and len(entry) == 2
+                        and isinstance(entry[0], str)
+                        and entry[1] is not None
+                    ):
+                        self._index[entry[0]] = entry[1]
                     else:
                         self.skipped_lines += 1
 

@@ -325,6 +325,8 @@ def _cmd_annotate(args) -> int:
     else:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")
+        if not args.env_url.startswith(("http://", "https://")):
+            raise UsageError(f"--env-url must be an http(s) URL, got {args.env_url!r}")
         env = HttpEnv(args.env_url)
     backend = CachedBackend(
         build_backend(config.generate_backend), _response_cache(args.cache_dir)

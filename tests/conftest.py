@@ -76,14 +76,9 @@ def run_python_child(args: list[str], openblas_threads: str | None = None) -> st
 
 
 def cache_entries(path) -> list[tuple[str, object]]:
-    """The ``(key, response)`` pairs of a ``cache.jsonl``, in line order. A
-    line is either ``[key, response]`` or a legacy ``{"key", "response"}``
-    object, read as it stands (a legacy key stays hex)."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = json.loads(line)
-        entries.append((entry["key"], entry["response"]) if isinstance(entry, dict) else tuple(entry))
-    return entries
+    """The ``(key, response)`` pairs of a ``cache.jsonl`` of ``[key,
+    response]`` lines, in line order."""
+    return [tuple(json.loads(line)) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 def write_cache_entries(path, entries) -> None:
@@ -237,6 +232,20 @@ def backend_echo_response(backend, prompt: str, top_k: int) -> dict:
             }
         ]
     }
+
+
+def backend_generate_response(backend, body: dict) -> dict:
+    """``backend``'s completion of a completions request ``body`` as an
+    OpenAI-completions payload; an empty completion is ``{"text": ""}``."""
+    from ge_select.models import BackendError
+
+    try:
+        text = backend.generate(
+            body["prompt"], body.get("stop", []), body["max_tokens"], body["temperature"], body["top_p"]
+        )
+    except BackendError:  # the completion is empty once cut at the stop
+        text = ""
+    return {"choices": [{"text": text}]}
 
 
 def oracle_conditional(corpus: bytes, prefix: bytes, ctx: bytes, b: int) -> float:

@@ -720,30 +720,30 @@ def test_response_cache_counts_skipped_lines_and_appends_past_a_torn_one(tmp_pat
 
 @pytest.mark.parametrize(
     "bad_line",
-    [b'["k9",{"steps":[[-1.5,', b'["k9",null]\n', b'{"key":"not-hex-not-hex-not-hex-not-hex","response":"x"}\n'],
-    ids=["torn-list", "null-response", "non-hex-key"],
+    [
+        b'["k9",{"steps":[[-1.5,',
+        b'["k9",null]\n',
+        b'{"key":"%s","response":"x"}\n' % hashlib.sha256(b"k9").hexdigest().encode(),
+    ],
+    ids=["torn-list", "null-response", "hex-keyed-object"],
 )
-def test_response_cache_reads_hex_keyed_lines_and_appends_past_a_skipped_one(tmp_path, bad_line):
-    """Hex-keyed object lines, of 64 or 32 characters, are indexed under the
-    ``cache_key`` form of their first 128 bits; a torn list line, a null
-    response and a non-hex key are skipped lines."""
-    full, short = hashlib.sha256(b"a").hexdigest(), hashlib.sha256(b"b").hexdigest()[:32]
+def test_response_cache_skips_a_line_that_is_no_entry_and_appends_past_it(tmp_path, bad_line):
+    """Only a ``[key, response]`` list line is an entry. A torn list line, a
+    null response and a ``{"key", "response"}`` object line, as caches held
+    before entries were lists, are skipped lines; the next append starts on
+    a fresh line."""
     path = tmp_path / "cache.jsonl"
-    path.write_bytes(
-        b'{"key":"%s","response":"a"}\n{"key":"%s","response":"b"}\n["k3","c"]\n'
-        % (full.encode(), short.encode()) + bad_line
-    )
+    path.write_bytes(b'["k1","a"]\n["k2",{"steps":[[-1.5,2]]}]\n' + bad_line)
     cache = ResponseCache(path)
-    b64 = {h: base64.urlsafe_b64encode(bytes.fromhex(h[:32]))[:22].decode() for h in (full, short)}
-    assert (cache.get(b64[full]), cache.get(b64[short]), cache.get("k3")) == ("a", "b", "c")
-    assert cache.get(full) is cache.get(short) is cache.get("k9") is None
-    assert len(cache) == 3 and cache.skipped_lines == 1
+    assert (cache.get("k1"), cache.get("k2")) == ("a", {"steps": [[-1.5, 2]]})
+    assert cache.get("k9") is None
+    assert len(cache) == 2 and cache.skipped_lines == 1
     before = path.read_bytes()
     cache.put("k4", "d")
     fresh_line = b"" if bad_line.endswith(b"\n") else b"\n"
     assert path.read_bytes() == before + fresh_line + b'["k4","d"]\n'
     reloaded = ResponseCache(path)
-    assert reloaded.get("k4") == "d" and len(reloaded) == 4 and reloaded.skipped_lines == 1
+    assert reloaded.get("k4") == "d" and len(reloaded) == 3 and reloaded.skipped_lines == 1
 
 
 def test_response_cache_two_writers_never_interleave_entries(tmp_path):

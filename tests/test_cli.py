@@ -30,6 +30,7 @@ from ge_select.prompts import DEFAULT_TEMPLATE
 
 from conftest import (
     backend_echo_response,
+    backend_generate_response,
     cache_entries,
     echo_response,
     python_child_env,
@@ -314,103 +315,71 @@ def test_score_warns_once_about_malformed_cache_lines(workspace, capsys):
     assert cache_path.read_text(encoding="utf-8") == corrupted
 
 
-def legacy_cache_line(hex_key: str, response) -> str:
-    """One cache line as written while keys were hex."""
-    entry = {"key": hex_key, "response": response}
-    return json.dumps(entry, ensure_ascii=False, separators=(",", ":")) + "\n"
-
-
-def cold_run_with_hex_keys(workspace, monkeypatch) -> tuple[bytes, bytes, list, dict[str, str]]:
-    """A cold ``score`` and ``annotate`` into ``<workspace>/fresh``: their
-    outputs, the cache's entries, and each key's full SHA-256 hex key, the
-    key that caches stored before keys were base64url."""
-    from ge_select import backends, pipeline
-
-    real_cache_key, hex_keys = backends.cache_key, {}
-
-    def recording_cache_key(backend_id, request_body):
-        key = real_cache_key(backend_id, request_body)
-        hashed = (backend_id.fingerprint + "\n" + request_body).encode("utf-8")
-        hex_keys[key] = hashlib.sha256(hashed).hexdigest()
-        return key
-
-    with monkeypatch.context() as patch:  # scoring and generation keys
-        patch.setattr(pipeline, "cache_key", recording_cache_key)
-        patch.setattr(backends, "cache_key", recording_cache_key)
-        for argv in (score_argv(workspace), annotate_argv(workspace)):
-            argv[argv.index("--cache-dir") + 1] = str(workspace / "fresh")
-            assert run(argv) == 0
-    entries = cache_entries(workspace / "fresh" / "cache.jsonl")
-    # scoring entries are objects, generation entries strings
-    assert {type(response) for _, response in entries} == {dict, str}
-    assert all(re.fullmatch(r"[A-Za-z0-9_-]{22}", key) for key, _ in entries)
-    # a key is the first 128 bits of the SHA-256, the bits that a 32-hex key held
-    assert all(base64.urlsafe_b64decode(key + "==").hex() == hex_keys[key][:32] for key, _ in entries)
-    outputs = (workspace / "scores.jsonl").read_bytes(), (workspace / "annotated.jsonl").read_bytes()
-    return *outputs, entries, hex_keys
-
-
-def assert_warm_run_calls_no_backend(workspace, monkeypatch, cache_dir: Path, scores, annotated):
-    """A warm ``score`` and ``annotate`` over ``cache_dir`` write ``scores``
-    and ``annotated`` with no backend call and leave the cache byte-unchanged."""
+def test_object_lines_of_an_old_cache_are_skipped_and_their_work_redone(workspace, monkeypatch, capsys):
+    """Caches written before entries were ``[key, response]`` lists hold
+    ``{"key", "response"}`` objects keyed by the SHA-256 in hex, all 64
+    characters or the first 32. A warm ``score`` and ``annotate`` over a
+    cache that mixes such lines with list lines skip every object line:
+    they call the backend for exactly those entries, append exactly those as
+    list lines after the file's earlier bytes, write the cold run's outputs
+    and warn once per command."""
     from ge_select import backends
 
-    def no_call(*args, **kwargs):
-        raise AssertionError("a warm run called the backend")
+    for argv in (score_argv(workspace), annotate_argv(workspace)):
+        assert run(argv) == 0
+    scores, annotated = (workspace / "scores.jsonl").read_bytes(), (workspace / "annotated.jsonl").read_bytes()
+    cold = workspace / "cache" / "cache.jsonl"
+    lines, redone = [], []
+    for i, (line, (key, response)) in enumerate(
+        zip(cold.read_text(encoding="utf-8").splitlines(keepends=True), cache_entries(cold))
+    ):
+        if i % 3 == 2:
+            lines.append(line)
+            continue
+        hex_key = base64.urlsafe_b64decode(key + "==").hex()  # the same 128 bits
+        if i % 3 == 0:
+            hex_key += hashlib.sha256(key.encode()).hexdigest()[:32]  # a full-length key
+        entry = {"key": hex_key, "response": response}
+        lines.append(json.dumps(entry, ensure_ascii=False, separators=(",", ":")) + "\n")
+        redone.append((key, response))
+    # both kinds of entry, scoring objects and generation strings, are redone
+    assert {type(response) for _, response in redone} == {dict, str}
+    old = workspace / "old"
+    old.mkdir()
+    old_cache = old / "cache.jsonl"
+    old_cache.write_text("".join(lines), encoding="utf-8")
+    before = old_cache.read_bytes()
 
-    cache = (cache_dir / "cache.jsonl").read_bytes()
-    monkeypatch.setattr(backends.NgramBackend, "score_spans", no_call)
-    monkeypatch.setattr(backends.NgramBackend, "echo_logprobs", no_call)
-    monkeypatch.setattr(backends.NgramBackend, "generate", no_call)
+    calls = {"score_spans": 0, "echo_logprobs": 0, "generate": 0}
+
+    def counting(name):
+        real = getattr(backends.NgramBackend, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(backends.NgramBackend, name, counting(name))
     (workspace / "scores.jsonl").unlink()
     (workspace / "annotated.jsonl").unlink()
+    capsys.readouterr()
     for argv in (score_argv(workspace), annotate_argv(workspace)):
-        argv[argv.index("--cache-dir") + 1] = str(cache_dir)
+        argv[argv.index("--cache-dir") + 1] = str(old)
         assert run(argv) == 0
+    assert calls == {
+        "score_spans": sum(isinstance(response, dict) for _, response in redone),
+        "echo_logprobs": 0,
+        "generate": sum(isinstance(response, str) for _, response in redone),
+    }
+    after = old_cache.read_bytes()
+    assert after.startswith(before)
+    assert [tuple(json.loads(line)) for line in after[len(before):].splitlines()] == redone
     assert (workspace / "scores.jsonl").read_bytes() == scores
     assert (workspace / "annotated.jsonl").read_bytes() == annotated
-    assert (cache_dir / "cache.jsonl").read_bytes() == cache
-
-
-def test_a_cache_written_with_full_sha256_keys_still_serves_every_hit(workspace, monkeypatch):
-    """Caches written before keys were base64url hold one ``{"key",
-    "response"}`` object per line, keyed by the full 64-character hex
-    SHA-256. A warm ``score`` and ``annotate`` over one such cache call no
-    backend, write the cold run's bytes and append nothing."""
-    scores, annotated, entries, hex_keys = cold_run_with_hex_keys(workspace, monkeypatch)
-    full = workspace / "full"
-    full.mkdir()
-    (full / "cache.jsonl").write_text(
-        "".join(legacy_cache_line(hex_keys[key], response) for key, response in entries),
-        encoding="utf-8",
-    )
-    assert_warm_run_calls_no_backend(workspace, monkeypatch, full, scores, annotated)
-
-
-def test_one_cache_of_hex_keyed_and_list_lines_serves_every_hit(workspace, monkeypatch, capsys):
-    """One ``cache.jsonl`` may hold lines of all three kinds: objects keyed by
-    64 and by 32 hex characters, and ``[key, response]`` lists. A warm run
-    over it serves every entry, and counts the torn list line, the null
-    response and the object keyed by a non-hex string as skipped lines."""
-    scores, annotated, entries, hex_keys = cold_run_with_hex_keys(workspace, monkeypatch)
-    lines = []
-    for i, (key, response) in enumerate(entries):
-        if i % 3 == 0:
-            lines.append(legacy_cache_line(hex_keys[key], response))
-        elif i % 3 == 1:
-            lines.append(legacy_cache_line(hex_keys[key][:32], response))
-        else:
-            lines.append(json.dumps([key, response]) + "\n")
-    key, response = entries[0]
-    lines.insert(1, json.dumps([key, None]) + "\n")
-    lines.insert(3, legacy_cache_line("z" + hex_keys[key][1:], response))
-    lines.append(json.dumps([key, response])[:-3])  # torn by a crash mid-append
-    mixed = workspace / "mixed"
-    mixed.mkdir()
-    (mixed / "cache.jsonl").write_text("".join(lines), encoding="utf-8")
-    capsys.readouterr()
-    assert_warm_run_calls_no_backend(workspace, monkeypatch, mixed, scores, annotated)
-    warning = f"warning: cache {mixed / 'cache.jsonl'}: skipped 3 malformed line(s)\n"
+    warning = f"warning: cache {old_cache}: skipped {len(redone)} malformed line(s)\n"
     assert capsys.readouterr().err == 2 * warning
 
 
@@ -682,17 +651,23 @@ def test_annotate_http_env(workspace, local_server):
     assert all(t.reward == 1.0 and len(t.steps) == 1 for t in annotated)
 
 
-def test_annotate_http_env_requires_url(workspace):
+@pytest.mark.parametrize("url", [None, "localhost:9", "ftp://x", "not a url"])
+def test_annotate_http_env_refuses_a_missing_or_non_http_url(workspace, monkeypatch, capsys, url):
+    """Without an http(s) ``--env-url`` the run exits 1 before it sends a
+    request or opens the cache, rather than retrying each ``/reset``."""
+    import requests
+
+    sent = []
+    monkeypatch.setattr(requests.Session, "request", lambda *args, **kwargs: sent.append(args))
     fresh = workspace / "fresh"
-    assert run(
-        ["annotate", "--questions", str(workspace / "pool.jsonl"),
-         "--guideline", str(workspace / "guideline.txt"),
-         "--config", str(workspace / "config.json"),
-         "--env", "http",
-         "--out", str(workspace / "x.jsonl"),
-         "--cache-dir", str(fresh)]
-    ) == 1
-    assert not fresh.exists()  # the usage error is raised before the cache is opened
+    argv = [*annotate_argv(workspace), "--env", "http", "--cache-dir", str(fresh)]
+    if url is not None:
+        argv += ["--env-url", url]
+    assert run(argv) == 1
+    needle = "--env-url is required" if url is None else f"--env-url must be an http(s) URL, got {url!r}"
+    assert_one_error_line(capsys.readouterr().err, 1, needle)
+    assert not sent
+    assert not fresh.exists()
 
 
 def test_annotate_whose_every_reset_fails_exits_four(workspace, capsys, local_server, no_sleep):
@@ -1178,6 +1153,32 @@ def test_http_scoring_in_front_of_an_ngram_model_matches_the_direct_run(workspac
         # The client rebuilds each top-k residual from exp(logprob), not the
         # model's probabilities, so the entropy may differ in its last bits.
         assert math.isclose(http_record.mean_entropy, ngram_record.mean_entropy, rel_tol=1e-15)
+
+
+def test_http_generation_in_front_of_an_ngram_model_matches_the_direct_run(workspace, local_server):
+    """``annotate --env toyshop`` through an ``http`` generation backend
+    served by an n-gram model writes the direct run's output and sidecar."""
+    config_path = workspace / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    # After a space this model picks a newline on some prompts, an empty
+    # completion, so some questions fail and the sidecar is written.
+    config["generate_backend"] = {"kind": "ngram", "order": 1, "corpus": " \n" * 13}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(annotate_argv(workspace)) == 0
+    out, diag = workspace / "annotated.jsonl", workspace / "annotated.jsonl.diag.jsonl"
+    direct = out.read_bytes(), diag.read_bytes()
+    assert 0 < len(direct[1].splitlines()) < 12
+    ngram = build_backend(config["generate_backend"])
+    local_server.handler = lambda path, body: (200, backend_generate_response(ngram, body))
+    config["generate_backend"] = {"kind": "http", "model": "m", "endpoint": local_server.url}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out.unlink()
+    diag.unlink()
+    argv = annotate_argv(workspace)
+    argv[argv.index("--cache-dir") + 1] = str(workspace / "cache-http")
+    assert run(argv) == 0
+    assert (out.read_bytes(), diag.read_bytes()) == direct
+    assert {path for path, _, _ in local_server.requests} == {"/completions"}
 
 
 def _peak_http_requests(workspace, local_server, *flags: str) -> int:
