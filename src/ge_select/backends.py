@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Any, NamedTuple, Sequence
 
-from .models import BackendError, FormatError, Record, _read_text, keys, number, string, sum_floats
+from .models import BackendError, FormatError, Record, _read_text, http_url, keys, number, string, sum_floats
 from .scoring import TokenDistribution, entropy
 
 if TYPE_CHECKING:
@@ -659,7 +659,8 @@ def build_backend(config: dict) -> Backend:
     """Instantiate a backend from one config-file entry, checked as
     ``backend_kind`` checks it, with its values checked and its n-gram
     ``corpus_path`` file read. The http ``endpoint`` must be an http or
-    https URL, so a bad one fails here rather than on every request. The
+    https URL that names a host, so a bad one fails here rather than after
+    every request's retries. The
     http ``max_retries`` (at most 10) and ``backoff`` (at most 60 s) are
     capped, so the longest retry sleep, ``backoff * 2 ** (max_retries - 1)``,
     stays under 9 hours; ``timeout`` is capped at one hour, far below what a
@@ -667,11 +668,9 @@ def build_backend(config: dict) -> Backend:
     if backend_kind(config) == "http":
         model = string(config.get("model"), "backend 'model'", empty=True)
         endpoint = string(config.get("endpoint"), "backend 'endpoint'")
-        if not endpoint.startswith(("http://", "https://")):
-            raise FormatError(f"backend 'endpoint' must be an http(s) URL, got {endpoint!r}")
         return HttpBackend(
             model=model,
-            endpoint=endpoint,
+            endpoint=http_url(endpoint, "backend 'endpoint'"),
             timeout=number(
                 config.get("timeout", 60.0), "backend 'timeout'", low=0.001, high=3600
             ),

@@ -30,6 +30,7 @@ from .models import (
     _check_unique,
     _load_jsonl,
     _read_text,
+    http_url,
     load_pool,
     load_scores,
     load_selection,
@@ -108,7 +109,7 @@ def _build_parser() -> _Parser:
         "--parallel",
         type=int,
         default=4,
-        help="http scoring threads (default 4); n-gram scoring runs on one thread",
+        help="threads sending http the distinct missed prompts (default 4); n-gram starts none",
     )
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help="response cache directory")
 
@@ -162,8 +163,8 @@ def _response_cache(cache_dir: str) -> ResponseCache:
     return cache
 
 
-# The cap of ``score --parallel``. An http backend scores on one thread per
-# worker, so the worker count stays small; other backends start no threads.
+# The cap of ``score --parallel``. An http backend sends its missed prompts
+# from one thread per worker, so the count stays small; other backends start none.
 MAX_PARALLELISM = 256
 
 
@@ -325,9 +326,7 @@ def _cmd_annotate(args) -> int:
     else:
         if not args.env_url:
             raise UsageError("--env-url is required for --env http")
-        if not args.env_url.startswith(("http://", "https://")):
-            raise UsageError(f"--env-url must be an http(s) URL, got {args.env_url!r}")
-        env = HttpEnv(args.env_url)
+        env = HttpEnv(http_url(args.env_url, "--env-url", error=UsageError))
     backend = CachedBackend(
         build_backend(config.generate_backend), _response_cache(args.cache_dir)
     )

@@ -21,6 +21,7 @@ import os
 import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+from urllib.parse import urlsplit
 
 SOURCES = ("ingested", "annotated", "synthetic")
 STRATEGIES = ("ge", "random", "entropy", "highscore", "fl")
@@ -111,6 +112,17 @@ def string(
             return value
         raise error(f"{where} holds a lone surrogate, which UTF-8 cannot encode: {value!r}")
     raise error(f"{where} must be a {'' if empty else 'non-empty '}string, got {value!r}")
+
+
+def http_url(value: str, where: str, *, error: type[Exception] = FormatError) -> str:
+    """``value`` if it is an http or https URL that names a host."""
+    try:
+        parts = urlsplit(value)
+        if parts.scheme in ("http", "https") and parts.hostname:
+            return value
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        pass
+    raise error(f"{where} must be an http(s) URL, got {value!r}")
 
 
 class Record:

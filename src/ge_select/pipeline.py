@@ -1,12 +1,13 @@
 """End-to-end orchestration: run config, pool scoring and annotation.
 
-Scoring visits questions in id order. An http backend waits on the network,
-so its questions fan out across a bounded pool of worker threads; any other
-backend is CPU-bound under the GIL, so it scores on the calling thread and its
-cache appends follow question order. Aggregation is order-independent and the
-output is sorted by question id before writing, so results are invariant to
-pool order and parallelism degree. Failures are collected as diagnostics
-instead of aborting the batch.
+Scoring renders and keys every prompt on the calling thread, in question id
+order, and looks each distinct key up in the cache once. Only the backend
+calls of the distinct misses leave that thread: an http backend waits on the
+network, so they fan out across a bounded pool of worker threads, while any
+other backend is CPU-bound under the GIL and starts none. The calling thread
+stores each entry in question order as the calls return, so a cold run
+writes the same cache at every parallelism degree, and then aggregates.
+Failures are collected as diagnostics instead of aborting the batch.
 """
 
 from __future__ import annotations
@@ -205,62 +206,115 @@ def _check_scored(scored: Any, spans: int, where: str) -> None:
         number(scored["mean_entropy"], f"{where} mean_entropy", low=0)
 
 
-def _score_prompt(
-    bundle: PromptBundle,
-    backend: Backend,
-    top_k: int,
-    cache: ResponseCache | None = None,
-) -> tuple[list[list], float | None]:
-    """One ``[total, count]`` pair per scored action, the sum of its token
-    logprobs in token order and their number, plus the mean entropy of the
-    top-k distributions at those tokens (None when there are none).
+def _score_miss(miss: tuple[PromptBundle, int], backend: Backend) -> dict | Exception:
+    """The scoring entry (schema 3) of a prompt that missed the cache, or the
+    error that failed it: ``steps``, one ``[total, count]`` pair per scored
+    action, the sum of its token logprobs in token order and their number,
+    and ``mean_entropy``, of the top-k distributions at those tokens (None
+    when there are none). The backend's ``score_spans`` gives them when it
+    has one, and otherwise its ``echo_logprobs`` reply. A sum that overflows
+    is a ``FormatError``, so it is never stored."""
+    bundle, top_k = miss
+    try:
+        if hasattr(backend, "score_spans"):
+            steps, entropy = backend.score_spans(bundle.rendered, bundle.action_spans, top_k)
+        else:
+            echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
+            steps = []
+            dists: list[TokenDistribution] = []
+            for index, (first, last) in enumerate(map_spans_to_tokens(bundle, echo)):
+                tokens = echo[first:last]
+                if any(token.logprob is None for token in tokens):
+                    raise FormatError(
+                        f"the echo reply has a null logprob at a token of step {index}'s scored span"
+                    )
+                steps.append([sum_floats(token.logprob for token in tokens), len(tokens)])
+                dists.extend(token.top for token in tokens if token.top)
+            entropy = mean_entropy(dists) if dists else None
+        for index, (total, _) in enumerate(steps):
+            number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
+    except (BackendError, FormatError) as exc:
+        return exc
+    return {"steps": steps, "mean_entropy": entropy}
 
-    A miss asks the backend's ``score_spans`` for them when it has one, and
-    otherwise reads them off its ``echo_logprobs`` reply. Only these are
-    cached (schema 3), keyed by schema version, prompt, spans and top_k, so a
-    hit needs neither the backend, span mapping nor any distribution. A miss
-    stores them and returns what the cache holds, so racing writers agree;
-    JSON floats round-trip exactly, so a hit returns the same bytes. A hit of
-    any other shape raises ``FormatError`` naming the cache. A miss whose sum
-    overflows raises ``FormatError`` and stores nothing.
-    """
-    key = cache_key(
-        backend.id,
-        canonical_request(
-            {
-                "op": "score_spans",
-                "v": 3,
-                "text": bundle.rendered,
-                "spans": bundle.action_spans,
-                "top_k": top_k,
-            }
-        ),
-    )
-    scored = cache.get(key) if cache is not None else None
-    if scored is not None:
-        _check_scored(scored, len(bundle.action_spans), f"cache {cache.path}: scoring entry")
-        return scored["steps"], scored["mean_entropy"]
-    if hasattr(backend, "score_spans"):
-        steps, entropy = backend.score_spans(bundle.rendered, bundle.action_spans, top_k)
+
+def _score_all(
+    items: Sequence[tuple[Trajectory, Question]],
+    guideline: Guideline,
+    backend: Backend,
+    config: RunConfig,
+    cache: ResponseCache | None,
+    parallelism: int,
+) -> list[ScoreRecord | Exception]:
+    """Each trajectory's record, or the error that failed it, in order.
+
+    The guideline-free prompt is scored at ``top_k`` 0, since only its
+    logprobs are used; ``mean_entropy`` comes from the guideline prompt,
+    scored at ``config.top_k``. A prompt's key covers schema version, prompt,
+    spans and top_k. Each distinct key is looked up once, and a hit of the
+    wrong shape is a ``FormatError`` naming the cache. Each distinct miss is
+    sent once and stored in order; its failure fails every trajectory that
+    needs it."""
+    entries: dict[str, Any] = {}  # key -> a checked hit, a stored miss or the error of either
+    misses: dict[str, tuple[PromptBundle, int]] = {}
+    planned = []
+    for trajectory, question in items:
+        pair = []
+        for g, top_k in ((None, 0), (guideline, config.top_k)):
+            bundle = build_prompt(
+                config.instruction, g, config.exemplars, trajectory, config.template,
+                config.score_target, question_text=question.text,
+            )  # fmt: skip
+            request = {"op": "score_spans", "v": 3, "text": bundle.rendered,
+                       "spans": bundle.action_spans, "top_k": top_k}  # fmt: skip
+            key = cache_key(backend.id, canonical_request(request))
+            pair.append(key)
+            hit = None if key in entries or key in misses or cache is None else cache.get(key)
+            if hit is not None:
+                try:
+                    _check_scored(hit, len(bundle.action_spans), f"cache {cache.path}: scoring entry")
+                except FormatError as exc:
+                    hit = exc
+                entries[key] = hit
+            elif key not in entries:
+                misses.setdefault(key, (bundle, top_k))
+        planned.append(pair)
+
+    def store(scored) -> None:
+        for key, entry in zip(misses, scored):  # ``map`` yields in ``misses`` order
+            stored = cache is not None and isinstance(entry, dict)
+            entries[key] = cache.put(key, entry) if stored else entry
+
+    calls = (misses.values(), [backend] * len(misses))
+    # Wrappers forward ``id``, so its kind names the backend beneath them.
+    if backend.id.kind == "http":
+        # Imported here so runs that start no threads skip its start-up cost.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=parallelism) as pool_exec:
+            store(pool_exec.map(_score_miss, *calls))
     else:
-        echo = backend.echo_logprobs(bundle.rendered, want_top_k=top_k)
-        steps = []
-        dists: list[TokenDistribution] = []
-        for index, (first, last) in enumerate(map_spans_to_tokens(bundle, echo)):
-            tokens = echo[first:last]
-            if any(token.logprob is None for token in tokens):
-                raise FormatError(
-                    f"the echo reply has a null logprob at a token of step {index}'s scored span"
-                )
-            steps.append([sum_floats(token.logprob for token in tokens), len(tokens)])
-            dists.extend(token.top for token in tokens if token.top)
-        entropy = mean_entropy(dists) if dists else None
-    for index, (total, _) in enumerate(steps):
-        number(total, f"scored span for step {index}: the sum of its token logprobs", high=0)
-    scored = {"steps": steps, "mean_entropy": entropy}
-    if cache is not None:
-        scored = cache.put(key, scored)
-    return scored["steps"], scored["mean_entropy"]
+        store(map(_score_miss, *calls))
+
+    outcomes: list[ScoreRecord | Exception] = []
+    for (trajectory, _), (without_key, with_key) in zip(items, planned):
+        without, with_g = entries[without_key], entries[with_key]
+        failed = [entry for entry in (without, with_g) if isinstance(entry, Exception)]
+        if failed:
+            outcomes.append(failed[0])
+            continue
+        per_step, ge = aggregate_trajectory(with_g["steps"], without["steps"])
+        outcomes.append(
+            ScoreRecord(
+                question_id=trajectory.question_id,
+                guideline_version=guideline.version,
+                backend_id=backend.id.fingerprint,
+                per_step=tuple(per_step),
+                ge=-ge if config.ge_sign == GE_SIGN_EQ5 else ge,
+                mean_entropy=with_g["mean_entropy"],
+            )
+        )
+    return outcomes
 
 
 def score_trajectory(
@@ -271,37 +325,12 @@ def score_trajectory(
     config: RunConfig,
     cache: ResponseCache | None = None,
 ) -> ScoreRecord:
-    """Score one trajectory under both prompt variants.
-
-    The guideline-free prompt is scored at ``top_k`` 0, since only its
-    logprobs are used; ``mean_entropy`` comes from the guideline prompt,
-    scored at ``config.top_k``.
-    """
-
-    def render(g: Guideline | None) -> PromptBundle:
-        return build_prompt(
-            config.instruction,
-            g,
-            config.exemplars,
-            trajectory,
-            config.template,
-            config.score_target,
-            question_text=question.text,
-        )
-
-    without_steps, _ = _score_prompt(render(None), backend, 0, cache)
-    with_steps, entropy = _score_prompt(render(guideline), backend, config.top_k, cache)
-    per_step, ge = aggregate_trajectory(with_steps, without_steps)
-    if config.ge_sign == GE_SIGN_EQ5:
-        ge = -ge
-    return ScoreRecord(
-        question_id=trajectory.question_id,
-        guideline_version=guideline.version,
-        backend_id=backend.id.fingerprint,
-        per_step=tuple(per_step),
-        ge=ge,
-        mean_entropy=entropy,
-    )
+    """Score one trajectory as ``score_pool`` does; a failure raises its
+    ``BackendError`` or ``FormatError``."""
+    (outcome,) = _score_all([(trajectory, question)], guideline, backend, config, cache, 1)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def score_pool(
@@ -317,8 +346,8 @@ def score_pool(
     """Score every question that has a trajectory; first trajectory wins.
 
     With a ``cache``, scored spans already in it are not sent to the backend.
-    An http backend scores on ``parallelism`` worker threads; any other
-    backend starts none.
+    An http backend sends the distinct missed prompts from ``parallelism``
+    worker threads; any other backend starts none.
     """
     by_id = {q.id: q for q in pool}
     diagnostics: list[Diagnostic] = []
@@ -335,25 +364,15 @@ def score_pool(
         if question.id not in chosen:
             diagnostics.append(Diagnostic(question.id, "score", NO_TRAJECTORY))
 
-    def work(item: tuple[str, Trajectory]):
-        qid, trajectory = item
-        try:
-            return score_trajectory(trajectory, by_id[qid], guideline, backend, config, cache)
-        except (BackendError, FormatError) as exc:
-            return Diagnostic(qid, "score", str(exc))
-
-    ordered = sorted(chosen.items())  # ``map`` keeps this order in its outcomes
-    # Wrappers forward ``id``, so its kind names the backend beneath them.
-    if backend.id.kind == "http":
-        # Imported here so runs that start no threads skip its start-up cost.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool_exec:
-            outcomes = list(pool_exec.map(work, ordered))
-    else:
-        outcomes = list(map(work, ordered))
-    records = [o for o in outcomes if isinstance(o, ScoreRecord)]
-    diagnostics.extend(o for o in outcomes if isinstance(o, Diagnostic))
+    ordered = sorted(chosen.items())
+    items = [(trajectory, by_id[qid]) for qid, trajectory in ordered]
+    outcomes = _score_all(items, guideline, backend, config, cache, parallelism)
+    records = []
+    for (qid, _), outcome in zip(ordered, outcomes):
+        if isinstance(outcome, ScoreRecord):
+            records.append(outcome)
+        else:
+            diagnostics.append(Diagnostic(qid, "score", str(outcome)))
     diagnostics.sort(key=lambda d: (d.question_id, d.error))
     return records, diagnostics
 

@@ -651,7 +651,7 @@ def test_annotate_http_env(workspace, local_server):
     assert all(t.reward == 1.0 and len(t.steps) == 1 for t in annotated)
 
 
-@pytest.mark.parametrize("url", [None, "localhost:9", "ftp://x", "not a url"])
+@pytest.mark.parametrize("url", [None, "localhost:9", "ftp://x", "not a url", "http://", "http://["])
 def test_annotate_http_env_refuses_a_missing_or_non_http_url(workspace, monkeypatch, capsys, url):
     """Without an http(s) ``--env-url`` the run exits 1 before it sends a
     request or opens the cache, rather than retrying each ``/reset``."""
@@ -1140,7 +1140,8 @@ def test_http_scoring_in_front_of_an_ngram_model_matches_the_direct_run(workspac
         argv[argv.index("--out") + 1] = str(out)
         argv[argv.index("--cache-dir") + 1] = str(workspace / f"cache-{parallel}")
         assert run([*argv, "--parallel", parallel]) == 0
-        written.append(out.read_bytes())
+        written.append((out.read_bytes(), (workspace / f"cache-{parallel}" / "cache.jsonl").read_bytes()))
+    # One server URL, so one fingerprint: each run stores the same entries in question order.
     assert written[0] == written[1]
     via_http = load_scores(workspace / "http-1.jsonl")
     assert len(via_http) == len(direct) == 12
@@ -1282,6 +1283,8 @@ _CONFIG_CASES = {
     "kind-hash_embed": ("score_backend", {"kind": "hash_embed"}, "'hash_embed'"),
     "http-no-endpoint": ("score_backend", {"kind": "http", "model": "m"}, "endpoint"),
     "http-endpoint-empty": ("score_backend", _http(endpoint="", backoff=0), "endpoint"),
+    "http-endpoint-no-host": ("score_backend", _http(endpoint="http://", backoff=0), "endpoint"),
+    "https-endpoint-no-host": ("score_backend", _http(endpoint="https:///v1", backoff=0), "endpoint"),
     "http-endpoint-no-scheme": (
         "score_backend", _http(endpoint="127.0.0.1:9", backoff=0), "endpoint"
     ),

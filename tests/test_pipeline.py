@@ -16,6 +16,7 @@ from ge_select.backends import (
     BackendError,
     BackendId,
     CachedBackend,
+    HttpBackend,
     NgramBackend,
     ResponseCache,
     cache_key,
@@ -53,7 +54,13 @@ from ge_select.reports import (
 )
 from ge_select.scoring import DIFFICULTY_FLOOR
 
-from conftest import CountingBackend, cache_entries, oracle_conditional, write_cache_entries
+from conftest import (
+    CountingBackend,
+    cache_entries,
+    echo_response,
+    oracle_conditional,
+    write_cache_entries,
+)
 
 
 def tiny_config(**kwargs) -> RunConfig:
@@ -476,6 +483,83 @@ def test_racing_scorers_agree_and_store_one_entry_per_prompt(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8 and all(r == results[0] for r in results)
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
+
+
+class HttpKindNgram:
+    """An n-gram model under the n-gram's fingerprint but an ``id`` of kind
+    http, so that scoring sends its misses from worker threads. It forwards
+    only ``echo_logprobs`` and records each prompt it echoes and the thread
+    that asked."""
+
+    def __init__(self, inner: NgramBackend) -> None:
+        self.inner = inner
+        self.id = BackendId("http", inner.id.model, fingerprint=inner.id.fingerprint)
+        self.echoed: list[tuple[str, int]] = []
+        self._lock = threading.Lock()
+
+    def echo_logprobs(self, text, want_top_k=0):
+        with self._lock:
+            self.echoed.append((text, threading.get_ident()))
+        return self.inner.echo_logprobs(text, want_top_k)
+
+
+class ThreadRecordingCache(ResponseCache):
+    """A response cache that records the thread of each ``put``."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.put_threads: list[int] = []
+
+    def put(self, key, response):
+        self.put_threads.append(threading.get_ident())
+        return super().put(key, response)
+
+
+def test_http_scoring_sends_each_distinct_prompt_once_and_stores_on_the_calling_thread(tmp_path):
+    env, pool, _ = toyshop_make(ToyShopConfig(seed=3, catalog_size=10), 30)
+    guideline = Guideline.from_text(toyshop_guideline())
+    trajectories = [toyshop_rollout(env, q, guideline.version) for q in pool]
+    texts = {q.text for q in pool}
+    assert len(texts) < len(pool)  # some questions repeat a text, and so their prompts
+    ngram = NgramBackend(toyshop_guideline(), order=4)
+    config = tiny_config(top_k=3)
+    direct_cache = tmp_path / "direct.jsonl"
+    direct = score_pool(pool, trajectories, guideline, ngram, config, ResponseCache(direct_cache))
+    assert not direct[1] and len(direct[0]) == len(pool)
+    caller = threading.get_ident()
+    for parallelism in (1, 2, 4):
+        backend = HttpKindNgram(ngram)
+        cache = ThreadRecordingCache(tmp_path / f"cache-{parallelism}.jsonl")
+        scored = score_pool(
+            pool, trajectories, guideline, backend, config, cache, parallelism=parallelism
+        )
+        assert scored == direct
+        prompts = [text for text, _ in backend.echoed]
+        assert len(prompts) == len(set(prompts)) == 2 * len(texts)
+        assert caller not in {thread for _, thread in backend.echoed}
+        assert cache.put_threads == [caller] * len(prompts)
+        assert cache.path.read_bytes() == direct_cache.read_bytes()
+
+
+def test_a_failed_prompt_shared_by_two_questions_is_sent_once_and_fails_both(local_server):
+    shared = "find a red mug"
+    pool = [Question(id="q1", text=shared), Question(id="q2", text=shared),
+            Question(id="q3", text="find a blue lamp")]  # fmt: skip
+    trajectories = [make_trajectory(q.id, question=q.text) for q in pool]
+    local_server.handler = lambda path, body: (
+        (400, {"error": "no"}) if shared in body["prompt"] else (200, echo_response(body["prompt"]))
+    )
+    backend = HttpBackend(model="m", endpoint=local_server.url, max_retries=0)
+    records, diagnostics = score_pool(
+        pool, trajectories, Guideline.from_text("g"), backend, tiny_config(), parallelism=4
+    )
+    assert [r.question_id for r in records] == ["q3"]
+    assert [d.question_id for d in diagnostics] == ["q1", "q2"]
+    assert diagnostics[0].error == diagnostics[1].error
+    assert "returned HTTP 400" in diagnostics[0].error
+    prompts = [body["prompt"] for _, body, _ in local_server.requests]
+    assert len(prompts) == len(set(prompts)) == 4  # each question's two prompts, q1's and q3's
+    assert sum(shared in prompt for prompt in prompts) == 2
 
 
 @pytest.mark.parametrize("corpus", ["", toyshop_guideline()], ids=["empty", "guideline"])
